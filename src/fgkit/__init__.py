@@ -10,7 +10,6 @@ from .abelian import INFINITE, exponent_vector, image_matrix, quotient_order, sm
 from .family import (
     DEFAULT_G_VALUES,
     DEFAULT_L_VALUES,
-    DEFAULT_SEED,
     FamilyParams,
     VerificationReport,
     boundary_class,
@@ -48,7 +47,6 @@ __all__ = [
     "CyclicWord",
     "DEFAULT_G_VALUES",
     "DEFAULT_L_VALUES",
-    "DEFAULT_SEED",
     "FamilyParams",
     "Homomorphism",
     "INFINITE",

@@ -1,9 +1,8 @@
 """Command-line front end: word arithmetic, verification, sweeps.
 
 Exit codes are a stable contract: 0 success, 1 a mathematical check
-failed, 2 usage or parse error.  Reports are deterministic for a fixed
-seed once timings are stripped (``--no-timings``), regardless of the
-``--parallel`` level.
+failed, 2 usage or parse error.  Reports are deterministic once timings
+are stripped (``--no-timings``), regardless of the ``--parallel`` level.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from typing import Optional, Sequence
 from .family import (
     DEFAULT_G_VALUES,
     DEFAULT_L_VALUES,
-    DEFAULT_SEED,
     REPORT_SCHEMA,
     FamilyParams,
     VerificationReport,
@@ -27,7 +25,6 @@ from .family import (
 )
 from .words import (
     Alphabet,
-    WordSyntaxError,
     canonical_class,
     parse_word,
     render_word,
@@ -60,12 +57,14 @@ def _parse_int_list(text: str) -> list[int]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        if ".." in chunk:
-            lo_text, hi_text = chunk.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            items.extend(range(lo, hi + 1))
-        else:
-            items.append(int(chunk))
+        try:
+            if ".." in chunk:
+                lo_text, hi_text = chunk.split("..", 1)
+                items.extend(range(int(lo_text), int(hi_text) + 1))
+            else:
+                items.append(int(chunk))
+        except ValueError:
+            raise ValueError(f"not an integer or a..b range: {chunk!r}") from None
     return items
 
 
@@ -112,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_report_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--format", choices=["json", "csv", "table"], default="json")
     p.add_argument("--out", default=None, metavar="PATH")
     p.add_argument("--no-timings", action="store_true")
@@ -132,18 +130,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_identities(args)
-    except WordSyntaxError as exc:
+    except (ValueError, OSError) as exc:  # bad input or unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def _cmd_word(args) -> int:
     names = tuple(n.strip() for n in args.alphabet.split(",") if n.strip())
-    try:
-        alphabet = Alphabet(names)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    alphabet = Alphabet(names)
     op = args.op
     if op == "concat":
         if len(args.texts) < 2:
@@ -185,7 +179,7 @@ def _cmd_verify(args) -> int:
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return 2
-    report = verify(FamilyParams(args.g, args.l), seed=args.seed)
+    report = verify(FamilyParams(args.g, args.l))
     for w in report.warnings:
         print(f"WARNING: g={args.g} l={args.l}: {w}", file=sys.stderr)
     include_timings = not args.no_timings
@@ -199,15 +193,15 @@ def _cmd_verify(args) -> int:
     return 0 if report.hard_pass else 1
 
 
-def _sweep_worker(job: tuple[int, int, int]) -> VerificationReport:
-    g, l, seed = job
-    return verify(FamilyParams(g, l), seed=seed)
+def _sweep_worker(job: tuple[int, int]) -> VerificationReport:
+    g, l = job
+    return verify(FamilyParams(g, l))
 
 
 def _run_grid(
-    g_values: list[int], l_values: list[int], seed: int, parallel: int
+    g_values: list[int], l_values: list[int], parallel: int
 ) -> list[VerificationReport]:
-    jobs = [(g, l, seed) for g in g_values for l in l_values]
+    jobs = [(g, l) for g in g_values for l in l_values]
     if parallel > 1:
         try:
             from concurrent.futures import ProcessPoolExecutor
@@ -268,7 +262,7 @@ def _cmd_sweep(args) -> int:
         print("error: --parallel must be >= 1", file=sys.stderr)
         return 2
 
-    reports = _run_grid(g_values, l_values, args.seed, args.parallel)
+    reports = _run_grid(g_values, l_values, args.parallel)
     distinct = _distinctness_rows(reports)
     for r in reports:
         for w in r.warnings:
@@ -282,7 +276,6 @@ def _cmd_sweep(args) -> int:
     if args.format == "json":
         payload = {
             "schema": REPORT_SCHEMA,
-            "seed": args.seed,
             "grid": {"g_values": g_values, "l_values": l_values},
             "reports": [r.to_json_dict(include_timings) for r in reports],
             "distinctness": distinct,

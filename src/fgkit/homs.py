@@ -121,22 +121,6 @@ def compose(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
     )
 
 
-def _random_reduced_letters(
-    rng: random.Random,
-    length: int,
-    gens: tuple[int, ...],
-) -> tuple[int, ...]:
-    choices = [s for g in gens for s in (g, -g)]
-    out: list[int] = []
-    for _ in range(length):
-        if out:
-            opts = [s for s in choices if s != -out[-1]]
-        else:
-            opts = choices
-        out.append(rng.choice(opts))
-    return tuple(out)
-
-
 def random_reduced_word(
     alphabet: Alphabet,
     length: int,
@@ -153,4 +137,12 @@ def random_reduced_word(
     gens = tuple(sorted(allowed)) if allowed is not None else tuple(
         range(1, alphabet.rank + 1)
     )
-    return Word._wrap(alphabet, _random_reduced_letters(rng, length, gens))
+    choices = [s for g in gens for s in (g, -g)]
+    out: list[int] = []
+    for _ in range(length):
+        if out:
+            opts = [s for s in choices if s != -out[-1]]
+        else:
+            opts = choices
+        out.append(rng.choice(opts))
+    return Word._wrap(alphabet, tuple(out))

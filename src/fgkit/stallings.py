@@ -15,6 +15,11 @@ Injectivity of a homomorphism between free groups is certified by rank
 counting: the folded graph of the image subgroup has rank equal to the
 subgroup's rank, and a surjection from a free group onto a free group of
 the same finite rank is an isomorphism (free groups are Hopfian).
+
+The edges at the base vertex of a folded graph are exactly the first
+letters of the subgroup's nontrivial reduced elements (and, inverted, the
+last letters); :meth:`SubgroupGraph.base_labels` reads which of them a
+given base loop uses.
 """
 
 from __future__ import annotations
@@ -213,6 +218,33 @@ class SubgroupGraph:
                 return False
         return self.base in states
 
+    def base_labels(self, letters: Iterable[int]) -> set[int]:
+        """Labels, read outward from the base, of the base edges a loop uses.
+
+        ``letters`` must spell a base-to-base path in the folded graph.
+        Each time the path leaves the base along ``s`` the result gains
+        ``s``; each time it arrives along ``s`` it gains ``-s``.  One pass
+        over the letters.
+        """
+        if not self.folded:
+            raise ValueError("graph must be folded before reading base labels")
+        assert self._out is not None
+        out, base = self._out, self.base
+        labels: set[int] = set()
+        v = base
+        for s in letters:
+            if v == base:
+                labels.add(s)
+            try:
+                v = out[v][s]
+            except KeyError:
+                raise ValueError("letters do not spell a path in the graph") from None
+            if v == base:
+                labels.add(-s)
+        if v != base:
+            raise ValueError("letters do not spell a base-to-base loop")
+        return labels
+
     def rank(self) -> int:
         """Rank of the represented subgroup: E - V + 1 on the trimmed core.
 
@@ -277,6 +309,12 @@ class InjectivityResult(NamedTuple):
     image_rank: int
     domain_rank: int
 
+    @classmethod
+    def from_graph(cls, graph: SubgroupGraph, domain_rank: int) -> "InjectivityResult":
+        """Rank verdict from the folded graph of the image subgroup."""
+        image_rank = graph.rank()
+        return cls(image_rank == domain_rank, image_rank, domain_rank)
+
 
 def is_injective(h: Homomorphism) -> InjectivityResult:
     """Certify injectivity of ``h`` by image-rank counting.
@@ -287,9 +325,4 @@ def is_injective(h: Homomorphism) -> InjectivityResult:
     relation.
     """
     graph = build_subgroup_graph(h.images, h.codomain)
-    image_rank = graph.rank()
-    return InjectivityResult(
-        verdict=image_rank == h.domain.rank,
-        image_rank=image_rank,
-        domain_rank=h.domain.rank,
-    )
+    return InjectivityResult.from_graph(graph, h.domain.rank)

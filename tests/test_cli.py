@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,9 @@ import fgkit.cli as cli
 from fgkit.cli import main
 from fgkit.family import FamilyParams, VerificationReport
 from fgkit.words import Alphabet, CyclicWord
+
+
+GOLDEN = Path(__file__).with_name("golden")
 
 
 def run(capsys, *argv):
@@ -100,8 +104,8 @@ class TestVerifyCommand:
     def test_math_failure_gives_exit_one(self, capsys, monkeypatch):
         real = cli.verify
 
-        def failing(params, seed):
-            report = real(params, seed=seed)
+        def failing(params):
+            report = real(params)
             report.injective = False
             return report
 
@@ -109,6 +113,14 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--g", "2", "--l", "3")
         assert code == 1
         assert json.loads(out)["hard_pass"] is False
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, "verify", "--g", "2", "--l", "3", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1].startswith("error: ")
+        assert "Traceback" not in err
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -158,6 +170,15 @@ class TestSweepCommand:
         assert code_a == code_b == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_default_grid_matches_golden(self, capsys, tmp_path, fmt):
+        path = tmp_path / f"sweep.{fmt}"
+        code, _, _ = run(
+            capsys, "sweep", "--no-timings", "--format", fmt, "--out", str(path)
+        )
+        assert code == 0
+        assert path.read_bytes() == (GOLDEN / f"sweep_default.{fmt}").read_bytes()
+
     def test_range_syntax(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--g-list", "2", "--l-list", "3..5", "--no-timings"
@@ -169,6 +190,12 @@ class TestSweepCommand:
         code, _, err = run(capsys, "sweep", "--g-list", "2", "--l-list", "")
         assert code == 2
         assert "empty l list" in err
+
+    def test_non_integer_grid_value(self, capsys):
+        code, out, err = run(capsys, "sweep", "--g-list", "x", "--l-list", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: not an integer or a..b range: 'x'\n"
 
     def test_invalid_grid_value(self, capsys):
         code, _, err = run(capsys, "sweep", "--g-list", "2,3", "--l-list", "3")
@@ -191,8 +218,8 @@ class TestSweepCommand:
     def test_failure_still_emits_report(self, capsys, monkeypatch):
         real = cli.verify
 
-        def failing(params, seed):
-            report = real(params, seed=seed)
+        def failing(params):
+            report = real(params)
             if params.l == 4:
                 report.closed_form_ok = False
             return report
@@ -244,3 +271,7 @@ class TestUsage:
 
     def test_missing_required(self, capsys):
         assert main(["verify", "--g", "2"]) == 2
+
+    def test_seed_flag_removed(self, capsys):
+        assert main(["verify", "--g", "2", "--l", "3", "--seed", "7"]) == 2
+        assert main(["sweep", "--g-list", "2", "--l-list", "3", "--seed", "7"]) == 2

@@ -1,12 +1,17 @@
 import json
 import pickle
+import random
 
 import pytest
 
 from fgkit import (
+    Alphabet,
     FamilyParams,
+    Homomorphism,
     INFINITE,
+    InjectivityResult,
     Word,
+    build_subgroup_graph,
     boundary_class,
     check_shuffle_identities,
     domain_alphabet,
@@ -14,6 +19,7 @@ from fgkit import (
     exponent_vector,
     generator_images_closed,
     generator_images_recursive,
+    iter_reduced_words,
     parse_word,
     reference_quotient_order,
     shuffle_words,
@@ -179,11 +185,82 @@ class TestSlopeDistinctness:
         assert slope_distinctness(2, range(3, 7), oriented=True)
 
 
+def _certificate(hom: Homomorphism) -> tuple[bool, bool]:
+    """(injective, block-letter walk) from one folded graph, as verify reads them."""
+    graph = build_subgroup_graph(hom.images, hom.codomain)
+    inj = InjectivityResult.from_graph(graph, hom.domain.rank)
+    return inj.verdict, _block_letters_hold(hom, graph)
+
+
+X4 = Alphabet.numbered(4, "x")
+SHORT_WORDS = [
+    (
+        [w for w in iter_reduced_words(X4, 4, allowed=gens) if not w.is_identity()],
+        boundary,
+    )
+    for gens, boundary in (((2, 4), {1}), ((1, 3), {2, 3}))
+]
+
+
+def _short_violation(hom: Homomorphism) -> bool:
+    """Whether some single-parity word of length <= 4 breaks the property."""
+    for words, boundary in SHORT_WORDS:
+        for w in words:
+            img = hom.apply(w)
+            if img.is_identity() or not (
+                abs(img.letters[0]) in boundary and abs(img.letters[-1]) in boundary
+            ):
+                return True
+    return False
+
+
+def _random_image(rng: random.Random, index: int) -> Word:
+    """A short image, usually flanked by letters of its parity's block."""
+    block = (1,) if index % 2 else (2, 3)
+    middle = [rng.choice((1, -1, 2, -2, 3, -3)) for _ in range(rng.randint(0, 4))]
+    if rng.random() < 0.85:
+        first = rng.choice(block) * rng.choice((1, -1))
+        last = rng.choice(block) * rng.choice((1, -1))
+        return Word(Y, [first] + middle + [last])
+    return Word(Y, middle)
+
+
 class TestBlockLetters:
     def test_holds_at_small_instances(self):
-        for g, l in [(2, 3), (4, 5)]:
-            hom = embedding(FamilyParams(g, l))
-            assert _block_letters_hold(hom, FamilyParams(g, l), seed=5, samples_per_parity=50)
+        for g, l in [(2, 3), (4, 5), (8, 12)]:
+            assert _certificate(embedding(FamilyParams(g, l))) == (True, True)
+
+    def test_conjugated_even_image_is_rejected(self):
+        images = list(generator_images_recursive(FamilyParams(2, 3)))
+        y2 = Word(Y, (2,))
+        images[1] = y2.inverse() * images[1] * y2
+        hom = Homomorphism(domain_alphabet(2), Y, images)
+        assert _certificate(hom) == (True, False)
+        assert abs(hom.images[1].letters[0]) == 2  # x2 itself is a witness
+
+    def test_agrees_with_short_words_on_random_maps(self):
+        rng = random.Random(20261017)
+        certified = rejected = subtle = 0
+        for _ in range(1500):
+            hom = Homomorphism(X4, Y, [_random_image(rng, k) for k in range(4)])
+            if any(img.is_identity() for img in hom.images):
+                continue
+            injective, walk_ok = _certificate(hom)
+            if not injective:
+                continue
+            violated = _short_violation(hom)
+            if walk_ok:
+                certified += 1
+                assert not violated, hom
+            else:
+                rejected += 1
+                assert violated, hom
+                # rejected although every generator image is flanked correctly
+                subtle += all(
+                    abs(img.letters[0]) in b and abs(img.letters[-1]) in b
+                    for img, b in zip(hom.images, ({2, 3}, {1}, {2, 3}, {1}))
+                )
+        assert certified > 100 and rejected > 100 and subtle > 10
 
 
 @pytest.fixture(scope="module")
@@ -241,9 +318,9 @@ class TestVerify:
         parsed = parse_word(text, Y)
         assert parsed.letters == report.boundary_class.letters
 
-    def test_deterministic_for_fixed_seed(self):
-        a = verify(FamilyParams(2, 4), seed=7).to_json_dict(include_timings=False)
-        b = verify(FamilyParams(2, 4), seed=7).to_json_dict(include_timings=False)
+    def test_deterministic(self):
+        a = verify(FamilyParams(2, 4)).to_json_dict(include_timings=False)
+        b = verify(FamilyParams(2, 4)).to_json_dict(include_timings=False)
         assert a == b
 
     def test_report_pickles(self, report):

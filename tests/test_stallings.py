@@ -193,6 +193,26 @@ class TestContains:
             g.contains(parse_word("a1", ABC))
 
 
+class TestBaseLabels:
+    def test_conjugate_uses_one_base_edge(self):
+        g = build_subgroup_graph(words(AB, "a1 a2 a1^-1"), AB)
+        assert g.base_labels((1, 2, -1)) == {1}
+
+    def test_loop_through_base_collects_both_sides(self):
+        g = build_subgroup_graph(words(AB, "a1", "a2"), AB)
+        assert g.base_labels((1, -2)) == {1, -1, 2, -2}
+        assert g.base_labels(()) == set()
+
+    def test_rejects_non_loops(self):
+        g = build_subgroup_graph(words(AB, "a1^2"), AB)
+        with pytest.raises(ValueError, match="path"):
+            g.base_labels((2,))
+        with pytest.raises(ValueError, match="loop"):
+            g.base_labels((1,))
+        with pytest.raises(ValueError, match="folded"):
+            SubgroupGraph.wedge(words(AB, "a1"), AB).base_labels((1,))
+
+
 class TestDump:
     def test_golden_dump(self):
         g = build_subgroup_graph(words(AB, "a1^2", "a2"), AB)
