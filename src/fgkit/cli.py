@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -202,11 +203,13 @@ def _run_grid(
     g_values: list[int], l_values: list[int], parallel: int
 ) -> list[VerificationReport]:
     jobs = [(g, l) for g in g_values for l in l_values]
-    if parallel > 1:
+    # the pool starts all its workers up front; never more than can be busy
+    workers = min(parallel, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         try:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=parallel) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 reports = list(pool.map(_sweep_worker, jobs))
         except (OSError, PermissionError) as exc:  # no subprocess support
             print(f"note: falling back to serial execution ({exc})", file=sys.stderr)

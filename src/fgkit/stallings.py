@@ -6,10 +6,25 @@ until no vertex carries two equally-labeled edges in the same direction.
 Reduced words readable as base-to-base paths are exactly the elements of
 the subgroup.
 
+:meth:`SubgroupGraph.wedge` records only the reduced generator words; the
+wedge of loops is never built, and its vertex and edge counts
+(``1 + sum(len - 1)`` and ``sum(len)``) are computed from the word lengths.
+:meth:`SubgroupGraph.fold` attaches the generators one at a time to a graph
+that is kept folded (attach-and-fold): it reads the longest prefix of the
+generator forward from the base, the longest remaining suffix backward from
+the base, and adds fresh vertices only for the letters in between.  Folds
+happen only where the new arc closes up, through a union-find worklist that
+merges the smaller adjacency dict into the larger.  Each generator costs
+time about linear in its length, plus the merges it causes.  See
+N. Touikan, *A fast algorithm for Stallings' folding process*, IJAC 16(6)
+(2006), and I. Kapovich and A. Myasnikov, *Stallings foldings and
+subgroups of free groups*, J. Algebra 248 (2002), §§3–5.
+
 Folding is a single-owner mutation; after :meth:`SubgroupGraph.fold` the
 graph is frozen, relabeled canonically (breadth-first from the base, edges
 in letter order), and safe to query from any thread.  Because the folded
-core is unique, any two fold orders produce identical canonical graphs.
+core is unique, any two attach orders produce identical canonical graphs.
+Every query except the two size counts needs a folded graph.
 
 Injectivity of a homomorphism between free groups is certified by rank
 counting: the folded graph of the image subgroup has rank equal to the
@@ -44,49 +59,49 @@ class SubgroupGraph:
     def __init__(self, alphabet: Alphabet) -> None:
         self.alphabet = alphabet
         self.base = 0
-        # unfolded adjacency: vertex -> {signed letter: set of targets}
-        self._adj: Optional[list[dict[int, set[int]]]] = [{}]
+        # unfolded: the nontrivial reduced generator words, one loop each
+        self._gens: tuple[tuple[int, ...], ...] = ()
         # folded adjacency: vertex -> {signed letter: unique target}
         self._out: Optional[list[dict[int, int]]] = None
-        self.folded = False
 
     @classmethod
     def wedge(cls, generators: Iterable[Word], alphabet: Alphabet) -> "SubgroupGraph":
         """Unfolded wedge of loops at the base, one loop per generator word."""
         g = cls(alphabet)
-        assert g._adj is not None
+        gens = []
         for w in generators:
             if w.alphabet != alphabet:
                 raise AlphabetMismatch("generator word not over the given alphabet")
-            ls = w.letters
-            if not ls:
-                continue
-            prev = 0
-            for idx, s in enumerate(ls):
-                if idx == len(ls) - 1:
-                    tgt = 0
-                else:
-                    g._adj.append({})
-                    tgt = len(g._adj) - 1
-                g._adj[prev].setdefault(s, set()).add(tgt)
-                g._adj[tgt].setdefault(-s, set()).add(prev)
-                prev = tgt
+            if w.letters:
+                gens.append(w.letters)
+        g._gens = tuple(gens)
         return g
+
+    @property
+    def folded(self) -> bool:
+        return self._out is not None
 
     # -- folding ---------------------------------------------------------
 
     def fold(self, rng: Optional[random.Random] = None) -> "SubgroupGraph":
-        """Fold in place until no equal-label collisions remain; freeze.
+        """Attach the generator loops one at a time, folding as they go; freeze.
 
-        ``rng`` randomizes the processing order (the folded result is the
-        same either way; exposed so tests can check confluence).
+        ``rng`` shuffles the attach order and inverts a random subset of the
+        generators (the folded result is the same either way; exposed so
+        tests can check confluence).
         """
         if self.folded:
             return self
-        adj = self._adj
-        assert adj is not None
-        n = len(adj)
-        parent = list(range(n))
+        gens = list(self._gens)
+        if rng is not None:
+            rng.shuffle(gens)
+            gens = [
+                tuple(-s for s in reversed(w)) if rng.random() < 0.5 else w for w in gens
+            ]
+        # adj[v] is current only for representatives v; targets may be stale
+        # and are resolved through find
+        adj: list[dict[int, int]] = [{}]
+        parent = [0]
 
         def find(v: int) -> int:
             while parent[v] != v:
@@ -94,106 +109,116 @@ class SubgroupGraph:
                 v = parent[v]
             return v
 
-        work = list(range(n))
-        if rng is not None:
-            rng.shuffle(work)
-        while work:
-            v = find(work.pop())
-            labels = list(adj[v].keys())
-            if rng is not None:
-                rng.shuffle(labels)
-            for s in labels:
-                reps = {find(t) for t in adj[v].get(s, ())}
-                adj[v][s] = reps
-                if len(reps) < 2:
+        def identify(a: int, b: int) -> None:
+            pending = [(a, b)]
+            while pending:
+                a, b = pending.pop()
+                a, b = find(a), find(b)
+                if a == b:
                     continue
-                pair = sorted(reps)[:2] if rng is None else rng.sample(sorted(reps), 2)
-                a, b = min(pair), max(pair)
-                # merge b into a
+                if len(adj[a]) < len(adj[b]):
+                    a, b = b, a
                 parent[b] = a
-                for s2, ts in adj[b].items():
-                    adj[a].setdefault(s2, set()).update(ts)
+                into = adj[a]
+                for s, t in adj[b].items():
+                    u = into.setdefault(s, t)
+                    if u != t:
+                        pending.append((u, t))
                 adj[b] = {}
-                work.append(a)
-                work.append(v)
-                break
 
-        self._freeze(find)
+        for w in gens:
+            n = len(w)
+            base = find(self.base)
+            v, i = base, 0
+            while i < n:
+                t = adj[v].get(w[i])
+                if t is None:
+                    break
+                v, i = find(t), i + 1
+            if i == n:
+                identify(v, base)
+                continue
+            u, j = base, n
+            while j > i:
+                t = adj[u].get(-w[j - 1])
+                if t is None:
+                    break
+                u, j = find(t), j - 1
+            if j == i:
+                identify(v, u)
+                continue
+            # fresh arc v -> ... -> u spelling w[i:j]; only its closing
+            # edge can collide, when v == u and w[i] == -w[j-1]
+            for s in w[i : j - 1]:
+                x = len(adj)
+                adj[v][s] = x
+                adj.append({-s: v})
+                parent.append(x)
+                v = x
+            s = w[j - 1]
+            adj[v][s] = u
+            t = adj[u].setdefault(-s, v)
+            if t != v:
+                identify(t, v)
+
+        self._freeze(adj, find)
         return self
 
-    def _freeze(self, find) -> None:
-        adj = self._adj
-        assert adj is not None
+    def _freeze(self, adj: list[dict[int, int]], find) -> None:
+        # canonical relabeling: BFS from base, neighbors in letter order;
+        # iterating `order` while it grows is the queue
         root = find(self.base)
-        # canonical relabeling: BFS from base, neighbors in letter order
         mapping = {root: 0}
         order = [root]
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for s in sorted(adj[v].keys(), key=_letter_key):
-                reps = {find(t) for t in adj[v][s]}
-                if len(reps) != 1:  # pragma: no cover - fold postcondition
-                    raise AssertionError("fold left a label collision")
-                (t,) = reps
-                if t not in mapping:
-                    mapping[t] = len(order)
+        out: list[dict[int, int]] = []
+        for v in order:
+            d = adj[v]
+            row = {}
+            for s in sorted(d, key=_letter_key):
+                t = find(d[s])
+                idx = mapping.get(t)
+                if idx is None:
+                    idx = mapping[t] = len(order)
                     order.append(t)
-                    queue.append(t)
-        out: list[dict[int, int]] = [{} for _ in order]
-        for old in order:
-            for s, ts in adj[old].items():
-                (t,) = {find(x) for x in ts}
-                out[mapping[old]][s] = mapping[t]
+                row[s] = idx
+            out.append(row)
         self._out = out
-        self._adj = None
+        self._gens = ()
         self.base = 0
-        self.folded = True
 
     # -- queries ---------------------------------------------------------
 
+    def _folded_out(self, what: str) -> list[dict[int, int]]:
+        if self._out is None:
+            raise ValueError(f"graph must be folded before {what}")
+        return self._out
+
     @property
     def n_vertices(self) -> int:
-        if self.folded:
-            assert self._out is not None
+        if self._out is not None:
             return len(self._out)
-        assert self._adj is not None
-        return len(self._adj)
+        return 1 + sum(len(w) - 1 for w in self._gens)
 
     @property
     def n_edges(self) -> int:
         """Undirected edge count (each labeled edge counted once)."""
-        if self.folded:
-            assert self._out is not None
+        if self._out is not None:
             return sum(1 for d in self._out for s in d if s > 0)
-        assert self._adj is not None
-        return sum(len(ts) for d in self._adj for s, ts in d.items() if s > 0)
+        return sum(len(w) for w in self._gens)
 
     def edges(self) -> list[tuple[int, str, int]]:
         """Positively-oriented edges as (from, label name, to), sorted."""
-        out = []
-        if self.folded:
-            assert self._out is not None
-            for v, d in enumerate(self._out):
-                for s, t in d.items():
-                    if s > 0:
-                        out.append((v, self.alphabet.name(s), t))
-        else:
-            assert self._adj is not None
-            for v, d in enumerate(self._adj):
-                for s, ts in d.items():
-                    if s > 0:
-                        out.extend((v, self.alphabet.name(s), t) for t in ts)
+        out = [
+            (v, self.alphabet.name(s), t)
+            for v, d in enumerate(self._folded_out("listing edges"))
+            for s, t in d.items()
+            if s > 0
+        ]
         out.sort()
         return out
 
     def contains(self, w: Word) -> bool:
-        """True iff ``w`` is readable as a base-to-base path.
-
-        On a folded graph this is membership in the subgroup.  On an
-        unfolded graph it answers plain readability of the reduced word,
-        which may be a proper subset of the subgroup.
-        """
+        """True iff ``w`` is readable as a base-to-base path: subgroup membership."""
         if w.alphabet != self.alphabet:
             raise AlphabetMismatch("query word not over the graph's alphabet")
         return self.reads_loop(w.letters)
@@ -201,22 +226,14 @@ class SubgroupGraph:
     def reads_loop(self, letters: Iterable[int]) -> bool:
         """Whether a raw (not necessarily reduced) letter sequence spells a
         base-to-base edge path."""
-        if self.folded:
-            assert self._out is not None
-            v = self.base
-            for s in letters:
-                nxt = self._out[v].get(s)
-                if nxt is None:
-                    return False
-                v = nxt
-            return v == self.base
-        assert self._adj is not None
-        states = {self.base}
+        out = self._folded_out("reading paths")
+        v = self.base
         for s in letters:
-            states = {t for v in states for t in self._adj[v].get(s, ())}
-            if not states:
+            nxt = out[v].get(s)
+            if nxt is None:
                 return False
-        return self.base in states
+            v = nxt
+        return v == self.base
 
     def base_labels(self, letters: Iterable[int]) -> set[int]:
         """Labels, read outward from the base, of the base edges a loop uses.
@@ -226,10 +243,7 @@ class SubgroupGraph:
         ``s``; each time it arrives along ``s`` it gains ``-s``.  One pass
         over the letters.
         """
-        if not self.folded:
-            raise ValueError("graph must be folded before reading base labels")
-        assert self._out is not None
-        out, base = self._out, self.base
+        out, base = self._folded_out("reading base labels"), self.base
         labels: set[int] = set()
         v = base
         for s in letters:
@@ -251,11 +265,9 @@ class SubgroupGraph:
         Degree-1 vertices other than the base are trimmed iteratively; the
         base is always retained.
         """
-        if not self.folded:
-            raise ValueError("graph must be folded before rank computation")
-        assert self._out is not None
-        n = len(self._out)
-        deg = [len(d) for d in self._out]
+        out = self._folded_out("rank computation")
+        n = len(out)
+        deg = [len(d) for d in out]
         alive = [True] * n
         stack = [v for v in range(n) if v != self.base and deg[v] == 1]
         while stack:
@@ -264,7 +276,7 @@ class SubgroupGraph:
                 continue
             alive[v] = False
             deg[v] = 0
-            for s, u in self._out[v].items():
+            for s, u in out[v].items():
                 if alive[u]:
                     deg[u] -= 1
                     if u != self.base and deg[u] == 1:
@@ -272,7 +284,7 @@ class SubgroupGraph:
         n_vertices = sum(alive)
         n_edges = sum(
             1
-            for v, d in enumerate(self._out)
+            for v, d in enumerate(out)
             if alive[v]
             for s, t in d.items()
             if s > 0 and alive[t]
@@ -288,11 +300,8 @@ class SubgroupGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SubgroupGraph):
             return NotImplemented
-        if self.alphabet != other.alphabet or self.folded != other.folded:
-            return False
-        if self.folded:
-            return self._out == other._out
-        return self._adj == other._adj
+        mine, theirs = self._folded_out("comparison"), other._folded_out("comparison")
+        return self.alphabet == other.alphabet and mine == theirs
 
 
 def build_subgroup_graph(

@@ -163,13 +163,12 @@ class Word:
             return NotImplemented
         if self.alphabet != other.alphabet:
             raise AlphabetMismatch("cannot concatenate words over different alphabets")
-        out = list(self.letters)
-        for s in other.letters:
-            if out and out[-1] == -s:
-                out.pop()
-            else:
-                out.append(s)
-        return Word._wrap(self.alphabet, tuple(out))
+        left, right = self.letters, other.letters
+        # both factors are reduced, so cancellation stops at the junction
+        n, limit, k = len(left), min(len(left), len(right)), 0
+        while k < limit and left[n - 1 - k] == -right[k]:
+            k += 1
+        return Word._wrap(self.alphabet, left[: n - k] + right[k:])
 
     def inverse(self) -> "Word":
         return Word._wrap(self.alphabet, tuple(-s for s in reversed(self.letters)))
@@ -222,7 +221,7 @@ class Word:
         while j - i >= 2 and ls[i] == -ls[j - 1]:
             i += 1
             j -= 1
-        core = CyclicWord(self.alphabet, ls[i:j])
+        core = CyclicWord._wrap(self.alphabet, ls[i:j])
         conj = Word._wrap(self.alphabet, ls[:i])
         return core, conj
 
@@ -255,11 +254,26 @@ class CyclicWord:
         object.__setattr__(self, "letters", reduced)
         object.__setattr__(self, "_canon", None)
 
+    @classmethod
+    def _wrap(
+        cls,
+        alphabet: Alphabet,
+        reduced: tuple[int, ...],
+        canon: Optional[tuple[int, ...]] = None,
+    ) -> "CyclicWord":
+        # trusted constructor: `reduced` must already be cyclically reduced,
+        # and `canon`, if given, its least rotation
+        c = object.__new__(cls)
+        object.__setattr__(c, "alphabet", alphabet)
+        object.__setattr__(c, "letters", reduced)
+        object.__setattr__(c, "_canon", canon)
+        return c
+
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("CyclicWord is immutable")
 
     def __reduce__(self):
-        return (CyclicWord, (self.alphabet, self.letters))
+        return (CyclicWord._wrap, (self.alphabet, self.letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -299,10 +313,10 @@ class CyclicWord:
         if not ls:
             return self
         k %= len(ls)
-        return CyclicWord(self.alphabet, ls[k:] + ls[:k])
+        return CyclicWord._wrap(self.alphabet, ls[k:] + ls[:k])
 
     def inverse_class(self) -> "CyclicWord":
-        return CyclicWord(self.alphabet, tuple(-s for s in reversed(self.letters)))
+        return CyclicWord._wrap(self.alphabet, tuple(-s for s in reversed(self.letters)))
 
 
 def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -356,7 +370,8 @@ def canonical_class(w: Word, oriented: bool = True) -> CyclicWord:
         cand = _least_rotation(inv)
         if [_letter_key(s) for s in cand] < [_letter_key(s) for s in best]:
             best = cand
-    return CyclicWord(w.alphabet, best)
+    # `best` is a least rotation, so it is its own canonical rotation
+    return CyclicWord._wrap(w.alphabet, best, best)
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:

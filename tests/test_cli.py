@@ -170,6 +170,36 @@ class TestSweepCommand:
         assert code_a == code_b == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_parallel_is_clamped_to_the_jobs(self, capsys, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        argv = ("sweep", "--g-list", "2", "--l-list", "3,4", "--no-timings", "--parallel", "64")
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert started == [2]
+        # one CPU (or an unknown count) means serial: no pool at all
+        for cpus in (1, None):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+            assert run(capsys, *argv)[0] == 0
+        assert started == [2]
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_default_grid_matches_golden(self, capsys, tmp_path, fmt):
         path = tmp_path / f"sweep.{fmt}"

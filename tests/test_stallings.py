@@ -16,6 +16,8 @@ from fgkit import (
     parse_word,
 )
 
+import oracles
+
 AB = Alphabet.numbered(2, "a")
 ABC = Alphabet.numbered(3, "a")
 A1 = Alphabet.numbered(1, "a")
@@ -84,8 +86,8 @@ class TestFold:
         assert not g.contains(parse_word("a1", ABC))
 
     def test_language_preserved_before_and_after_folding(self):
-        # pre-fold only the unreduced concatenation spells an edge path;
-        # after folding the reduced product must be a member
+        # the unreduced concatenation of generator loops spells a base loop
+        # of the folded graph, and the reduced product is a member
         rng = random.Random(71)
         gens = words(AB, "a1^2", "a2 a1 a2^-1", "a2^3")
         wedge = SubgroupGraph.wedge(gens, AB)
@@ -99,16 +101,50 @@ class TestFold:
                 raw.extend(factor.letters)
                 w = w * factor
             products.append((tuple(raw), w))
-        for g in gens:
-            assert wedge.contains(g)
-        for raw, _ in products:
-            assert wedge.reads_loop(raw)
         folded = wedge.fold()
         for g in gens:
             assert folded.contains(g)
         for raw, w in products:
             assert folded.reads_loop(raw)
             assert folded.contains(w)
+
+    def test_closing_edge_collides_at_base(self):
+        # the first generator is not cyclically reduced: attaching it puts
+        # a second a1-edge at the base, which must fold into the first
+        gens = words(AB, "a1 a2 a1 a2^3 a1^-1", "a1")
+        for order in (gens, gens[::-1]):
+            g = build_subgroup_graph(order, AB)
+            assert (g.n_vertices, g.n_edges, g.rank()) == (5, 6, 2)
+            assert g.contains(parse_word("a2 a1 a2^3", AB))
+            assert not g.contains(parse_word("a2", AB))
+        alone = build_subgroup_graph(gens[:1], AB)
+        assert (alone.n_vertices, alone.n_edges, alone.rank()) == (6, 6, 1)
+
+    def test_merge_moving_the_base_representative(self):
+        gens = words(ABC, "a3 a2", "a2^-1", "a1^-1")
+        rose = build_subgroup_graph(words(ABC, "a1", "a2", "a3"), ABC)
+        g = build_subgroup_graph(gens, ABC)
+        assert g == rose
+        assert g.dump() == "0\n0 a1 0\n0 a2 0\n0 a3 0\n"
+        for seed in range(8):
+            assert build_subgroup_graph(gens, ABC, rng=random.Random(seed)) == rose
+
+    def test_membership_matches_nielsen_enumeration(self):
+        rng = random.Random(2006)
+        checked = 0
+        for _ in range(200):
+            alphabet = Alphabet.numbered(rng.randint(1, 3), "a")
+            letters = alphabet.letters()
+            gens = [
+                Word(alphabet, [rng.choice(letters) for _ in range(rng.randint(1, 5))])
+                for _ in range(rng.randint(1, 3))
+            ]
+            ball = oracles.subgroup_elements_up_to([w.letters for w in gens if w.letters], 4)
+            graph = build_subgroup_graph(gens, alphabet)
+            for q in iter_reduced_words(alphabet, 4):
+                assert graph.contains(q) == (q.letters in ball), (gens, q)
+                checked += 1
+        assert checked > 10_000
 
     def test_confluence_under_random_fold_orders(self):
         rng = random.Random(97)
@@ -129,6 +165,31 @@ class TestFold:
                 assert other.rank() == reference.rank()
                 for q in iter_reduced_words(AB, 4):
                     assert other.contains(q) == reference.contains(q)
+
+
+class TestWedge:
+    def test_counts_are_those_of_the_wedge_of_loops(self):
+        gens = words(AB, "a1^2", "a2 a1 a2^-1", "1", "a2^3 a1")
+        wedge = SubgroupGraph.wedge(gens, AB)
+        assert not wedge.folded
+        assert wedge.n_vertices == 1 + sum(len(w) - 1 for w in gens if len(w))
+        assert wedge.n_edges == sum(len(w) for w in gens)
+        assert (wedge.n_vertices, wedge.n_edges) == (7, 9)
+        assert SubgroupGraph.wedge([], AB).n_vertices == 1
+
+    def test_unfolded_queries_are_rejected(self):
+        wedge = SubgroupGraph.wedge(words(AB, "a1^2"), AB)
+        folded = build_subgroup_graph(words(AB, "a1^2"), AB)
+        queries = [
+            lambda: wedge.contains(parse_word("a1^2", AB)),
+            lambda: wedge.reads_loop((1, 1)),
+            wedge.edges,
+            wedge.dump,
+            lambda: wedge == folded,
+        ]
+        for query in queries:
+            with pytest.raises(ValueError, match="folded"):
+                query()
 
 
 class TestRank:
