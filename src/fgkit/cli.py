@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -21,6 +22,7 @@ from .family import (
     REPORT_SCHEMA,
     FamilyParams,
     VerificationReport,
+    class_distinctness,
     first_shuffle_failure,
     verify,
 )
@@ -51,8 +53,11 @@ _CSV_COLUMNS = [
 ]
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """Comma-separated integers; ``a..b`` items expand to inclusive ranges."""
+def _int_list(text: Optional[str], default: Sequence[int], name: str) -> list[int]:
+    """Comma-separated integers, ``a..b`` items expanding to inclusive
+    ranges; ``default`` when ``text`` is None.  An empty list is an error."""
+    if text is None:
+        return list(default)
     items: list[int] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -66,6 +71,8 @@ def _parse_int_list(text: str) -> list[int]:
                 items.append(int(chunk))
         except ValueError:
             raise ValueError(f"not an integer or a..b range: {chunk!r}") from None
+    if not items:
+        raise ValueError(f"empty {name} list")
     return items
 
 
@@ -131,7 +138,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_identities(args)
-    except (ValueError, OSError) as exc:  # bad input or unwritable --out
+    except (ValueError, OSError) as exc:  # every usage error, or unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -140,13 +147,10 @@ def _cmd_word(args) -> int:
     names = tuple(n.strip() for n in args.alphabet.split(",") if n.strip())
     alphabet = Alphabet(names)
     op = args.op
-    if op == "concat":
-        if len(args.texts) < 2:
-            print("error: concat needs at least two words", file=sys.stderr)
-            return 2
-    elif len(args.texts) != 1:
-        print(f"error: {op} takes exactly one word", file=sys.stderr)
-        return 2
+    if op == "concat" and len(args.texts) < 2:
+        raise ValueError("concat needs at least two words")
+    if op != "concat" and len(args.texts) != 1:
+        raise ValueError(f"{op} takes exactly one word")
     words = [parse_word(t, alphabet) for t in args.texts]
     if op == "reduce":
         result = words[0]
@@ -165,24 +169,15 @@ def _cmd_word(args) -> int:
     return 0
 
 
-def _validate_params(g: int, l: int) -> Optional[str]:
-    if g % 2 != 0:
-        return "g must be even"
-    if g < 2:
-        return "g must be >= 2"
-    if l < 3:
-        return "l must be ≥ 3"
-    return None
+def _print_warnings(reports: list[VerificationReport]) -> None:
+    for r in reports:
+        for w in r.warnings:
+            print(f"WARNING: g={r.params.g} l={r.params.l}: {w}", file=sys.stderr)
 
 
 def _cmd_verify(args) -> int:
-    problem = _validate_params(args.g, args.l)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
     report = verify(FamilyParams(args.g, args.l))
-    for w in report.warnings:
-        print(f"WARNING: g={args.g} l={args.l}: {w}", file=sys.stderr)
+    _print_warnings([report])
     include_timings = not args.no_timings
     if args.format == "json":
         text = json.dumps(report.to_json_dict(include_timings), indent=2) + "\n"
@@ -194,84 +189,59 @@ def _cmd_verify(args) -> int:
     return 0 if report.hard_pass else 1
 
 
-def _sweep_worker(job: tuple[int, int]) -> VerificationReport:
-    g, l = job
-    return verify(FamilyParams(g, l))
-
-
-def _run_grid(
-    g_values: list[int], l_values: list[int], parallel: int
-) -> list[VerificationReport]:
-    jobs = [(g, l) for g in g_values for l in l_values]
+def _run_grid(jobs: list[FamilyParams], parallel: int) -> list[VerificationReport]:
+    """One report per job, in the order of ``jobs`` whatever ``parallel`` is."""
     # the pool starts all its workers up front; never more than can be busy
     workers = min(parallel, len(jobs), os.cpu_count() or 1)
     if workers > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
+        try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(_sweep_worker, jobs))
-        except (OSError, PermissionError) as exc:  # no subprocess support
+                return list(pool.map(verify, jobs))
+        except (OSError, BrokenProcessPool) as exc:  # no subprocesses, or one died
             print(f"note: falling back to serial execution ({exc})", file=sys.stderr)
-            reports = [_sweep_worker(job) for job in jobs]
-    else:
-        reports = [_sweep_worker(job) for job in jobs]
-    # deterministic aggregation order regardless of execution order
-    reports.sort(key=lambda r: (r.params.g, r.params.l))
-    return reports
+    return [verify(params) for params in jobs]
 
 
 def _distinctness_rows(reports: list[VerificationReport]) -> list[dict]:
-    by_g: dict[int, list[VerificationReport]] = {}
-    for r in reports:
-        by_g.setdefault(r.params.g, []).append(r)
+    """One row per genus; ``reports`` must be sorted by (g, l)."""
     rows = []
-    for g in sorted(by_g):
-        group = sorted(by_g[g], key=lambda r: r.params.l)
-        unoriented = [r.boundary_class for r in group]
-        oriented = [r.boundary_class_oriented for r in group]
+    for g, group in itertools.groupby(reports, key=lambda r: r.params.g):
+        group = list(group)
+        distinct_unoriented, nontrivial = class_distinctness(
+            [r.boundary_class for r in group]
+        )
+        distinct_oriented, _ = class_distinctness(
+            [r.boundary_class_oriented for r in group]
+        )
         rows.append(
             {
                 "g": g,
                 "l_values": [r.params.l for r in group],
-                "distinct_unoriented": len(set(unoriented)) == len(unoriented),
-                "distinct_oriented": len(set(oriented)) == len(oriented),
-                "all_nontrivial": all(not c.is_identity() for c in unoriented),
+                "distinct_unoriented": distinct_unoriented,
+                "distinct_oriented": distinct_oriented,
+                "all_nontrivial": nontrivial,
             }
         )
     return rows
 
 
 def _cmd_sweep(args) -> int:
-    g_values = (
-        _parse_int_list(args.g_list) if args.g_list is not None else list(DEFAULT_G_VALUES)
+    g_values = _int_list(args.g_list, DEFAULT_G_VALUES, "g")
+    l_values = _int_list(args.l_list, DEFAULT_L_VALUES, "l")
+    # FamilyParams checks every point before any verification starts
+    jobs = sorted(
+        (FamilyParams(g, l) for g in g_values for l in l_values),
+        key=lambda p: (p.g, p.l),
     )
-    l_values = (
-        _parse_int_list(args.l_list) if args.l_list is not None else list(DEFAULT_L_VALUES)
-    )
-    if not g_values:
-        print("error: empty g list", file=sys.stderr)
-        return 2
-    if not l_values:
-        print("error: empty l list", file=sys.stderr)
-        return 2
-    for g in g_values:
-        for l in l_values:
-            problem = _validate_params(g, l)
-            if problem is not None:
-                print(f"error: {problem}", file=sys.stderr)
-                return 2
     if args.parallel < 1:
-        print("error: --parallel must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--parallel must be >= 1")
 
-    reports = _run_grid(g_values, l_values, args.parallel)
+    reports = _run_grid(jobs, args.parallel)
     distinct = _distinctness_rows(reports)
-    for r in reports:
-        for w in r.warnings:
-            print(
-                f"WARNING: g={r.params.g} l={r.params.l}: {w}", file=sys.stderr
-            )
+    _print_warnings(reports)
     ok = all(r.hard_pass for r in reports) and all(
         row["distinct_unoriented"] and row["all_nontrivial"] for row in distinct
     )
@@ -294,18 +264,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_identities(args) -> int:
-    if args.i_max < 0 or args.j_max < 0:
-        print("error: bounds must be >= 0", file=sys.stderr)
-        return 2
-    l_values = (
-        _parse_int_list(args.l_list) if args.l_list is not None else list(DEFAULT_L_VALUES)
-    )
-    if not l_values:
-        print("error: empty l list", file=sys.stderr)
-        return 2
-    if any(l < 3 for l in l_values):
-        print("error: l must be ≥ 3", file=sys.stderr)
-        return 2
+    l_values = _int_list(args.l_list, DEFAULT_L_VALUES, "l")
+    # first_shuffle_failure rejects a negative bound or l < 3
     for l in l_values:
         failure = first_shuffle_failure(args.i_max, args.j_max, l)
         if failure is not None:
@@ -329,38 +289,16 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 def _reports_csv(reports: list[VerificationReport], distinct: list[dict]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(
+        buf, fieldnames=_CSV_COLUMNS, lineterminator="\n", extrasaction="ignore"
+    )
     writer.writeheader()
     for r in reports:
         d = r.to_json_dict(include_timings=False)
-        writer.writerow(
-            {
-                "kind": "report",
-                "g": r.params.g,
-                "l": r.params.l,
-                "injective": d["injective"],
-                "image_rank": d["image_rank"],
-                "closed_form_ok": d["closed_form_ok"],
-                "shuffle_identities_ok": d["shuffle_identities_ok"],
-                "block_letter_ok": d["block_letter_ok"],
-                "quotient_order": d["quotient_order"],
-                "reference_order": d["reference_order"],
-                "reference_order_match": d["reference_order_match"],
-                "hard_pass": d["hard_pass"],
-                "boundary_class": d["boundary_class"],
-            }
-        )
+        writer.writerow({**d, "kind": "report", "g": r.params.g, "l": r.params.l})
     for row in distinct:
-        writer.writerow(
-            {
-                "kind": "distinctness",
-                "g": row["g"],
-                "l": ";".join(str(l) for l in row["l_values"]),
-                "distinct_unoriented": row["distinct_unoriented"],
-                "distinct_oriented": row["distinct_oriented"],
-                "all_nontrivial": row["all_nontrivial"],
-            }
-        )
+        ls = ";".join(str(l) for l in row["l_values"])
+        writer.writerow({**row, "kind": "distinctness", "l": ls})
     return buf.getvalue()
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .abelian import INFINITE, _InfiniteType, image_matrix, quotient_order
 from .homs import Homomorphism
@@ -42,6 +42,7 @@ __all__ = [
     "first_shuffle_failure",
     "boundary_word",
     "boundary_class",
+    "class_distinctness",
     "slope_distinctness",
     "reference_quotient_order",
     "verify",
@@ -75,8 +76,14 @@ class FamilyParams:
             raise ValueError("g must be even")
         if self.g < 2:
             raise ValueError("g must be >= 2")
-        if self.l < 3:
-            raise ValueError("l must be >= 3")
+        _check_winding(self.l)
+
+
+def _check_winding(l: int) -> None:
+    """The family's winding rule, shared by :class:`FamilyParams` and
+    :func:`first_shuffle_failure`."""
+    if l < 3:
+        raise ValueError("l must be >= 3")
 
 
 def shuffle_words(l: int) -> tuple[Word, Word]:
@@ -161,10 +168,11 @@ def first_shuffle_failure(
     ``b^j u a^i`` collapses to ``v a^(i-j-1)`` when i > j and to
     ``b^(j-i) u`` otherwise, and ``b^j v a^i`` collapses to ``v a^(i-j)``
     when i >= j and to ``b^(j-i-1) u`` otherwise, where a = u^-1 v and
-    b = u v^-1.
+    b = u v^-1.  Raises ``ValueError`` for a negative bound or l < 3.
     """
     if i_max < 0 or j_max < 0:
         raise ValueError("bounds must be >= 0")
+    _check_winding(l)
     u, v = shuffle_words(l)
     a = u.inverse() * v
     b = u * v.inverse()
@@ -222,16 +230,23 @@ def boundary_class(params: FamilyParams, oriented: bool = False) -> CyclicWord:
     return canonical_class(hom.apply(boundary_word(params.g)), oriented=oriented)
 
 
+def class_distinctness(classes: Sequence[CyclicWord]) -> tuple[bool, bool]:
+    """(pairwise distinct, all nontrivial) for a list of conjugacy classes.
+
+    The one distinctness check: :func:`slope_distinctness` and the
+    per-genus rows of ``fgkit sweep`` both call it.
+    """
+    distinct = len(set(classes)) == len(classes)
+    return distinct, not any(c.is_identity() for c in classes)
+
+
 def slope_distinctness(
     g: int, l_values: Iterable[int], oriented: bool = False
 ) -> bool:
     """True iff the boundary classes for the given l values are pairwise
     distinct and all nontrivial."""
-    values = list(l_values)
-    classes = [boundary_class(FamilyParams(g, l), oriented=oriented) for l in values]
-    if any(c.is_identity() for c in classes):
-        return False
-    return len(set(classes)) == len(values)
+    classes = [boundary_class(FamilyParams(g, l), oriented=oriented) for l in l_values]
+    return all(class_distinctness(classes))
 
 
 def reference_quotient_order(l: int) -> int:

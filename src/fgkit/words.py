@@ -40,6 +40,9 @@ class AlphabetMismatch(ValueError):
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _ATOM_RE = re.compile(r"(?P<name>[A-Za-z][A-Za-z0-9_]*)(?:\^(?P<exp>[+-]?[0-9]+))?\Z")
+# parse_word refuses text that spells more letters than this before
+# reduction; the boundary image at g = 256, l = 12 has 2,745,848
+_MAX_PARSED_LETTERS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -377,6 +380,10 @@ def canonical_class(w: Word, oriented: bool = True) -> CyclicWord:
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse word text and return its free reduction.
 
+    Raises :class:`WordSyntaxError` for a malformed atom, an unknown
+    generator, or text whose atoms spell more than ``_MAX_PARSED_LETTERS``
+    letters in total; that total is checked before any letter is built.
+
     >>> y = Alphabet.numbered(3, "y")
     >>> parse_word("y3^3", y).letters
     (3, 3, 3)
@@ -388,7 +395,7 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     stripped = text.strip()
     if stripped == "1":
         return Word._wrap(alphabet, ())
-    letters: list[int] = []
+    runs: list[tuple[int, int]] = []
     for atom in stripped.split():
         m = _ATOM_RE.match(atom)
         if m is None:
@@ -400,8 +407,15 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
             raise WordSyntaxError(f"unknown generator {name!r}") from None
         exp = int(m.group("exp")) if m.group("exp") is not None else 1
         # exponent 0 is legal and contributes nothing
-        letter = gen if exp > 0 else -gen
-        letters.extend([letter] * abs(exp))
+        runs.append((gen if exp > 0 else -gen, abs(exp)))
+    total = sum(n for _, n in runs)
+    if total > _MAX_PARSED_LETTERS:
+        raise WordSyntaxError(
+            f"word spells {total} letters; the limit is {_MAX_PARSED_LETTERS}"
+        )
+    letters: list[int] = []
+    for letter, n in runs:
+        letters.extend([letter] * n)
     return Word(alphabet, letters)
 
 

@@ -1,7 +1,13 @@
+import concurrent.futures
+import contextlib
+import io
 import json
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fgkit.cli as cli
 from fgkit.cli import main
@@ -16,6 +22,29 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def recording_pool(started, broken=False):
+    """A stand-in for ``ProcessPoolExecutor`` that starts no process: it
+    appends each pool's size to ``started`` and maps in process, or, when
+    ``broken``, fails the way a pool whose worker died does."""
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            if broken:
+                raise BrokenProcessPool("a worker process died")
+            return map(fn, jobs)
+
+    return RecordingPool
 
 
 class TestWordCommand:
@@ -69,6 +98,12 @@ class TestWordCommand:
     def test_concat_arity_checked(self, capsys):
         code, _, err = run(capsys, "word", "concat", "y1")
         assert code == 2
+        assert err == "error: concat needs at least two words\n"
+
+    def test_single_word_arity_checked(self, capsys):
+        code, _, err = run(capsys, "word", "invert", "y1", "y2")
+        assert code == 2
+        assert err == "error: invert takes exactly one word\n"
 
     def test_bad_alphabet(self, capsys):
         code, _, err = run(capsys, "word", "reduce", "y1", "--alphabet", "a,a")
@@ -94,7 +129,7 @@ class TestVerifyCommand:
     def test_small_l_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--g", "2", "--l", "2")
         assert code == 2
-        assert "l must be ≥ 3" in err
+        assert "l must be >= 3" in err
 
     def test_table_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--g", "2", "--l", "3", "--format", "table")
@@ -156,6 +191,20 @@ class TestSweepCommand:
         assert data["distinctness"][0]["distinct_oriented"] is True
         assert "timings" not in data["reports"][0]
 
+    def test_reports_sorted_by_g_then_l(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "--g-list", "4,2", "--l-list", "4,3", "--no-timings"
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["grid"] == {"g_values": [4, 2], "l_values": [4, 3]}
+        assert [(r["params"]["g"], r["params"]["l"]) for r in data["reports"]] == [
+            (2, 3), (2, 4), (4, 3), (4, 4)
+        ]
+        assert [(row["g"], row["l_values"]) for row in data["distinctness"]] == [
+            (2, [3, 4]), (4, [3, 4])
+        ]
+
     def test_parallel_output_is_byte_identical(self, capsys, tmp_path):
         serial = tmp_path / "serial.json"
         parallel = tmp_path / "parallel.json"
@@ -171,24 +220,10 @@ class TestSweepCommand:
         assert serial.read_bytes() == parallel.read_bytes()
 
     def test_parallel_is_clamped_to_the_jobs(self, capsys, monkeypatch):
-        import concurrent.futures
-
         started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", recording_pool(started)
+        )
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
         argv = ("sweep", "--g-list", "2", "--l-list", "3,4", "--no-timings", "--parallel", "64")
         code, _, _ = run(capsys, *argv)
@@ -199,6 +234,22 @@ class TestSweepCommand:
             monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
             assert run(capsys, *argv)[0] == 0
         assert started == [2]
+
+    def test_worker_crash_falls_back_to_serial(self, capsys, monkeypatch):
+        argv = ("sweep", "--g-list", "2", "--l-list", "3,4", "--no-timings")
+        code, serial_out, _ = run(capsys, *argv)
+        assert code == 0
+        started = []
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", recording_pool(started, broken=True)
+        )
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        code, out, err = run(capsys, *argv, "--parallel", "2")
+        assert code == 0
+        assert started == [2]
+        assert out == serial_out
+        assert "note: falling back to serial execution" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_default_grid_matches_golden(self, capsys, tmp_path, fmt):
@@ -305,3 +356,62 @@ class TestUsage:
     def test_seed_flag_removed(self, capsys):
         assert main(["verify", "--g", "2", "--l", "3", "--seed", "7"]) == 2
         assert main(["sweep", "--g-list", "2", "--l-list", "3", "--seed", "7"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("word", "reduce", "y1^1000000000000000000000000"),
+            ("sweep", "--g-list", ""),
+            ("sweep", "--g-list", "2", "--l-list", "3", "--parallel", "0"),
+            ("identities", "--l-list", "2"),
+            ("identities", "--i-max", "-1"),
+        ],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
+
+# A small vocabulary for fuzzing main(): every subcommand, flag and choice,
+# small integers (so any genus stays <= 8 and each call is cheap), words,
+# huge exponents and garbage.  --out is left out so that no example writes
+# a file.
+_FUZZ_COMMANDS = [
+    ["word", op] for op in ("reduce", "invert", "concat", "cyclic", "canon")
+] + [["verify"], ["sweep"], ["identities"], []]
+_FUZZ_FLAGS = [
+    "--g", "--l", "--g-list", "--l-list", "--parallel", "--i-max", "--j-max",
+    "--format", "--alphabet", "--no-timings", "--oriented", "--help", "--bogus",
+]
+_FUZZ_VALUES = [str(n) for n in range(-2, 9)] + [
+    "json", "csv", "table", "2,4", "3..5", "5..3", "1..", "", "x", "-", "--",
+    "a,a", "a,b", "1", "y1 y2^-1", "y3^3 y3^-3", "a b^2", "y9", "y1^",
+    "y1^1000000000000000000000000", "y2^-99999999999999999999 y3",
+]
+_FUZZ_ARGS = st.lists(
+    st.one_of(
+        st.sampled_from(_FUZZ_VALUES).map(lambda v: [v]),
+        st.sampled_from(_FUZZ_FLAGS).map(lambda f: [f]),
+        st.tuples(st.sampled_from(_FUZZ_FLAGS), st.sampled_from(_FUZZ_VALUES)).map(list),
+    ),
+    max_size=4,
+).map(lambda items: [token for item in items for token in item])
+
+
+class TestFuzz:
+    def test_main_exits_cleanly(self):
+        @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+        @given(st.sampled_from(_FUZZ_COMMANDS), _FUZZ_ARGS)
+        def check(command, rest):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*command, *rest])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool([]))
+            check()

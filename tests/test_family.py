@@ -13,6 +13,7 @@ from fgkit import (
     Word,
     build_subgroup_graph,
     boundary_class,
+    canonical_class,
     check_shuffle_identities,
     domain_alphabet,
     embedding,
@@ -30,6 +31,7 @@ from fgkit import (
 from fgkit.family import (
     _block_letters_hold,
     boundary_word,
+    class_distinctness,
     first_shuffle_failure,
 )
 
@@ -125,6 +127,11 @@ class TestShuffleIdentities:
         with pytest.raises(ValueError):
             first_shuffle_failure(-1, 0, 3)
 
+    def test_small_l_rejected(self):
+        # the same winding rule as FamilyParams
+        with pytest.raises(ValueError, match="l must be >= 3"):
+            first_shuffle_failure(0, 0, 2)
+
 
 class TestBoundaryWord:
     def test_genus_two_instantiation(self):
@@ -183,6 +190,14 @@ class TestSlopeDistinctness:
 
     def test_oriented_variant(self):
         assert slope_distinctness(2, range(3, 7), oriented=True)
+
+    def test_class_distinctness(self):
+        a, b = (boundary_class(FamilyParams(2, l)) for l in (3, 4))
+        trivial = canonical_class(Word(Y))
+        assert class_distinctness([a, b]) == (True, True)
+        assert class_distinctness([a, a]) == (False, True)
+        assert class_distinctness([a, trivial]) == (True, False)
+        assert class_distinctness([]) == (True, True)
 
 
 def _certificate(hom: Homomorphism) -> tuple[bool, bool]:

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fgkit.words as words
 from fgkit import (
     Alphabet,
     AlphabetMismatch,
@@ -73,6 +76,15 @@ class TestParse:
     def test_error_names_the_token(self):
         with pytest.raises(WordSyntaxError, match="y9"):
             parse_word("y1 y9", Y)
+
+    def test_letter_bound_counts_before_reduction(self, monkeypatch):
+        monkeypatch.setattr(words, "_MAX_PARSED_LETTERS", 5)
+        assert parse_word("y1^3 y2^-2", Y).letters == (1, 1, 1, -2, -2)
+        # six letters that reduce to none still exceed the bound
+        with pytest.raises(WordSyntaxError, match="limit is 5"):
+            parse_word("y1^3 y1^-3", Y)
+        with pytest.raises(WordSyntaxError):
+            parse_word("y2 y2 y2 y2 y2 y2", Y)
 
 
 class TestReduce:
@@ -272,6 +284,14 @@ class TestRender:
         for _ in range(200):
             w = Word(Y, [rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(rng.randint(0, 20))])
             assert parse_word(render_word(w), Y) == w
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=40))
+    def test_round_trip_property(self, letters):
+        w = Word(Y, letters)  # free reduction makes the tuple reduced
+        text = render_word(w)
+        assert parse_word(text, Y) == w
+        assert render_word(parse_word(text, Y)) == text
 
 
 class TestIterReducedWords:
