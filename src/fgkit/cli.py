@@ -53,27 +53,33 @@ _CSV_COLUMNS = [
 ]
 
 
+# _int_list refuses a --g-list/--l-list of more values than this
+_MAX_LIST_VALUES = 4096
+
+
 def _int_list(text: Optional[str], default: Sequence[int], name: str) -> list[int]:
     """Comma-separated integers, ``a..b`` items expanding to inclusive
-    ranges; ``default`` when ``text`` is None.  An empty list is an error."""
+    ranges; ``default`` when ``text`` is None.  An empty list, or one of
+    more than ``_MAX_LIST_VALUES`` values, is an error; the values are
+    counted before any range is expanded."""
     if text is None:
         return list(default)
-    items: list[int] = []
+    spans: list[tuple[int, int]] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
+        lo_text, dots, hi_text = chunk.partition("..")
         try:
-            if ".." in chunk:
-                lo_text, hi_text = chunk.split("..", 1)
-                items.extend(range(int(lo_text), int(hi_text) + 1))
-            else:
-                items.append(int(chunk))
+            spans.append((int(lo_text), int(hi_text if dots else lo_text)))
         except ValueError:
             raise ValueError(f"not an integer or a..b range: {chunk!r}") from None
-    if not items:
+    count = sum(max(0, hi - lo + 1) for lo, hi in spans)
+    if count == 0:
         raise ValueError(f"empty {name} list")
-    return items
+    if count > _MAX_LIST_VALUES:
+        raise ValueError(f"{name} list has {count} values; the limit is {_MAX_LIST_VALUES}")
+    return [v for lo, hi in spans for v in range(lo, hi + 1)]
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -72,11 +72,15 @@ class FamilyParams:
     l: int
 
     def __post_init__(self) -> None:
-        if self.g % 2 != 0:
-            raise ValueError("g must be even")
-        if self.g < 2:
-            raise ValueError("g must be >= 2")
+        _check_genus(self.g)
         _check_winding(self.l)
+
+
+def _check_genus(g: int) -> None:
+    """The family's genus rule, shared by :class:`FamilyParams` and
+    :func:`boundary_word`."""
+    if g < 2 or g % 2 != 0:
+        raise ValueError("g must be even and >= 2")
 
 
 def _check_winding(l: int) -> None:
@@ -212,8 +216,7 @@ def boundary_word(g: int) -> Word:
     with alternating signs starting -, the same flipped.  Every generator
     occurs exactly once with each sign, so the word abelianizes to zero.
     """
-    if g < 2 or g % 2 != 0:
-        raise ValueError("g must be even and >= 2")
+    _check_genus(g)
     letters: list[int] = []
     odd = list(range(1, 2 * g, 2))
     letters.extend(idx if t % 2 == 0 else -idx for t, idx in enumerate(odd))
@@ -399,12 +402,11 @@ def verify(params: FamilyParams) -> VerificationReport:
     reference = reference_quotient_order(params.l)
     order_match = order == reference
 
-    bword = boundary_word(params.g)
-    image = hom.apply(bword)
-    cls_unoriented = timed(
-        "boundary_class", lambda: canonical_class(image, oriented=False)
-    )
-    cls_oriented = canonical_class(image, oriented=True)
+    def boundary_classes() -> tuple[CyclicWord, CyclicWord]:
+        image = hom.apply(boundary_word(params.g))
+        return canonical_class(image, oriented=False), canonical_class(image)
+
+    cls_unoriented, cls_oriented = timed("boundary_class", boundary_classes)
 
     warnings = []
     if order is INFINITE:

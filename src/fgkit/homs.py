@@ -83,13 +83,6 @@ class Homomorphism:
                     out.append(t)
         return Word._wrap(self.codomain, tuple(out))
 
-    def __call__(self, w: Word) -> Word:
-        return self.apply(w)
-
-    def compose(self, inner: "Homomorphism") -> "Homomorphism":
-        """self after inner: ``(self.compose(inner))(w) == self(inner(w))``."""
-        return compose(self, inner)
-
     def to_json_dict(self) -> dict:
         return {
             "domain": list(self.domain.names),
@@ -111,7 +104,8 @@ class Homomorphism:
 
 
 def compose(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
-    """Composite map applying ``inner`` first, then ``outer``."""
+    """Composite map applying ``inner`` first, then ``outer``:
+    ``compose(outer, inner).apply(w) == outer.apply(inner.apply(w))``."""
     if inner.codomain != outer.domain:
         raise AlphabetMismatch(
             "inner codomain does not match outer domain"

@@ -26,6 +26,10 @@ in letter order), and safe to query from any thread.  Because the folded
 core is unique, any two attach orders produce identical canonical graphs.
 Every query except the two size counts needs a folded graph.
 
+The rank of the subgroup is E - V + 1 of its folded graph: the graph is
+connected, and a hanging tree adds as many edges as vertices, so no
+trimming to the core is needed.
+
 Injectivity of a homomorphism between free groups is certified by rank
 counting: the folded graph of the image subgroup has rank equal to the
 subgroup's rank, and a surjection from a free group onto a free group of
@@ -39,7 +43,6 @@ given base loop uses.
 
 from __future__ import annotations
 
-import random
 from typing import Iterable, NamedTuple, Optional
 
 from .homs import Homomorphism
@@ -83,21 +86,10 @@ class SubgroupGraph:
 
     # -- folding ---------------------------------------------------------
 
-    def fold(self, rng: Optional[random.Random] = None) -> "SubgroupGraph":
-        """Attach the generator loops one at a time, folding as they go; freeze.
-
-        ``rng`` shuffles the attach order and inverts a random subset of the
-        generators (the folded result is the same either way; exposed so
-        tests can check confluence).
-        """
+    def fold(self) -> "SubgroupGraph":
+        """Attach the generator loops one at a time, folding as they go; freeze."""
         if self.folded:
             return self
-        gens = list(self._gens)
-        if rng is not None:
-            rng.shuffle(gens)
-            gens = [
-                tuple(-s for s in reversed(w)) if rng.random() < 0.5 else w for w in gens
-            ]
         # adj[v] is current only for representatives v; targets may be stale
         # and are resolved through find
         adj: list[dict[int, int]] = [{}]
@@ -126,7 +118,7 @@ class SubgroupGraph:
                         pending.append((u, t))
                 adj[b] = {}
 
-        for w in gens:
+        for w in self._gens:
             n = len(w)
             base = find(self.base)
             v, i = base, 0
@@ -260,36 +252,13 @@ class SubgroupGraph:
         return labels
 
     def rank(self) -> int:
-        """Rank of the represented subgroup: E - V + 1 on the trimmed core.
+        """Rank of the represented subgroup: E - V + 1 of the folded graph.
 
-        Degree-1 vertices other than the base are trimmed iteratively; the
-        base is always retained.
+        :meth:`fold` keeps only the vertices reachable from the base, so
+        the graph is connected and E - V + 1 is its cycle rank.
         """
-        out = self._folded_out("rank computation")
-        n = len(out)
-        deg = [len(d) for d in out]
-        alive = [True] * n
-        stack = [v for v in range(n) if v != self.base and deg[v] == 1]
-        while stack:
-            v = stack.pop()
-            if not alive[v] or v == self.base or deg[v] != 1:
-                continue
-            alive[v] = False
-            deg[v] = 0
-            for s, u in out[v].items():
-                if alive[u]:
-                    deg[u] -= 1
-                    if u != self.base and deg[u] == 1:
-                        stack.append(u)
-        n_vertices = sum(alive)
-        n_edges = sum(
-            1
-            for v, d in enumerate(out)
-            if alive[v]
-            for s, t in d.items()
-            if s > 0 and alive[t]
-        )
-        return n_edges - n_vertices + 1
+        self._folded_out("rank computation")
+        return self.n_edges - self.n_vertices + 1
 
     def dump(self) -> str:
         """Text dump: base vertex on line 1, then one edge per line."""
@@ -304,13 +273,9 @@ class SubgroupGraph:
         return self.alphabet == other.alphabet and mine == theirs
 
 
-def build_subgroup_graph(
-    generators: Iterable[Word],
-    codomain: Alphabet,
-    rng: Optional[random.Random] = None,
-) -> SubgroupGraph:
+def build_subgroup_graph(generators: Iterable[Word], codomain: Alphabet) -> SubgroupGraph:
     """Folded, canonically labeled graph of the subgroup the words generate."""
-    return SubgroupGraph.wedge(generators, codomain).fold(rng)
+    return SubgroupGraph.wedge(generators, codomain).fold()
 
 
 class InjectivityResult(NamedTuple):

@@ -176,9 +176,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word._wrap(self.alphabet, tuple(-s for s in reversed(self.letters)))
 
-    def __invert__(self) -> "Word":
-        return self.inverse()
-
     def __pow__(self, n: int) -> "Word":
         """n-fold reduced product; negative n inverts.
 
@@ -227,9 +224,6 @@ class Word:
         core = CyclicWord._wrap(self.alphabet, ls[i:j])
         conj = Word._wrap(self.alphabet, ls[:i])
         return core, conj
-
-    def canonical_class(self, oriented: bool = True) -> "CyclicWord":
-        return canonical_class(self, oriented=oriented)
 
     def exponent_sum(self, gen: int) -> int:
         return sum(1 if s == gen else -1 if s == -gen else 0 for s in self.letters)
@@ -323,30 +317,31 @@ class CyclicWord:
 
 
 def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically least rotation under the total letter order."""
+    """Lexicographically least rotation under the total letter order.
+
+    Two-pointer scan: ``i`` and ``j`` are the two best start candidates
+    and ``k`` the length of their common prefix.  At the first mismatch
+    the loser's start advances past the compared letters, none of which
+    can begin a smaller rotation.  O(n) time and no table (cf. Y. Shiloach,
+    *Fast canonization of circular strings*, J. Algorithms 2 (1981)).
+    """
     n = len(letters)
-    if n == 0:
-        return letters
-    keys = [_letter_key(s) for s in letters]
-    # Booth's least-rotation algorithm on the doubled key sequence.
-    s = keys + keys
-    f = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
+    keys = [_letter_key(s) for s in letters] * 2
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = keys[i + k], keys[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
         else:
-            f[j - k] = i + 1
-    k %= n
-    return letters[k:] + letters[:k]
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    i = min(i, j)
+    return letters[i:] + letters[:i]
 
 
 def canonical_class(w: Word, oriented: bool = True) -> CyclicWord:
@@ -382,7 +377,8 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
 
     Raises :class:`WordSyntaxError` for a malformed atom, an unknown
     generator, or text whose atoms spell more than ``_MAX_PARSED_LETTERS``
-    letters in total; that total is checked before any letter is built.
+    letters in total; that total is checked before any letter is built,
+    and an exponent with too many digits is refused before it is converted.
 
     >>> y = Alphabet.numbered(3, "y")
     >>> parse_word("y3^3", y).letters
@@ -405,7 +401,16 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
             gen = alphabet.index(name)
         except KeyError:
             raise WordSyntaxError(f"unknown generator {name!r}") from None
-        exp = int(m.group("exp")) if m.group("exp") is not None else 1
+        exp_text = m.group("exp") or "1"
+        # an exponent with more digits than the bound exceeds it alone;
+        # checked before int(), which refuses over 4300 digits otherwise
+        digits = len(exp_text.lstrip("+-0"))
+        if digits > len(str(_MAX_PARSED_LETTERS)):
+            raise WordSyntaxError(
+                f"exponent of {name} has {digits} digits; "
+                f"the limit is {_MAX_PARSED_LETTERS} letters"
+            )
+        exp = int(exp_text)
         # exponent 0 is legal and contributes nothing
         runs.append((gen if exp > 0 else -gen, abs(exp)))
     total = sum(n for _, n in runs)

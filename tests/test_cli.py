@@ -272,6 +272,18 @@ class TestSweepCommand:
         assert code == 2
         assert "empty l list" in err
 
+    def test_huge_range_refused_before_expansion(self, capsys):
+        code, out, err = run(capsys, "sweep", "--g-list", "2", "--l-list", "3..10000000000")
+        assert code == 2
+        assert out == ""
+        assert err == "error: l list has 9999999998 values; the limit is 4096\n"
+
+    def test_list_bound_counts_every_chunk(self, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_LIST_VALUES", 3)
+        assert cli._int_list("3..4,9", (), "l") == [3, 4, 9]
+        with pytest.raises(ValueError, match="4 values; the limit is 3"):
+            cli._int_list("3..4,8,9", (), "l")
+
     def test_non_integer_grid_value(self, capsys):
         code, out, err = run(capsys, "sweep", "--g-list", "x", "--l-list", "3")
         assert code == 2
@@ -365,6 +377,7 @@ class TestUsage:
             ("sweep", "--g-list", "2", "--l-list", "3", "--parallel", "0"),
             ("identities", "--l-list", "2"),
             ("identities", "--i-max", "-1"),
+            pytest.param(("word", "reduce", "y1^" + "9" * 5000), id="y1^<5000 nines>"),
         ],
     )
     def test_usage_error_is_one_line(self, capsys, argv):

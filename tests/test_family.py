@@ -150,6 +150,14 @@ class TestBoundaryWord:
         with pytest.raises(ValueError):
             boundary_word(g)
 
+    @pytest.mark.parametrize("g", [0, 1, 3, -2])
+    def test_same_genus_rule_as_params(self, g):
+        with pytest.raises(ValueError) as from_word:
+            boundary_word(g)
+        with pytest.raises(ValueError) as from_params:
+            FamilyParams(g, 3)
+        assert str(from_word.value) == str(from_params.value)
+
     def test_genus_four_block_pattern(self):
         w = boundary_word(4)
         assert w.letters[:4] == (1, -3, 5, -7)

@@ -59,10 +59,6 @@ class TestApply:
             w = Word(phi23.domain, [rng.choice(letters) for _ in range(rng.randint(0, 10))])
             assert phi23.apply(w.inverse()) == phi23.apply(w).inverse()
 
-    def test_call_alias(self, phi23):
-        w = Word(phi23.domain, (1, 2))
-        assert phi23(w) == phi23.apply(w)
-
 
 class TestConstruction:
     def test_image_count_checked(self):

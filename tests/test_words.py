@@ -67,8 +67,16 @@ class TestParse:
 
     def test_signed_exponent_with_plus(self):
         assert parse_word("y2^+2", Y).letters == (2, 2)
+        assert parse_word("y2^+00000002", Y).letters == (2, 2)
 
-    @pytest.mark.parametrize("bad", ["y9", "zz", "y1^", "y1^^2", "y1^2x", "^3"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "y9", "zz", "y1^", "y1^^2", "y1^2x", "^3", "y2^-10000000",
+            # more digits than int() converts by default (4300)
+            pytest.param("y1^" + "9" * 5000, id="y1^<5000 nines>"),
+        ],
+    )
     def test_syntax_errors(self, bad):
         with pytest.raises(WordSyntaxError):
             parse_word(bad, Y)
@@ -250,6 +258,31 @@ class TestCanonicalClass:
         # b a -> a b under the letter order y1 < y1^-1 < y2 < ...
         w = parse_word("a2 a1", AB)
         assert canonical_class(w).letters == (1, 2)
+
+
+_LETTERS = st.sampled_from([1, -1, 2, -2, 3, -3])
+
+
+class TestLeastRotation:
+    # ties are where a two-pointer scan can go wrong: periodic words w^k,
+    # w^k followed by a short tail, and runs of one letter
+    @settings(max_examples=500, derandomize=True, deadline=None, database=None)
+    @given(
+        st.one_of(
+            st.lists(_LETTERS, max_size=30),
+            st.tuples(
+                st.lists(_LETTERS, min_size=1, max_size=5),
+                st.integers(1, 6),
+                st.lists(_LETTERS, max_size=3),
+            ).map(lambda p: p[0] * p[1] + p[2]),
+            st.tuples(_LETTERS, st.integers(1, 12)).map(lambda p: [p[0]] * p[1]),
+        )
+    )
+    def test_matches_brute_force(self, letters):
+        letters = tuple(letters)
+        rotations = [letters[k:] + letters[:k] for k in range(len(letters))] or [()]
+        best = min(rotations, key=lambda r: [words._letter_key(s) for s in r])
+        assert words._least_rotation(letters) == best
 
 
 class TestCyclicWord:
