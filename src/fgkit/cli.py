@@ -59,9 +59,10 @@ _MAX_LIST_VALUES = 4096
 
 def _int_list(text: Optional[str], default: Sequence[int], name: str) -> list[int]:
     """Comma-separated integers, ``a..b`` items expanding to inclusive
-    ranges; ``default`` when ``text`` is None.  An empty list, or one of
-    more than ``_MAX_LIST_VALUES`` values, is an error; the values are
-    counted before any range is expanded."""
+    ranges; ``default`` when ``text`` is None.  An empty list, one of more
+    than ``_MAX_LIST_VALUES`` values, or one that names a value twice is
+    an error; the values are counted and compared as spans, before any
+    range is expanded."""
     if text is None:
         return list(default)
     spans: list[tuple[int, int]] = []
@@ -74,7 +75,12 @@ def _int_list(text: Optional[str], default: Sequence[int], name: str) -> list[in
             spans.append((int(lo_text), int(hi_text if dots else lo_text)))
         except ValueError:
             raise ValueError(f"not an integer or a..b range: {chunk!r}") from None
-    count = sum(max(0, hi - lo + 1) for lo, hi in spans)
+    # a repeated value would verify one point twice and read as two equal slopes
+    nonempty = sorted(span for span in spans if span[0] <= span[1])
+    for (_, prev_hi), (lo, _) in zip(nonempty, nonempty[1:]):
+        if lo <= prev_hi:
+            raise ValueError(f"{name} list repeats the value {lo}")
+    count = sum(hi - lo + 1 for lo, hi in nonempty)
     if count == 0:
         raise ValueError(f"empty {name} list")
     if count > _MAX_LIST_VALUES:

@@ -9,7 +9,8 @@ terms of a pair of shuffle words and are re-derived here as checked claims,
 never assumed.
 
 :func:`verify` runs the full battery for one parameter pair: closed-form
-agreement, the telescoping shuffle identities, first/last-letter structure
+agreement, the telescoping shuffle identities (for all exponents, by a
+three-equality certificate), first/last-letter structure
 of images of single-parity words, an injectivity certificate via Stallings
 folding, the order of the abelianized cokernel, and the canonical conjugacy
 class of the image of the surface boundary word.  Mathematical failures are
@@ -25,7 +26,14 @@ from typing import Iterable, Optional, Sequence, Union
 from .abelian import INFINITE, _InfiniteType, image_matrix, quotient_order
 from .homs import Homomorphism
 from .stallings import InjectivityResult, SubgroupGraph, build_subgroup_graph
-from .words import Alphabet, CyclicWord, Word, canonical_class, render_word
+from .words import (
+    Alphabet,
+    CyclicWord,
+    Word,
+    canonical_class,
+    canonical_classes,
+    render_word,
+)
 
 __all__ = [
     "DEFAULT_G_VALUES",
@@ -173,6 +181,16 @@ def first_shuffle_failure(
     ``b^(j-i) u`` otherwise, and ``b^j v a^i`` collapses to ``v a^(i-j)``
     when i >= j and to ``b^(j-i-1) u`` otherwise, where a = u^-1 v and
     b = u v^-1.  Raises ``ValueError`` for a negative bound or l < 3.
+
+    Certificate first: ``u a = v``, ``b v = u`` and ``b u a = u`` (the
+    grid points (1, 0), (0, 1) and (1, 1)) imply every branch for all
+    i, j >= 0, so when the three hold the answer is None whatever the
+    bounds.  By induction ``b^j u a^j = u``; hence ``b^j u a^i`` is
+    ``u a^(i-j) = v a^(i-j-1)`` when i > j and ``b^(j-i) u`` when i <= j,
+    and ``b^j v a^i = b^j u a^(i+1)`` gives the two second branches.  The
+    identities hold in any group, so what this really tests is that
+    :class:`Word` arithmetic realises them on these words.  Only when the
+    certificate fails is the (i, j) grid walked for the first witness.
     """
     if i_max < 0 or j_max < 0:
         raise ValueError("bounds must be >= 0")
@@ -180,6 +198,16 @@ def first_shuffle_failure(
     u, v = shuffle_words(l)
     a = u.inverse() * v
     b = u * v.inverse()
+    if u * a == v and b * v == u and b * u * a == u:
+        return None
+    return _first_grid_failure(i_max, j_max, u, v, a, b)
+
+
+def _first_grid_failure(
+    i_max: int, j_max: int, u: Word, v: Word, a: Word, b: Word
+) -> Optional[tuple[str, int, int]]:
+    """The witness search of :func:`first_shuffle_failure`: every (i, j)
+    with i <= i_max and j <= j_max, in row order."""
     for i in range(i_max + 1):
         for j in range(j_max + 1):
             lhs = b ** j * u * a ** i
@@ -204,7 +232,11 @@ def first_shuffle_failure(
 
 
 def check_shuffle_identities(i_max: int, j_max: int, l: int) -> bool:
-    """True iff all four telescoping branches hold on the (i, j) grid."""
+    """True iff all four telescoping branches hold on the (i, j) grid.
+
+    Through the certificate of :func:`first_shuffle_failure`, True proves
+    them for every i, j >= 0, not only for i <= i_max and j <= j_max.
+    """
     return first_shuffle_failure(i_max, j_max, l) is None
 
 
@@ -402,11 +434,10 @@ def verify(params: FamilyParams) -> VerificationReport:
     reference = reference_quotient_order(params.l)
     order_match = order == reference
 
-    def boundary_classes() -> tuple[CyclicWord, CyclicWord]:
-        image = hom.apply(boundary_word(params.g))
-        return canonical_class(image, oriented=False), canonical_class(image)
-
-    cls_unoriented, cls_oriented = timed("boundary_class", boundary_classes)
+    cls_unoriented, cls_oriented = timed(
+        "boundary_class",
+        lambda: canonical_classes(hom.apply(boundary_word(params.g))),
+    )
 
     warnings = []
     if order is INFINITE:

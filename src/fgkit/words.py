@@ -26,6 +26,7 @@ __all__ = [
     "parse_word",
     "render_word",
     "canonical_class",
+    "canonical_classes",
     "iter_reduced_words",
 ]
 
@@ -349,7 +350,9 @@ def canonical_class(w: Word, oriented: bool = True) -> CyclicWord:
 
     With ``oriented=False`` the representative is shared by the class of
     ``w`` and the class of ``w^-1`` (the unoriented comparison used for
-    boundary slopes).  Equal outputs iff the classes are equal.
+    boundary slopes).  Equal outputs iff the classes are equal.  The
+    oriented class costs one least rotation, the unoriented one two; to
+    get both, :func:`canonical_classes` also costs two.
 
     >>> ab = Alphabet.numbered(2, "a")
     >>> a, b = Word(ab, (1,)), Word(ab, (2,))
@@ -361,15 +364,32 @@ def canonical_class(w: Word, oriented: bool = True) -> CyclicWord:
     ...     (a * b).inverse(), oriented=False)
     True
     """
+    if not oriented:
+        return canonical_classes(w)[0]
     core, _ = w.cyclic_reduce()
     best = _least_rotation(core.letters)
-    if not oriented and core.letters:
-        inv = tuple(-s for s in reversed(core.letters))
-        cand = _least_rotation(inv)
-        if [_letter_key(s) for s in cand] < [_letter_key(s) for s in best]:
-            best = cand
     # `best` is a least rotation, so it is its own canonical rotation
     return CyclicWord._wrap(w.alphabet, best, best)
+
+
+def canonical_classes(w: Word) -> tuple[CyclicWord, CyclicWord]:
+    """``(canonical_class(w, oriented=False), canonical_class(w))`` from one
+    least rotation of the core of ``w`` and one of its inverse.
+
+    >>> ab = Alphabet.numbered(2, "a")
+    >>> w = Word(ab, (-2, -1))
+    >>> [str(c) for c in canonical_classes(w)]
+    ['a1 a2', 'a1^-1 a2^-1']
+    """
+    core, _ = w.cyclic_reduce()
+    oriented = _least_rotation(core.letters)
+    inverse = _least_rotation(tuple(-s for s in reversed(core.letters)))
+    # on a tie the two rotations are equal, so either is the answer
+    unoriented = min(oriented, inverse, key=lambda t: [_letter_key(s) for s in t])
+    return (
+        CyclicWord._wrap(w.alphabet, unoriented, unoriented),
+        CyclicWord._wrap(w.alphabet, oriented, oriented),
+    )
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:

@@ -45,6 +45,47 @@ def t_pow(a, n: int) -> tuple[int, ...]:
     return out
 
 
+# -- shuffle identities -------------------------------------------------------
+
+
+def shuffle_grid_sides(i_max: int, j_max: int, l: int):
+    """Yield ``(branch, i, j, lhs, rhs)`` for both shuffle identities at each
+    (i, j) of the grid, in row order, as plain reduced tuples.
+
+    u = y1 y2 y3 and v = y3^-3 y2^-l y1^3 are spelled out here, a = u^-1 v
+    and b = u v^-1, and every power is a repeated naive product.
+    """
+    u = (1, 2, 3)
+    v = (-3,) * 3 + (-2,) * l + (1,) * 3
+    a = t_mul(t_inv(u), v)
+    b = t_mul(u, t_inv(v))
+    top = max(i_max, j_max) + 1
+    a_pow, b_pow = [()], [()]
+    for _ in range(top):
+        a_pow.append(t_mul(a_pow[-1], a))
+        b_pow.append(t_mul(b_pow[-1], b))
+    for i in range(i_max + 1):
+        for j in range(j_max + 1):
+            lhs = t_mul(t_mul(b_pow[j], u), a_pow[i])
+            if i > j:
+                yield "first:i>j", i, j, lhs, t_mul(v, a_pow[i - j - 1])
+            else:
+                yield "first:i<=j", i, j, lhs, t_mul(b_pow[j - i], u)
+            lhs = t_mul(t_mul(b_pow[j], v), a_pow[i])
+            if i >= j:
+                yield "second:i>=j", i, j, lhs, t_mul(v, a_pow[i - j])
+            else:
+                yield "second:i<j", i, j, lhs, t_mul(b_pow[j - i - 1], u)
+
+
+def shuffle_grid_failure(i_max: int, j_max: int, l: int):
+    """First ``(branch, i, j)`` whose two sides differ, or None."""
+    for branch, i, j, lhs, rhs in shuffle_grid_sides(i_max, j_max, l):
+        if lhs != rhs:
+            return branch, i, j
+    return None
+
+
 # -- Nielsen reduction and subgroup enumeration ------------------------------
 
 

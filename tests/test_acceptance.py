@@ -34,6 +34,7 @@ from fgkit import (
 from fgkit.family import boundary_word, domain_alphabet
 
 import oracles
+from shuffle_sides import word_shuffle_sides
 
 GRID = [(g, l) for g in (2, 4, 6, 8) for l in range(3, 13)]
 SEED = 20250810
@@ -79,12 +80,21 @@ def test_criterion_3_shuffle_identities():
     t0 = time.perf_counter()
     failures = [l for l in range(3, 13) if not check_shuffle_identities(6, 6, l)]
     elapsed = time.perf_counter() - t0
+    # the check is a certificate that multiplies out no power, so the grid
+    # of Word products and powers is compared with the fgkit-free oracle
+    failures += [
+        l
+        for l in range(3, 13)
+        if oracles.shuffle_grid_failure(6, 6, l) is not None
+        or list(word_shuffle_sides(6, 6, l)) != list(oracles.shuffle_grid_sides(6, 6, l))
+    ]
     ok = not failures and elapsed < 5.0
     _verdict(
         3,
         ok,
-        f"all four identity branches hold for i,j <= 6 and l in 3..12 "
-        f"({elapsed:.2f}s < 5s)",
+        f"all four identity branches hold for i,j <= 6 and l in 3..12, and "
+        f"Word arithmetic there equals the oracle's ({elapsed:.2f}s < 5s)"
+        f"{'; failures: ' + repr(failures) if failures else ''}",
     )
 
 

@@ -2,6 +2,7 @@ import concurrent.futures
 import contextlib
 import io
 import json
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fgkit.cli as cli
+import fgkit.family as family
 from fgkit.cli import main
 from fgkit.family import FamilyParams, VerificationReport
 from fgkit.words import Alphabet, CyclicWord
@@ -278,6 +280,24 @@ class TestSweepCommand:
         assert out == ""
         assert err == "error: l list has 9999999998 values; the limit is 4096\n"
 
+    @pytest.mark.parametrize(
+        "l_list,value", [("3,3", 3), ("3..5,4", 4), ("3..10000000000,5", 5), ("6,5..3,6", 6)]
+    )
+    def test_repeated_value_is_usage_error(self, capsys, l_list, value):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "sweep", "--g-list", "2", "--l-list", l_list)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: l list repeats the value {value}\n"
+        assert peak < 1 << 20  # no range was expanded
+
+    def test_empty_range_repeats_nothing(self):
+        assert cli._int_list("5..3,4,3", (), "l") == [4, 3]
+
     def test_list_bound_counts_every_chunk(self, monkeypatch):
         monkeypatch.setattr(cli, "_MAX_LIST_VALUES", 3)
         assert cli._int_list("3..4,9", (), "l") == [3, 4, 9]
@@ -344,6 +364,18 @@ class TestIdentitiesCommand:
     def test_small_l_rejected(self, capsys):
         code, _, err = run(capsys, "identities", "--l-list", "2")
         assert code == 2
+
+    def test_huge_bound_is_free(self, capsys, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("grid walked although the certificate holds")
+
+        monkeypatch.setattr(family, "_first_grid_failure", no_grid)
+        code, out, _ = run(
+            capsys, "identities", "--i-max", "1000000000", "--j-max", "1000000000",
+            "--l-list", "3..12",
+        )
+        assert code == 0
+        assert out.startswith("OK: all identity branches hold for i<=1000000000")
 
     def test_failure_reports_quadruple(self, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -28,12 +28,14 @@ from fgkit import (
     target_alphabet,
     verify,
 )
+import oracles
 from fgkit.family import (
     _block_letters_hold,
     boundary_word,
     class_distinctness,
     first_shuffle_failure,
 )
+from shuffle_sides import word_shuffle_sides
 
 Y = target_alphabet()
 
@@ -116,9 +118,32 @@ class TestShuffleIdentities:
         # i=j=0: u = b^0 u
         assert check_shuffle_identities(0, 0, 3)
 
-    @pytest.mark.parametrize("l", [3, 7, 12])
+    @pytest.mark.parametrize("l", [3, 7, 12] + [4, 5, 6, 8, 9, 10, 11])
     def test_grid(self, l):
         assert check_shuffle_identities(6, 6, l)
+        # the certificate never multiplies out a power; the grid of Word
+        # products and powers must still equal the fgkit-free oracle's
+        expected = list(oracles.shuffle_grid_sides(6, 6, l))
+        assert list(word_shuffle_sides(6, 6, l)) == expected
+        assert oracles.shuffle_grid_failure(6, 6, l) is None
+
+    @pytest.mark.parametrize("limit", [0, 8])
+    def test_grid_walked_when_certificate_fails(self, monkeypatch, limit):
+        # an equality blind to words longer than `limit`: at l = 3 it fails
+        # u a == v (v has 9 letters), and the walk must name the first grid
+        # point with a side that long
+        def blind_eq(self, other):
+            return max(len(self), len(other)) <= limit and self.letters == other.letters
+
+        expected = next(
+            (branch, i, j)
+            for branch, i, j, lhs, rhs in oracles.shuffle_grid_sides(6, 6, 3)
+            if max(len(lhs), len(rhs)) > limit
+        )
+        assert expected == {0: ("first:i<=j", 0, 0), 8: ("second:i>=j", 0, 0)}[limit]
+        monkeypatch.setattr(Word, "__eq__", blind_eq)
+        assert first_shuffle_failure(6, 6, 3) == expected
+        assert not check_shuffle_identities(6, 6, 3)
 
     def test_no_failure_reported(self):
         assert first_shuffle_failure(4, 4, 5) is None

@@ -16,7 +16,8 @@ from fgkit import (
     parse_word,
     render_word,
 )
-from fgkit.family import shuffle_words
+from fgkit.family import FamilyParams, shuffle_words, verify
+from fgkit.words import canonical_classes
 
 from oracles import naive_reduce, t_inv, t_mul, t_pow
 
@@ -258,6 +259,43 @@ class TestCanonicalClass:
         # b a -> a b under the letter order y1 < y1^-1 < y2 < ...
         w = parse_word("a2 a1", AB)
         assert canonical_class(w).letters == (1, 2)
+
+
+    def test_both_orientations_match_brute_force(self):
+        rng = random.Random(2026)
+        for n in list(range(8)) * 40:
+            w = Word(Y, [rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(n)])
+            core = w.cyclic_reduce()[0].letters
+            inv = t_inv(core)
+            key = lambda r: [words._letter_key(s) for s in r]
+            rotations = [core[k:] + core[:k] for k in range(len(core))] or [()]
+            inv_rotations = [inv[k:] + inv[:k] for k in range(len(inv))] or [()]
+            unoriented, oriented = canonical_classes(w)
+            assert oriented.letters == min(rotations, key=key)
+            assert unoriented.letters == min(rotations + inv_rotations, key=key)
+            assert unoriented.letters == canonical_class(w, oriented=False).letters
+            assert oriented.letters == canonical_class(w).letters
+
+    def test_one_least_rotation_per_orientation(self, monkeypatch):
+        calls = []
+        real = words._least_rotation
+
+        def counted(letters):
+            calls.append(len(letters))
+            return real(letters)
+
+        monkeypatch.setattr(words, "_least_rotation", counted)
+        w = parse_word("y1 y2^-2 y3 y1^-1 y3", Y)
+        for run, rotations in (
+            (lambda: canonical_class(w), 1),
+            (lambda: canonical_class(w, oriented=False), 2),
+            (lambda: canonical_classes(w), 2),
+            # verify's boundary stage: both classes from two rotations
+            (lambda: verify(FamilyParams(2, 3)), 2),
+        ):
+            calls.clear()
+            run()
+            assert len(calls) == rotations
 
 
 _LETTERS = st.sampled_from([1, -1, 2, -2, 3, -3])
