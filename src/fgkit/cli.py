@@ -57,12 +57,14 @@ _CSV_COLUMNS = [
 _MAX_LIST_VALUES = 4096
 
 
-def _int_list(text: Optional[str], default: Sequence[int], name: str) -> list[int]:
+def _int_list(
+    text: Optional[str], default: Sequence[int], name: str, distinct: bool = False
+) -> list[int]:
     """Comma-separated integers, ``a..b`` items expanding to inclusive
     ranges; ``default`` when ``text`` is None.  An empty list, one of more
-    than ``_MAX_LIST_VALUES`` values, or one that names a value twice is
-    an error; the values are counted and compared as spans, before any
-    range is expanded."""
+    than ``_MAX_LIST_VALUES`` values, or, with ``distinct``, one that names
+    a value twice is an error; the values are counted and compared as
+    spans, before any range is expanded."""
     if text is None:
         return list(default)
     spans: list[tuple[int, int]] = []
@@ -75,10 +77,9 @@ def _int_list(text: Optional[str], default: Sequence[int], name: str) -> list[in
             spans.append((int(lo_text), int(hi_text if dots else lo_text)))
         except ValueError:
             raise ValueError(f"not an integer or a..b range: {chunk!r}") from None
-    # a repeated value would verify one point twice and read as two equal slopes
     nonempty = sorted(span for span in spans if span[0] <= span[1])
     for (_, prev_hi), (lo, _) in zip(nonempty, nonempty[1:]):
-        if lo <= prev_hi:
+        if distinct and lo <= prev_hi:
             raise ValueError(f"{name} list repeats the value {lo}")
     count = sum(hi - lo + 1 for lo, hi in nonempty)
     if count == 0:
@@ -241,8 +242,9 @@ def _distinctness_rows(reports: list[VerificationReport]) -> list[dict]:
 
 
 def _cmd_sweep(args) -> int:
-    g_values = _int_list(args.g_list, DEFAULT_G_VALUES, "g")
-    l_values = _int_list(args.l_list, DEFAULT_L_VALUES, "l")
+    # a repeated value would verify one point twice and read as two equal slopes
+    g_values = _int_list(args.g_list, DEFAULT_G_VALUES, "g", distinct=True)
+    l_values = _int_list(args.l_list, DEFAULT_L_VALUES, "l", distinct=True)
     # FamilyParams checks every point before any verification starts
     jobs = sorted(
         (FamilyParams(g, l) for g in g_values for l in l_values),

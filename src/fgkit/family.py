@@ -9,8 +9,8 @@ terms of a pair of shuffle words and are re-derived here as checked claims,
 never assumed.
 
 :func:`verify` runs the full battery for one parameter pair: closed-form
-agreement, the telescoping shuffle identities (for all exponents, by a
-three-equality certificate), first/last-letter structure
+agreement, the telescoping shuffle identities (for all exponents, from
+the grid i, j <= 1), first/last-letter structure
 of images of single-parity words, an injectivity certificate via Stallings
 folding, the order of the abelianized cokernel, and the canonical conjugacy
 class of the image of the surface boundary word.  Mathematical failures are
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .abelian import INFINITE, _InfiniteType, image_matrix, quotient_order
 from .homs import Homomorphism
@@ -30,8 +30,8 @@ from .words import (
     Alphabet,
     CyclicWord,
     Word,
+    _canonical_classes,
     canonical_class,
-    canonical_classes,
     render_word,
 )
 
@@ -182,60 +182,57 @@ def first_shuffle_failure(
     when i >= j and to ``b^(j-i-1) u`` otherwise, where a = u^-1 v and
     b = u v^-1.  Raises ``ValueError`` for a negative bound or l < 3.
 
-    Certificate first: ``u a = v``, ``b v = u`` and ``b u a = u`` (the
-    grid points (1, 0), (0, 1) and (1, 1)) imply every branch for all
-    i, j >= 0, so when the three hold the answer is None whatever the
-    bounds.  By induction ``b^j u a^j = u``; hence ``b^j u a^i`` is
-    ``u a^(i-j) = v a^(i-j-1)`` when i > j and ``b^(j-i) u`` when i <= j,
-    and ``b^j v a^i = b^j u a^(i+1)`` gives the two second branches.  The
-    identities hold in any group, so what this really tests is that
-    :class:`Word` arithmetic realises them on these words.  Only when the
-    certificate fails is the (i, j) grid walked for the first witness.
+    Only the grid i, j <= 1 is walked: it holds ``u a = v`` (point
+    (1, 0)), ``b v = u`` (point (0, 1)) and ``b u a = u`` (point (1, 1)),
+    and these imply every branch for all i, j >= 0.  By induction
+    ``b^j u a^j = u``; hence ``b^j u a^i`` is ``u a^(i-j) = v a^(i-j-1)``
+    when i > j and ``b^(j-i) u`` when i <= j, and ``b^j v a^i =
+    b^j u a^(i+1)`` gives the two second branches.  So None proves every
+    branch for all i, j >= 0 when both bounds are at least 1 (a zero
+    bound leaves out a point of the three, and None then proves the
+    branches on the grid i <= i_max, j <= j_max).  A failure is the first
+    one in row order on the walked grid.  The identities hold in any
+    group, so what this really tests is that :class:`Word` arithmetic
+    realises them on these words.
     """
     if i_max < 0 or j_max < 0:
         raise ValueError("bounds must be >= 0")
     _check_winding(l)
+    for branch, i, j, lhs, rhs in _shuffle_sides(min(i_max, 1), min(j_max, 1), l):
+        if lhs != rhs:
+            return (branch, i, j)
+    return None
+
+
+def _shuffle_sides(
+    i_max: int, j_max: int, l: int
+) -> Iterator[tuple[str, int, int, Word, Word]]:
+    """Yield ``(branch, i, j, lhs, rhs)`` for both shuffle identities at
+    every (i, j) with i <= i_max and j <= j_max, in row order, each side
+    computed by :class:`Word` products and powers."""
     u, v = shuffle_words(l)
     a = u.inverse() * v
     b = u * v.inverse()
-    if u * a == v and b * v == u and b * u * a == u:
-        return None
-    return _first_grid_failure(i_max, j_max, u, v, a, b)
-
-
-def _first_grid_failure(
-    i_max: int, j_max: int, u: Word, v: Word, a: Word, b: Word
-) -> Optional[tuple[str, int, int]]:
-    """The witness search of :func:`first_shuffle_failure`: every (i, j)
-    with i <= i_max and j <= j_max, in row order."""
     for i in range(i_max + 1):
         for j in range(j_max + 1):
             lhs = b ** j * u * a ** i
             if i > j:
-                branch = "first:i>j"
-                rhs = v * a ** (i - j - 1)
+                yield "first:i>j", i, j, lhs, v * a ** (i - j - 1)
             else:
-                branch = "first:i<=j"
-                rhs = b ** (j - i) * u
-            if lhs != rhs:
-                return (branch, i, j)
+                yield "first:i<=j", i, j, lhs, b ** (j - i) * u
             lhs = b ** j * v * a ** i
             if i >= j:
-                branch = "second:i>=j"
-                rhs = v * a ** (i - j)
+                yield "second:i>=j", i, j, lhs, v * a ** (i - j)
             else:
-                branch = "second:i<j"
-                rhs = b ** (j - i - 1) * u
-            if lhs != rhs:
-                return (branch, i, j)
-    return None
+                yield "second:i<j", i, j, lhs, b ** (j - i - 1) * u
 
 
 def check_shuffle_identities(i_max: int, j_max: int, l: int) -> bool:
-    """True iff all four telescoping branches hold on the (i, j) grid.
+    """True iff all four telescoping branches hold.
 
-    Through the certificate of :func:`first_shuffle_failure`, True proves
-    them for every i, j >= 0, not only for i <= i_max and j <= j_max.
+    With both bounds at least 1, True proves them for every i, j >= 0
+    (see :func:`first_shuffle_failure`); otherwise for i <= i_max and
+    j <= j_max.
     """
     return first_shuffle_failure(i_max, j_max, l) is None
 
@@ -436,7 +433,7 @@ def verify(params: FamilyParams) -> VerificationReport:
 
     cls_unoriented, cls_oriented = timed(
         "boundary_class",
-        lambda: canonical_classes(hom.apply(boundary_word(params.g))),
+        lambda: _canonical_classes(hom.apply(boundary_word(params.g))),
     )
 
     warnings = []

@@ -26,7 +26,6 @@ __all__ = [
     "parse_word",
     "render_word",
     "canonical_class",
-    "canonical_classes",
     "iter_reduced_words",
 ]
 
@@ -351,8 +350,7 @@ def canonical_class(w: Word, oriented: bool = True) -> CyclicWord:
     With ``oriented=False`` the representative is shared by the class of
     ``w`` and the class of ``w^-1`` (the unoriented comparison used for
     boundary slopes).  Equal outputs iff the classes are equal.  The
-    oriented class costs one least rotation, the unoriented one two; to
-    get both, :func:`canonical_classes` also costs two.
+    oriented class costs one least rotation, the unoriented one two.
 
     >>> ab = Alphabet.numbered(2, "a")
     >>> a, b = Word(ab, (1,)), Word(ab, (2,))
@@ -365,22 +363,17 @@ def canonical_class(w: Word, oriented: bool = True) -> CyclicWord:
     True
     """
     if not oriented:
-        return canonical_classes(w)[0]
+        return _canonical_classes(w)[0]
     core, _ = w.cyclic_reduce()
     best = _least_rotation(core.letters)
     # `best` is a least rotation, so it is its own canonical rotation
     return CyclicWord._wrap(w.alphabet, best, best)
 
 
-def canonical_classes(w: Word) -> tuple[CyclicWord, CyclicWord]:
+def _canonical_classes(w: Word) -> tuple[CyclicWord, CyclicWord]:
     """``(canonical_class(w, oriented=False), canonical_class(w))`` from one
-    least rotation of the core of ``w`` and one of its inverse.
-
-    >>> ab = Alphabet.numbered(2, "a")
-    >>> w = Word(ab, (-2, -1))
-    >>> [str(c) for c in canonical_classes(w)]
-    ['a1 a2', 'a1^-1 a2^-1']
-    """
+    least rotation of the core of ``w`` and one of its inverse, so that
+    :func:`~fgkit.family.verify` gets both classes for two rotations."""
     core, _ = w.cyclic_reduce()
     oriented = _least_rotation(core.letters)
     inverse = _least_rotation(tuple(-s for s in reversed(core.letters)))

@@ -296,7 +296,7 @@ class TestSweepCommand:
         assert peak < 1 << 20  # no range was expanded
 
     def test_empty_range_repeats_nothing(self):
-        assert cli._int_list("5..3,4,3", (), "l") == [4, 3]
+        assert cli._int_list("5..3,4,3", (), "l", distinct=True) == [4, 3]
 
     def test_list_bound_counts_every_chunk(self, monkeypatch):
         monkeypatch.setattr(cli, "_MAX_LIST_VALUES", 3)
@@ -365,17 +365,32 @@ class TestIdentitiesCommand:
         code, _, err = run(capsys, "identities", "--l-list", "2")
         assert code == 2
 
-    def test_huge_bound_is_free(self, capsys, monkeypatch):
-        def no_grid(*args):
-            raise AssertionError("grid walked although the certificate holds")
+    @pytest.mark.parametrize("l_list,values", [("3,3", [3, 3]), ("3..5,4", [3, 4, 5, 4])])
+    def test_repeated_value_is_accepted(self, capsys, l_list, values):
+        # identities compares nothing across l, so a repeat does no harm
+        code, out, err = run(capsys, "identities", "--l-list", l_list)
+        assert code == 0
+        assert err == ""
+        assert out == f"OK: all identity branches hold for i<=6, j<=6, l in {values}\n"
 
-        monkeypatch.setattr(family, "_first_grid_failure", no_grid)
+    def test_huge_bound_is_free(self, capsys, monkeypatch):
+        walked = []
+        real = family._shuffle_sides
+
+        def recorded(i_max, j_max, l):
+            walked.append((i_max, j_max))
+            if max(i_max, j_max) > 1:
+                raise AssertionError("grid walked past i, j <= 1")
+            return real(i_max, j_max, l)
+
+        monkeypatch.setattr(family, "_shuffle_sides", recorded)
         code, out, _ = run(
             capsys, "identities", "--i-max", "1000000000", "--j-max", "1000000000",
             "--l-list", "3..12",
         )
         assert code == 0
         assert out.startswith("OK: all identity branches hold for i<=1000000000")
+        assert walked == [(1, 1)] * 10
 
     def test_failure_reports_quadruple(self, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -31,11 +31,11 @@ from fgkit import (
 import oracles
 from fgkit.family import (
     _block_letters_hold,
+    _shuffle_sides,
     boundary_word,
     class_distinctness,
     first_shuffle_failure,
 )
-from shuffle_sides import word_shuffle_sides
 
 Y = target_alphabet()
 
@@ -121,26 +121,34 @@ class TestShuffleIdentities:
     @pytest.mark.parametrize("l", [3, 7, 12] + [4, 5, 6, 8, 9, 10, 11])
     def test_grid(self, l):
         assert check_shuffle_identities(6, 6, l)
-        # the certificate never multiplies out a power; the grid of Word
-        # products and powers must still equal the fgkit-free oracle's
+        # the check walks only i, j <= 1; the grid of Word products and
+        # powers up to 6 must still equal the fgkit-free oracle's
         expected = list(oracles.shuffle_grid_sides(6, 6, l))
-        assert list(word_shuffle_sides(6, 6, l)) == expected
+        sides = [
+            (br, i, j, lhs.letters, rhs.letters)
+            for br, i, j, lhs, rhs in _shuffle_sides(6, 6, l)
+        ]
+        assert sides == expected
         assert oracles.shuffle_grid_failure(6, 6, l) is None
 
-    @pytest.mark.parametrize("limit", [0, 8])
+    @pytest.mark.parametrize("limit", [0, 8, 9])
     def test_grid_walked_when_certificate_fails(self, monkeypatch, limit):
         # an equality blind to words longer than `limit`: at l = 3 it fails
-        # u a == v (v has 9 letters), and the walk must name the first grid
-        # point with a side that long
+        # u a == v (v has 9 letters, b u has 15), and the walk over i, j <= 1
+        # must name the first point, in row order, with a side that long
         def blind_eq(self, other):
             return max(len(self), len(other)) <= limit and self.letters == other.letters
 
         expected = next(
             (branch, i, j)
-            for branch, i, j, lhs, rhs in oracles.shuffle_grid_sides(6, 6, 3)
+            for branch, i, j, lhs, rhs in oracles.shuffle_grid_sides(1, 1, 3)
             if max(len(lhs), len(rhs)) > limit
         )
-        assert expected == {0: ("first:i<=j", 0, 0), 8: ("second:i>=j", 0, 0)}[limit]
+        assert expected == {
+            0: ("first:i<=j", 0, 0),
+            8: ("second:i>=j", 0, 0),
+            9: ("first:i<=j", 0, 1),
+        }[limit]
         monkeypatch.setattr(Word, "__eq__", blind_eq)
         assert first_shuffle_failure(6, 6, 3) == expected
         assert not check_shuffle_identities(6, 6, 3)
