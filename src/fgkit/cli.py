@@ -286,10 +286,13 @@ def _cmd_identities(args) -> int:
             branch, i, j = failure
             print(f"FAIL: branch={branch} i={i} j={j} l={l}")
             return 1
-    print(
-        f"OK: all identity branches hold for i<={args.i_max}, j<={args.j_max}, "
-        f"l in {l_values}"
-    )
+    # the grid i, j <= 1 certifies every exponent (README lemma); with a
+    # zero bound only the grid up to the bounds was walked
+    if min(args.i_max, args.j_max) >= 1:
+        scope = "all i, j >= 0"
+    else:
+        scope = f"i<={args.i_max}, j<={args.j_max}"
+    print(f"OK: all identity branches hold for {scope}, l in {l_values}")
     return 0
 
 

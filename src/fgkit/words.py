@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import neg
 from typing import Iterable, Iterator, Optional
 
 __all__ = [
@@ -316,31 +317,138 @@ class CyclicWord:
         return CyclicWord._wrap(self.alphabet, tuple(-s for s in reversed(self.letters)))
 
 
+# Letters are coded as bytes, so that the rotation scan below compares
+# words in C.  The generators that occur get consecutive indices t, in
+# generator order.  With t_0 .. t_h the base-64 digits of t, top first, and
+# sign 1 for an inverse letter, a letter of generator t is the palindrome
+# of 2h + 1 bytes
+#     E(t_0) D(t_1) .. D(t_(h-1)) C(t_h, sign) D(t_(h-1)) .. D(t_1) E(t_0)
+# where E(d) = 0xC0 | d, D(d) = 0x80 | d and C(d, sign) = d << 1 | sign
+# (for h = 0 the one byte C).  Its first h + 1 bytes spell (t, sign), so
+# codes of equal width compare as the letters do under _letter_key.  The
+# E, D and C ranges are disjoint and E stands only at the ends, so a run of
+# codes matches only at a letter boundary.  Reversing a code string keeps
+# each palindrome, so the inverse word is its reversal with the sign bit of
+# every C byte flipped.
+_FLIP = bytes(b ^ 1 if b < 0x80 else b for b in range(256))
+
+
+def _letter_codes(gens: set[int]) -> dict[int, bytes]:
+    """Codes of both signs of each generator in ``gens`` (see above)."""
+    h = 0
+    while 64 ** (h + 1) < len(gens):
+        h += 1
+    codes = {}
+    for t, gen in enumerate(sorted(gens)):
+        digits = [t >> 6 * (h - k) & 63 for k in range(h + 1)]
+        ends = [0xC0 | digits[0]] + [0x80 | d for d in digits[1:h]] if h else []
+        for letter, sign in ((gen, 0), (-gen, 1)):
+            codes[letter] = bytes(ends + [digits[h] << 1 | sign] + ends[::-1])
+    return codes
+
+
+def _rotation_code(letters: tuple[int, ...]) -> tuple[bytes, bytes, bytes]:
+    """The code of the nonempty word ``letters``, and the codes of the least
+    letter of that word and of its inverse."""
+    present = set(letters)
+    codes = _letter_codes({abs(s) for s in present})
+    width = len(codes[letters[0]])
+    code = bytearray(len(letters) * width)
+    for k in range(width):
+        plane = {s: c[k] for s, c in codes.items()}
+        code[k::width] = bytes(map(plane.__getitem__, letters))
+    least = min(present, key=_letter_key)
+    inverse_least = min((-s for s in present), key=_letter_key)
+    return bytes(code), codes[least], codes[inverse_least]
+
+
+def _least_start(code: bytes, least: bytes) -> int:
+    """Start, in letters, of the least rotation of the cyclic word ``code``
+    whose least letter has code ``least``.
+
+    The candidate starts are the occurrences of m^r (see
+    :func:`_least_rotation`), which ``bytes.find`` lists.  A two-pointer
+    scan runs over them (cf. Y. Shiloach, *Fast canonization of circular
+    strings*, J. Algorithms 2 (1981)): ``i`` and ``j`` are the two best
+    candidates and k the length of their common prefix.  At the first
+    mismatch, rot(loser + t) > rot(winner + t) for every t <= k, so the
+    loser skips to its next candidate past those starts; a common prefix
+    of the whole word means the word is periodic.  Each round moves a
+    pointer past a candidate, so there are at most two rounds per
+    candidate, each of O(log n) Python steps and O(k) bytes of C work.
+    """
+    width, size = len(least), len(code)
+    doubled = code + code
+    r = _longest_run(doubled, least)
+    if r * width >= size:
+        return 0  # one letter repeated
+    head = least * r
+
+    def candidate(p: int) -> int:
+        # a run that wraps round the end of `code` lies whole in `doubled`
+        q = doubled.find(head, p)
+        return q if 0 <= q < size else size
+
+    i = candidate(0)
+    j = candidate(i + width)
+    while j < size:
+        k = _common_prefix(doubled, i, j, size)
+        if k == size:
+            break  # periodic: both are least
+        if doubled[i + k] > doubled[j + k]:
+            i, j = j, i
+        # j lost: it skips the letters it shares with i and the mismatch
+        j = candidate(j + k - k % width + width)
+        if j == i:
+            j = candidate(i + width)
+    return i // width
+
+
+def _longest_run(data: bytes, unit: bytes) -> int:
+    """Number of copies of ``unit`` in its longest run in ``data``.
+
+    Each search for a run one longer starts past the last run found, so
+    the bytes are read O(1) times."""
+    run = re.compile(b"(?:%s)+" % re.escape(unit))
+    r, p = 0, data.find(unit)
+    while p >= 0:
+        end = run.match(data, p).end()
+        r = (end - p) // len(unit)
+        p = data.find(unit * (r + 1), end)
+    return r
+
+
+def _common_prefix(data: bytes, i: int, j: int, limit: int) -> int:
+    """Length of the longest common prefix of ``data[i:i + limit]`` and
+    ``data[j:j + limit]``: blocks of doubling size while they agree, then
+    halving ones."""
+    k, step = 0, 1
+    while k + step <= limit and data[i + k : i + k + step] == data[j + k : j + k + step]:
+        k += step
+        step *= 2
+    # the first mismatch, or the limit, lies in [k, k + step)
+    while step > 1:
+        step //= 2
+        if k + step <= limit and data[i + k : i + k + step] == data[j + k : j + k + step]:
+            k += step
+    return k
+
+
 def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically least rotation under the total letter order.
 
-    Two-pointer scan: ``i`` and ``j`` are the two best start candidates
-    and ``k`` the length of their common prefix.  At the first mismatch
-    the loser's start advances past the compared letters, none of which
-    can begin a smaller rotation.  O(n) time and no table (cf. Y. Shiloach,
-    *Fast canonization of circular strings*, J. Algorithms 2 (1981)).
+    Let m be the least letter that occurs and r the length of its longest
+    cyclic run.  A least rotation begins with m^r, since every word of r
+    letters is at least m^r, and at the start of a maximal run of m, since
+    inside a run fewer than r letters m follow.  So only the starts of the
+    longest runs of m are candidates.  The word is coded once as bytes that
+    compare as the letters do (see ``_FLIP``), and :func:`_least_start`
+    scans the candidates, comparing in C.
     """
-    n = len(letters)
-    keys = [_letter_key(s) for s in letters] * 2
-    i, j, k = 0, 1, 0
-    while i < n and j < n and k < n:
-        a, b = keys[i + k], keys[j + k]
-        if a == b:
-            k += 1
-            continue
-        if a > b:
-            i += k + 1
-        else:
-            j += k + 1
-        if i == j:
-            j += 1
-        k = 0
-    i = min(i, j)
+    if not letters:
+        return letters
+    code, least, _ = _rotation_code(letters)
+    i = _least_start(code, least)
     return letters[i:] + letters[:i]
 
 
@@ -373,12 +481,25 @@ def canonical_class(w: Word, oriented: bool = True) -> CyclicWord:
 def _canonical_classes(w: Word) -> tuple[CyclicWord, CyclicWord]:
     """``(canonical_class(w, oriented=False), canonical_class(w))`` from one
     least rotation of the core of ``w`` and one of its inverse, so that
-    :func:`~fgkit.family.verify` gets both classes for two rotations."""
+    :func:`~fgkit.family.verify` gets both classes for two rotations.
+
+    Both rotations run on one byte code (the inverse's is the reversed
+    code with its sign bits flipped), the unoriented choice is one bytes
+    comparison, and only a winning inverse rotation is decoded."""
     core, _ = w.cyclic_reduce()
-    oriented = _least_rotation(core.letters)
-    inverse = _least_rotation(tuple(-s for s in reversed(core.letters)))
-    # on a tie the two rotations are equal, so either is the answer
-    unoriented = min(oriented, inverse, key=lambda t: [_letter_key(s) for s in t])
+    letters = core.letters
+    oriented = unoriented = letters
+    if letters:
+        code, least, inverse_least = _rotation_code(letters)
+        inverse = code[::-1].translate(_FLIP)
+        width, n = len(least), len(letters)
+        i = _least_start(code, least)
+        j = _least_start(inverse, inverse_least)
+        oriented = unoriented = letters[i:] + letters[:i]
+        a, b = i * width, j * width
+        # on a tie the two rotations are equal, so either is the answer
+        if inverse[b:] + inverse[:b] < code[a:] + code[:a]:
+            unoriented = tuple(map(neg, reversed(letters[n - j :] + letters[: n - j])))
     return (
         CyclicWord._wrap(w.alphabet, unoriented, unoriented),
         CyclicWord._wrap(w.alphabet, oriented, oriented),

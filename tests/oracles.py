@@ -86,6 +86,32 @@ def shuffle_grid_failure(i_max: int, j_max: int, l: int):
     return None
 
 
+# -- least rotation -----------------------------------------------------------
+
+
+def least_rotation(seq) -> tuple[int, ...]:
+    """Least rotation under the order y1 < y1^-1 < y2 < y2^-1 < ...
+
+    Duval's Lyndon factorisation of the word read twice: the least rotation
+    starts at the last factor that begins in the first copy (J.-P. Duval,
+    *Factorizing words over an ordered alphabet*, J. Algorithms 4 (1983)).
+    """
+    word = tuple(seq)
+    n = len(word)
+    order = [(abs(s), s < 0) for s in word] * 2
+    start = i = 0
+    while i < n:
+        start, j, k = i, i + 1, i
+        # order[i:j] is a power of a Lyndon word of length j - k, then a
+        # prefix of it
+        while j < 2 * n and order[k] <= order[j]:
+            k = i if order[k] < order[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return word[start:] + word[:start]
+
+
 # -- Nielsen reduction and subgroup enumeration ------------------------------
 
 

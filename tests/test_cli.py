@@ -353,6 +353,13 @@ class TestIdentitiesCommand:
         assert code == 0
         assert out.startswith("OK")
 
+    def test_zero_bound_names_the_grid(self, capsys):
+        # with a zero bound the certificate is not reached, so the OK line
+        # claims only the grid that was walked
+        code, out, _ = run(capsys, "identities", "--i-max", "5", "--j-max", "0", "--l-list", "3")
+        assert code == 0
+        assert out == "OK: all identity branches hold for i<=5, j<=0, l in [3]\n"
+
     def test_default_grid(self, capsys):
         code, _, _ = run(capsys, "identities", "--i-max", "6", "--j-max", "6", "--l-list", "3..12")
         assert code == 0
@@ -371,7 +378,7 @@ class TestIdentitiesCommand:
         code, out, err = run(capsys, "identities", "--l-list", l_list)
         assert code == 0
         assert err == ""
-        assert out == f"OK: all identity branches hold for i<=6, j<=6, l in {values}\n"
+        assert out == f"OK: all identity branches hold for all i, j >= 0, l in {values}\n"
 
     def test_huge_bound_is_free(self, capsys, monkeypatch):
         walked = []
@@ -389,7 +396,10 @@ class TestIdentitiesCommand:
             "--l-list", "3..12",
         )
         assert code == 0
-        assert out.startswith("OK: all identity branches hold for i<=1000000000")
+        assert out == (
+            "OK: all identity branches hold for all i, j >= 0, "
+            "l in [3, 4, 5, 6, 7, 8, 9, 10, 11, 12]\n"
+        )
         assert walked == [(1, 1)] * 10
 
     def test_failure_reports_quadruple(self, capsys, monkeypatch):

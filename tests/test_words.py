@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,9 +17,9 @@ from fgkit import (
     parse_word,
     render_word,
 )
-from fgkit.family import FamilyParams, shuffle_words, verify
+from fgkit.family import FamilyParams, boundary_word, embedding, shuffle_words, verify
 
-from oracles import naive_reduce, t_inv, t_mul, t_pow
+from oracles import least_rotation, naive_reduce, t_inv, t_mul, t_pow
 
 Y = Alphabet.numbered(3, "y")
 AB = Alphabet.numbered(2, "a")
@@ -276,13 +277,13 @@ class TestCanonicalClass:
 
     def test_one_least_rotation_per_orientation(self, monkeypatch):
         calls = []
-        real = words._least_rotation
+        real = words._least_start
 
-        def counted(letters):
-            calls.append(len(letters))
-            return real(letters)
+        def counted(code, least):
+            calls.append(len(code))
+            return real(code, least)
 
-        monkeypatch.setattr(words, "_least_rotation", counted)
+        monkeypatch.setattr(words, "_least_start", counted)
         w = parse_word("y1 y2^-2 y3 y1^-1 y3", Y)
         for run, rotations in (
             (lambda: canonical_class(w), 1),
@@ -294,6 +295,52 @@ class TestCanonicalClass:
             calls.clear()
             run()
             assert len(calls) == rotations
+
+    @pytest.mark.parametrize(
+        "g,l", [(g, l) for g in (2, 4, 6, 8) for l in range(3, 13)] + [(32, 12)]
+    )
+    def test_boundary_classes_match_duval_oracle(self, g, l):
+        image = embedding(FamilyParams(g, l)).apply(boundary_word(g))
+        core = image.cyclic_reduce()[0].letters
+        unoriented, oriented = words._canonical_classes(image)
+        forward, backward = least_rotation(core), least_rotation(t_inv(core))
+        key = lambda r: [(abs(s), s < 0) for s in r]
+        assert oriented.letters == forward
+        assert unoriented.letters == min(forward, backward, key=key)
+
+
+def _longest_run_starts(letters):
+    """Starts of the maximal cyclic runs of the least letter that no run of
+    it is longer than, by a plain walk over the runs."""
+    least = min(letters, key=lambda s: (abs(s), s < 0))
+    n = len(letters)
+    # begin after another letter, so that no run wraps round the end
+    offset = next(k for k in range(n) if letters[k - 1] != least)
+    runs, pos = [], offset
+    for letter, group in itertools.groupby(letters[offset:] + letters[:offset]):
+        size = len(list(group))
+        if letter == least:
+            runs.append((pos % n, size))
+        pos += size
+    longest = max(size for _, size in runs)
+    return [start for start, size in runs if size == longest]
+
+
+def _assert_classes_match_brute_force(alphabet, letters):
+    w = Word(alphabet, letters)
+    core = w.cyclic_reduce()[0].letters
+    unoriented, oriented = words._canonical_classes(w)
+    forward, backward = _brute_least_rotation(core), _brute_least_rotation(t_inv(core))
+    assert oriented.letters == forward
+    assert unoriented.letters == min(
+        forward, backward, key=lambda r: [words._letter_key(s) for s in r]
+    )
+
+
+def _brute_least_rotation(letters):
+    keys = [words._letter_key(s) for s in letters]
+    k = min(range(len(keys)), key=lambda k: keys[k:] + keys[:k], default=0)
+    return letters[k:] + letters[:k]
 
 
 _LETTERS = st.sampled_from([1, -1, 2, -2, 3, -3])
@@ -312,6 +359,17 @@ class TestLeastRotation:
                 st.lists(_LETTERS, max_size=3),
             ).map(lambda p: p[0] * p[1] + p[2]),
             st.tuples(_LETTERS, st.integers(1, 12)).map(lambda p: [p[0]] * p[1]),
+            # many equal maximal runs of the least letter, where the scan
+            # has the most candidate starts: (y1 y2^k)^m and a tail, and
+            # blocks y1^r f with varying r and filler f
+            st.tuples(
+                st.integers(1, 4), st.integers(1, 8), st.lists(_LETTERS, max_size=3)
+            ).map(lambda p: ([1] + [2] * p[0]) * p[1] + p[2]),
+            st.lists(
+                st.tuples(st.integers(1, 3), st.lists(_LETTERS, min_size=1, max_size=3)),
+                min_size=1,
+                max_size=8,
+            ).map(lambda blocks: [s for r, f in blocks for s in [1] * r + f]),
         )
     )
     def test_matches_brute_force(self, letters):
@@ -319,6 +377,90 @@ class TestLeastRotation:
         rotations = [letters[k:] + letters[:k] for k in range(len(letters))] or [()]
         best = min(rotations, key=lambda r: [words._letter_key(s) for s in r])
         assert words._least_rotation(letters) == best
+
+    # over 128 generators occur, so each letter is a 3-byte code
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(
+        st.permutations([s for gen in range(1, 201) for s in (gen, -gen)]),
+        st.integers(257, 300),
+        st.integers(1, 2),
+        st.integers(0, 300),
+    )
+    def test_wide_codes_match_brute_force(self, letters, size, copies, tail):
+        period = tuple(letters[:size])
+        letters = period * copies + period[:tail]
+        assert len(words._rotation_code(letters)[1]) == 3
+        assert words._least_rotation(letters) == _brute_least_rotation(letters)
+        _assert_classes_match_brute_force(Alphabet.numbered(200), letters)
+
+    def test_five_byte_codes_match_brute_force(self):
+        # over 64^2 generators occur
+        rng = random.Random(64)
+        period = tuple(rng.choice((1, -1)) * gen for gen in rng.sample(range(1, 6001), 4200))
+        letters = period + period[:50]
+        assert len(words._rotation_code(letters)[1]) == 5
+        assert words._least_rotation(letters) == _brute_least_rotation(letters)
+        _assert_classes_match_brute_force(Alphabet.numbered(6000), letters)
+
+    @pytest.mark.parametrize("label", ["periodic", "one long tie", "boundary g=64"])
+    def test_scan_steps_are_bounded(self, label, monkeypatch):
+        # step counts, never a time.  Each round of the scan makes one
+        # common-prefix call and moves a pointer past a candidate start, and
+        # every round but the last moves one past the bytes it compared
+        period = None
+        if label == "periodic":
+            period = (1, 1, 2, 1, 1, 3, 1, -2)
+            letters = period * 2**17
+        elif label == "one long tie":
+            # 2^19 candidates; the first round compares almost all letters
+            letters = (1, 2) * (2**19 - 1) + (1, 3)
+        else:
+            image = embedding(FamilyParams(64, 12)).apply(boundary_word(64))
+            letters = image.cyclic_reduce()[0].letters
+        rounds = []
+        real = words._common_prefix
+
+        def counted(data, i, j, limit):
+            rounds.append(real(data, i, j, limit))
+            assert sum(rounds) <= 3 * limit, "more than linear work"
+            return rounds[-1]
+
+        monkeypatch.setattr(words, "_common_prefix", counted)
+        candidates = _longest_run_starts(letters)
+        best = words._least_rotation(letters)
+        assert len(rounds) <= 2 * len(candidates) + 2
+        if label == "periodic":
+            assert len(letters) == 2**20
+            assert len(rounds) <= 2 * len(_longest_run_starts(period)) + 2
+            assert best == letters
+        elif label == "one long tie":
+            assert len(letters) == 2**20
+            assert len(candidates) == 2**19
+            assert len(rounds) == 1
+            assert best == letters
+        else:
+            assert len(candidates) == 63
+            assert best == least_rotation(letters)
+
+
+class TestLetterCodes:
+    @pytest.mark.parametrize("gens,width", [(3, 1), (64, 1), (65, 3), (4096, 3), (4097, 5)])
+    def test_order_inverse_and_alignment(self, gens, width):
+        codes = words._letter_codes(set(range(1, gens + 1)))
+        assert {len(c) for c in codes.values()} == {width}
+        # bytes compare as the letters do
+        assert sorted(codes, key=codes.get) == sorted(codes, key=words._letter_key)
+        # the inverse word is coded by the reversed code, sign bits flipped
+        for letter, code in codes.items():
+            assert codes[-letter] == code[::-1].translate(words._FLIP)
+        # a code is found only at letter boundaries
+        rng = random.Random(gens)
+        text = b"".join(codes[s] for s in rng.sample(sorted(codes), min(len(codes), 300)))
+        for letter in rng.sample(sorted(codes), min(len(codes), 20)):
+            p = text.find(codes[letter])
+            while p >= 0:
+                assert p % width == 0
+                p = text.find(codes[letter], p + 1)
 
 
 class TestCyclicWord:
