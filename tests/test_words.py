@@ -407,7 +407,6 @@ class TestLeastRotation:
         # step counts, never a time.  Each round of the scan makes one
         # common-prefix call and moves a pointer past a candidate start, and
         # every round but the last moves one past the bytes it compared
-        period = None
         if label == "periodic":
             period = (1, 1, 2, 1, 1, 3, 1, -2)
             letters = period * 2**17
