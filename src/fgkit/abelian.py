@@ -187,7 +187,9 @@ def quotient_order(
 
     Returns :data:`INFINITE` when the rows span a lattice of rank less
     than ``ambient_rank``; otherwise the index, the product of the nonzero
-    Smith diagonal entries.
+    Smith diagonal entries.  Duplicate rows span the same lattice, so only
+    the first copy of each row goes to the Smith form: the family's 2g
+    exponent rows repeat with period 4.
 
     >>> quotient_order([[2, 0], [0, 3]], 2)
     6
@@ -200,6 +202,7 @@ def quotient_order(
             raise ValueError("matrix width does not match the ambient rank")
     if not rows:
         return INFINITE if ambient_rank > 0 else 1
+    rows = list(dict.fromkeys(map(tuple, rows)))
     _, d, _ = smith_normal_form(rows)
     diag = [d[i][i] for i in range(min(len(rows), ambient_rank))]
     nonzero = [x for x in diag if x]

@@ -8,6 +8,7 @@ image tuples.  Everything here is immutable and parallel-safe.
 from __future__ import annotations
 
 import random
+from operator import neg
 from typing import Iterable, Optional
 
 from .words import Alphabet, AlphabetMismatch, Word, parse_word, render_word
@@ -69,18 +70,37 @@ class Homomorphism:
         return f"Homomorphism({imgs})"
 
     def apply(self, w: Word) -> Word:
-        """Reduced image of ``w``; a group homomorphism by construction."""
+        """Reduced image of ``w``; a group homomorphism by construction.
+
+        Every image is reduced, and so is the image of each prefix of
+        ``w``, so cancellation can only happen at the junction between
+        the output so far and the next image (or its inverse): the same
+        fact ``Word.__mul__`` uses.  Each letter of ``w`` costs one loop
+        over the k letters cancelled at its junction, a ``del`` of those
+        k and one C-level extend by the rest.  A letter is cancelled at
+        most once after it is output, so the total work is O(letters in
+        + letters out).  An inverse image is read backwards and negated
+        as it is copied; no inverse is built.
+        """
         if w.alphabet != self.domain:
             raise AlphabetMismatch("word is not over the domain alphabet")
+        images = self.images
         out: list[int] = []
         for s in w.letters:
-            img = self.images[abs(s) - 1].letters
-            seq = img if s > 0 else tuple(-t for t in reversed(img))
-            for t in seq:
-                if out and out[-1] == -t:
-                    out.pop()
-                else:
-                    out.append(t)
+            img = images[abs(s) - 1].letters
+            n, m, k = len(out), len(img), 0
+            limit = min(n, m)
+            if s > 0:
+                while k < limit and out[n - 1 - k] == -img[k]:
+                    k += 1
+                del out[n - k :]
+                out.extend(img[k:])
+            else:
+                # the inverse image starts -img[m-1], -img[m-2], ...
+                while k < limit and out[n - 1 - k] == img[m - 1 - k]:
+                    k += 1
+                del out[n - k :]
+                out.extend(map(neg, reversed(img[: m - k])))
         return Word._wrap(self.codomain, tuple(out))
 
     def to_json_dict(self) -> dict:

@@ -118,6 +118,7 @@ class SubgroupGraph:
                         pending.append((u, t))
                 adj[b] = {}
 
+        # the reads below inline find's fast path for a representative t
         for w in self._gens:
             n = len(w)
             base = find(self.base)
@@ -126,7 +127,7 @@ class SubgroupGraph:
                 t = adj[v].get(w[i])
                 if t is None:
                     break
-                v, i = find(t), i + 1
+                v, i = (t if parent[t] == t else find(t)), i + 1
             if i == n:
                 identify(v, base)
                 continue
@@ -135,7 +136,7 @@ class SubgroupGraph:
                 t = adj[u].get(-w[j - 1])
                 if t is None:
                     break
-                u, j = find(t), j - 1
+                u, j = (t if parent[t] == t else find(t)), j - 1
             if j == i:
                 identify(v, u)
                 continue

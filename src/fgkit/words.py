@@ -175,7 +175,7 @@ class Word:
         return Word._wrap(self.alphabet, left[: n - k] + right[k:])
 
     def inverse(self) -> "Word":
-        return Word._wrap(self.alphabet, tuple(-s for s in reversed(self.letters)))
+        return Word._wrap(self.alphabet, tuple(map(neg, reversed(self.letters))))
 
     def __pow__(self, n: int) -> "Word":
         """n-fold reduced product; negative n inverts.
@@ -314,7 +314,7 @@ class CyclicWord:
         return CyclicWord._wrap(self.alphabet, ls[k:] + ls[:k])
 
     def inverse_class(self) -> "CyclicWord":
-        return CyclicWord._wrap(self.alphabet, tuple(-s for s in reversed(self.letters)))
+        return CyclicWord._wrap(self.alphabet, tuple(map(neg, reversed(self.letters))))
 
 
 # Letters are coded as bytes, so that the rotation scan below compares

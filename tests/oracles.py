@@ -45,6 +45,15 @@ def t_pow(a, n: int) -> tuple[int, ...]:
     return out
 
 
+def t_apply(images, word) -> tuple[int, ...]:
+    """Image of ``word`` under generator k -> ``images[k - 1]``: every image
+    (inverted for an inverse letter) concatenated, then reduced once."""
+    seq: list[int] = []
+    for s in word:
+        seq.extend(images[s - 1] if s > 0 else t_inv(images[-s - 1]))
+    return naive_reduce(seq)
+
+
 # -- shuffle identities -------------------------------------------------------
 
 

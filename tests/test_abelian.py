@@ -14,7 +14,9 @@ from fgkit import (
     parse_word,
     quotient_order,
     smith_normal_form,
+    verify,
 )
+from fgkit import abelian as abelian_module
 from fgkit.family import boundary_word
 
 from oracles import det_int, lattice_index, matmul
@@ -200,6 +202,32 @@ class TestQuotientOrder:
                 assert ours is INFINITE
             else:
                 assert ours == oracle
+
+    def test_duplicated_and_reordered_rows(self):
+        rng = random.Random(61)
+        for _ in range(60):
+            m = random_matrix(rng, max_dim=4, bound=5)
+            ambient = len(m[0])
+            oracle = lattice_index(m, ambient)
+            base = quotient_order(m, ambient)
+            assert base == (INFINITE if oracle is None else oracle)
+            grown = m + [rng.choice(m)[:] for _ in range(rng.randint(1, 6))]
+            rng.shuffle(grown)
+            assert quotient_order(grown, ambient) == base
+        assert quotient_order([[2, 0], [2, 0], [2, 0]], 2) is INFINITE
+
+    def test_family_smith_form_gets_distinct_rows(self, monkeypatch):
+        # the 2g exponent rows repeat with period 4
+        sizes = []
+
+        def counting(matrix):
+            sizes.append(len(matrix))
+            return smith_normal_form(matrix)
+
+        monkeypatch.setattr(abelian_module, "smith_normal_form", counting)
+        report = verify(FamilyParams(64, 12))
+        assert report.quotient_order == 12 * 11
+        assert sizes and max(sizes) <= 4
 
     def test_infinite_singleton_pickles(self):
         import pickle

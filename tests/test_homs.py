@@ -14,6 +14,9 @@ from fgkit import (
     parse_word,
     random_reduced_word,
 )
+from fgkit.family import boundary_word
+
+from oracles import t_apply
 
 Y = Alphabet.numbered(3, "y")
 X1 = Alphabet.numbered(1, "x")
@@ -58,6 +61,72 @@ class TestApply:
         for _ in range(300):
             w = Word(phi23.domain, [rng.choice(letters) for _ in range(rng.randint(0, 10))])
             assert phi23.apply(w.inverse()) == phi23.apply(w).inverse()
+
+
+X4 = Alphabet.numbered(4, "x")
+
+
+def hom_from(images) -> Homomorphism:
+    """X4 -> Y map; each image is reduced on construction."""
+    return Homomorphism(X4, Y, [Word(Y, img) for img in images])
+
+
+def random_domain_words(seed: int, count: int = 200, max_len: int = 12):
+    rng = random.Random(seed)
+    letters = [s for g in range(1, 5) for s in (g, -g)]
+    for _ in range(count):
+        yield Word(X4, [rng.choice(letters) for _ in range(rng.randint(0, max_len))])
+
+
+def assert_matches_oracle(hom, words):
+    images = [img.letters for img in hom.images]
+    for w in words:
+        assert hom.apply(w).letters == t_apply(images, w.letters), w
+
+
+class TestApplyOracle:
+    """``apply`` against concatenating the images and reducing once, on maps
+    whose cancellation runs across whole images."""
+
+    def test_shared_long_prefixes(self):
+        # the prefix avoids y3 and every tail starts with y3^+-1, so each
+        # image p + tail is reduced as written
+        p = random_reduced_word(Y, 15, seed=7, allowed=(1, 2)).letters
+        tails = [(3,), (3, 1), (-3, 2, 2), (-3, -1)]
+        hom = hom_from([p + t for t in tails])
+        assert [img.letters for img in hom.images] == [p + t for t in tails]
+        assert_matches_oracle(hom, random_domain_words(11))
+        # x1^-1 x2 cancels the whole image of x1
+        assert hom.apply(Word(X4, (-1, 2))).letters == (1,)
+
+    def test_inverse_images(self):
+        a = random_reduced_word(Y, 9, seed=3).letters
+        b = random_reduced_word(Y, 4, seed=5).letters
+        hom = hom_from([a, tuple(-s for s in reversed(a)), b, a + b])
+        assert hom.apply(Word(X4, (1, 2))).is_identity()
+        # x1 x1 x2 x2 cancels back through the output of two letters
+        assert hom.apply(Word(X4, (1, 1, 2, 2))).is_identity()
+        assert hom.apply(Word(X4, (4, -3, 2))).is_identity()
+        assert_matches_oracle(hom, random_domain_words(13))
+
+    def test_empty_images(self):
+        a = random_reduced_word(Y, 6, seed=17).letters
+        hom = hom_from([a, (), (2, -1), ()])
+        assert hom.apply(Word(X4, (1, 2, 4, -1))).is_identity()
+        assert_matches_oracle(hom, random_domain_words(19))
+
+    def test_single_letter_images(self):
+        hom = hom_from([(1,), (-1,), (2,), (-3,)])
+        assert_matches_oracle(hom, random_domain_words(23, max_len=20))
+
+    @pytest.mark.parametrize("g", [2, 4])
+    @pytest.mark.parametrize("l", [3, 12])
+    def test_family_boundary_word(self, g, l):
+        hom = embedding(FamilyParams(g, l))
+        images = [img.letters for img in hom.images]
+        bw = boundary_word(g)
+        assert hom.apply(bw).letters == t_apply(images, bw.letters)
+        assert hom.apply(bw.inverse()).letters == t_apply(images, bw.inverse().letters)
 
 
 class TestConstruction:
