@@ -14,7 +14,9 @@ word.  Rendering always emits maximal runs, e.g. ``y1^3 y2^-2``.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
+from itertools import groupby
 from operator import neg
 from typing import Iterable, Iterator, Optional
 
@@ -198,16 +200,9 @@ class Word:
 
     def runs(self) -> Iterator[tuple[int, int]]:
         """Maximal runs as (generator, signed exponent) pairs."""
-        letters = self.letters
-        i = 0
-        while i < len(letters):
-            j = i
-            while j < len(letters) and letters[j] == letters[i]:
-                j += 1
-            gen = abs(letters[i])
-            exp = (j - i) if letters[i] > 0 else -(j - i)
-            yield gen, exp
-            i = j
+        for letter, run in groupby(self.letters):
+            n = len(list(run))
+            yield abs(letter), n if letter > 0 else -n
 
     def cyclic_reduce(self) -> tuple["CyclicWord", "Word"]:
         """Split ``w`` as ``conj * core * conj^-1`` with ``core`` cyclically reduced.
@@ -225,9 +220,6 @@ class Word:
         core = CyclicWord._wrap(self.alphabet, ls[i:j])
         conj = Word._wrap(self.alphabet, ls[:i])
         return core, conj
-
-    def exponent_sum(self, gen: int) -> int:
-        return sum(1 if s == gen else -1 if s == -gen else 0 for s in self.letters)
 
 
 class CyclicWord:
@@ -317,57 +309,46 @@ class CyclicWord:
         return CyclicWord._wrap(self.alphabet, tuple(map(neg, reversed(self.letters))))
 
 
-# Letters are coded as bytes, so that the rotation scan below compares
-# words in C.  The generators that occur get consecutive indices t, in
-# generator order.  With t_0 .. t_h the base-64 digits of t, top first, and
-# sign 1 for an inverse letter, a letter of generator t is the palindrome
-# of 2h + 1 bytes
-#     E(t_0) D(t_1) .. D(t_(h-1)) C(t_h, sign) D(t_(h-1)) .. D(t_1) E(t_0)
-# where E(d) = 0xC0 | d, D(d) = 0x80 | d and C(d, sign) = d << 1 | sign
-# (for h = 0 the one byte C).  Its first h + 1 bytes spell (t, sign), so
-# codes of equal width compare as the letters do under _letter_key.  The
-# E, D and C ranges are disjoint and E stands only at the ends, so a run of
-# codes matches only at a letter boundary.  Reversing a code string keeps
-# each palindrome, so the inverse word is its reversal with the sign bit of
-# every C byte flipped.
-_FLIP = bytes(b ^ 1 if b < 0x80 else b for b in range(256))
+# Letters are coded as one character each, so that the rotation scan below
+# compares words in C.  The generators that occur get consecutive indices t,
+# in generator order, and a letter of generator t is chr(2t), its inverse
+# chr(2t + 1).  Characters compare by code point, so as the letters do under
+# _letter_key, and the inverse word is coded by the reversed code with the
+# last bit of every code point flipped.  Python stores the code with 1, 2 or
+# 4 bytes per character, whichever its largest code point needs (PEP 393).
+# chr stops at sys.maxunicode, which bounds the generators a word may use.
+_MAX_CODED_GENERATORS = (sys.maxunicode + 1) // 2
 
 
-def _letter_codes(gens: set[int]) -> dict[int, bytes]:
-    """Codes of both signs of each generator in ``gens`` (see above)."""
-    h = 0
-    while 64 ** (h + 1) < len(gens):
-        h += 1
-    codes = {}
-    for t, gen in enumerate(sorted(gens)):
-        digits = [t >> 6 * (h - k) & 63 for k in range(h + 1)]
-        ends = [0xC0 | digits[0]] + [0x80 | d for d in digits[1:h]] if h else []
-        for letter, sign in ((gen, 0), (-gen, 1)):
-            codes[letter] = bytes(ends + [digits[h] << 1 | sign] + ends[::-1])
-    return codes
-
-
-def _rotation_code(letters: tuple[int, ...]) -> tuple[bytes, bytes, bytes]:
-    """The code of the nonempty word ``letters``, and the codes of the least
-    letter of that word and of its inverse."""
+def _rotation_code(letters: tuple[int, ...]) -> tuple[str, str, str, dict[int, int]]:
+    """The code of the nonempty word ``letters``, the codes of the least
+    letter of that word and of its inverse, and the table that flips each
+    code point to its inverse's (see above)."""
     present = set(letters)
-    codes = _letter_codes({abs(s) for s in present})
-    width = len(codes[letters[0]])
-    code = bytearray(len(letters) * width)
-    for k in range(width):
-        plane = {s: c[k] for s, c in codes.items()}
-        code[k::width] = bytes(map(plane.__getitem__, letters))
-    least = min(present, key=_letter_key)
-    inverse_least = min((-s for s in present), key=_letter_key)
-    return bytes(code), codes[least], codes[inverse_least]
+    gens = sorted({abs(s) for s in present})
+    if len(gens) > _MAX_CODED_GENERATORS:
+        raise ValueError(
+            f"word uses {len(gens)} distinct generators; "
+            f"the limit is {_MAX_CODED_GENERATORS}"
+        )
+    codes = {}
+    for t, gen in enumerate(gens):
+        codes[gen], codes[-gen] = chr(2 * t), chr(2 * t + 1)
+    code = "".join(map(codes.__getitem__, letters))
+    # the least letter is the least generator, or its inverse if only that occurs
+    first = gens[0]
+    least = codes[first if first in present else -first]
+    inverse_least = codes[first if -first in present else -first]
+    flip = {c: c ^ 1 for c in range(2 * len(gens))}
+    return code, least, inverse_least, flip
 
 
-def _least_start(code: bytes, least: bytes) -> int:
-    """Start, in letters, of the least rotation of the cyclic word ``code``
-    whose least letter has code ``least``.
+def _least_start(code: str, least: str) -> int:
+    """Start of the least rotation of the cyclic word ``code`` whose least
+    letter has code ``least``.
 
     The candidate starts are the occurrences of m^r (see
-    :func:`_least_rotation`), which ``bytes.find`` lists.  A two-pointer
+    :func:`_least_rotation`), which ``str.find`` lists.  A two-pointer
     scan runs over them (cf. Y. Shiloach, *Fast canonization of circular
     strings*, J. Algorithms 2 (1981)): ``i`` and ``j`` are the two best
     candidates and k the length of their common prefix.  At the first
@@ -375,12 +356,12 @@ def _least_start(code: bytes, least: bytes) -> int:
     loser skips to its next candidate past those starts; a common prefix
     of the whole word means the word is periodic.  Each round moves a
     pointer past a candidate, so there are at most two rounds per
-    candidate, each of O(log n) Python steps and O(k) bytes of C work.
+    candidate, each of O(log n) Python steps and O(k) characters of C work.
     """
-    width, size = len(least), len(code)
+    size = len(code)
     doubled = code + code
     r = _longest_run(doubled, least)
-    if r * width >= size:
+    if r >= size:
         return 0  # one letter repeated
     head = least * r
 
@@ -390,7 +371,7 @@ def _least_start(code: bytes, least: bytes) -> int:
         return q if 0 <= q < size else size
 
     i = candidate(0)
-    j = candidate(i + width)
+    j = candidate(i + 1)
     while j < size:
         k = _common_prefix(doubled, i, j, size)
         if k == size:
@@ -398,27 +379,27 @@ def _least_start(code: bytes, least: bytes) -> int:
         if doubled[i + k] > doubled[j + k]:
             i, j = j, i
         # j lost: it skips the letters it shares with i and the mismatch
-        j = candidate(j + k - k % width + width)
+        j = candidate(j + k + 1)
         if j == i:
-            j = candidate(i + width)
-    return i // width
+            j = candidate(i + 1)
+    return i
 
 
-def _longest_run(data: bytes, unit: bytes) -> int:
-    """Number of copies of ``unit`` in its longest run in ``data``.
+def _longest_run(data: str, unit: str) -> int:
+    """Length of the longest run of the character ``unit`` in ``data``.
 
     Each search for a run one longer starts past the last run found, so
-    the bytes are read O(1) times."""
-    run = re.compile(b"(?:%s)+" % re.escape(unit))
+    the characters are read O(1) times."""
+    run = re.compile(re.escape(unit) + "+")
     r, p = 0, data.find(unit)
     while p >= 0:
         end = run.match(data, p).end()
-        r = (end - p) // len(unit)
+        r = end - p
         p = data.find(unit * (r + 1), end)
     return r
 
 
-def _common_prefix(data: bytes, i: int, j: int, limit: int) -> int:
+def _common_prefix(data: str, i: int, j: int, limit: int) -> int:
     """Length of the longest common prefix of ``data[i:i + limit]`` and
     ``data[j:j + limit]``: blocks of doubling size while they agree, then
     halving ones."""
@@ -441,13 +422,14 @@ def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
     cyclic run.  A least rotation begins with m^r, since every word of r
     letters is at least m^r, and at the start of a maximal run of m, since
     inside a run fewer than r letters m follow.  So only the starts of the
-    longest runs of m are candidates.  The word is coded once as bytes that
-    compare as the letters do (see ``_FLIP``), and :func:`_least_start`
-    scans the candidates, comparing in C.
+    longest runs of m are candidates.  The word is coded once as a string,
+    one character per letter, that compares as the letters do (see
+    :func:`_rotation_code`), and :func:`_least_start` scans the candidates,
+    comparing in C.
     """
     if not letters:
         return letters
-    code, least, _ = _rotation_code(letters)
+    code, least, _, _ = _rotation_code(letters)
     i = _least_start(code, least)
     return letters[i:] + letters[:i]
 
@@ -483,22 +465,21 @@ def _canonical_classes(w: Word) -> tuple[CyclicWord, CyclicWord]:
     least rotation of the core of ``w`` and one of its inverse, so that
     :func:`~fgkit.family.verify` gets both classes for two rotations.
 
-    Both rotations run on one byte code (the inverse's is the reversed
-    code with its sign bits flipped), the unoriented choice is one bytes
-    comparison, and only a winning inverse rotation is decoded."""
+    Both rotations run on one string code (the inverse's is the reversed
+    code with each character's last bit flipped), the unoriented choice is
+    one string comparison, and only a winning inverse rotation is decoded."""
     core, _ = w.cyclic_reduce()
     letters = core.letters
     oriented = unoriented = letters
     if letters:
-        code, least, inverse_least = _rotation_code(letters)
-        inverse = code[::-1].translate(_FLIP)
-        width, n = len(least), len(letters)
+        code, least, inverse_least, flip = _rotation_code(letters)
+        inverse = code[::-1].translate(flip)
+        n = len(letters)
         i = _least_start(code, least)
         j = _least_start(inverse, inverse_least)
         oriented = unoriented = letters[i:] + letters[:i]
-        a, b = i * width, j * width
         # on a tie the two rotations are equal, so either is the answer
-        if inverse[b:] + inverse[:b] < code[a:] + code[:a]:
+        if inverse[j:] + inverse[:j] < code[i:] + code[:i]:
             unoriented = tuple(map(neg, reversed(letters[n - j :] + letters[: n - j])))
     return (
         CyclicWord._wrap(w.alphabet, unoriented, unoriented),

@@ -378,7 +378,7 @@ class TestLeastRotation:
         best = min(rotations, key=lambda r: [words._letter_key(s) for s in r])
         assert words._least_rotation(letters) == best
 
-    # over 128 generators occur, so each letter is a 3-byte code
+    # over 128 generators occur, so the code needs two bytes per character
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
     @given(
         st.permutations([s for gen in range(1, 201) for s in (gen, -gen)]),
@@ -389,16 +389,17 @@ class TestLeastRotation:
     def test_wide_codes_match_brute_force(self, letters, size, copies, tail):
         period = tuple(letters[:size])
         letters = period * copies + period[:tail]
-        assert len(words._rotation_code(letters)[1]) == 3
+        assert max(words._rotation_code(letters)[0]) > "\xff"
         assert words._least_rotation(letters) == _brute_least_rotation(letters)
         _assert_classes_match_brute_force(Alphabet.numbered(200), letters)
 
     def test_five_byte_codes_match_brute_force(self):
-        # over 64^2 generators occur
+        # over 64^2 generators occur: characters wider than one byte, and
+        # five-byte letters in the earlier byte code
         rng = random.Random(64)
         period = tuple(rng.choice((1, -1)) * gen for gen in rng.sample(range(1, 6001), 4200))
         letters = period + period[:50]
-        assert len(words._rotation_code(letters)[1]) == 5
+        assert max(words._rotation_code(letters)[0]) > "\xff"
         assert words._least_rotation(letters) == _brute_least_rotation(letters)
         _assert_classes_match_brute_force(Alphabet.numbered(6000), letters)
 
@@ -443,23 +444,48 @@ class TestLeastRotation:
 
 
 class TestLetterCodes:
-    @pytest.mark.parametrize("gens,width", [(3, 1), (64, 1), (65, 3), (4096, 3), (4097, 5)])
-    def test_order_inverse_and_alignment(self, gens, width):
-        codes = words._letter_codes(set(range(1, gens + 1)))
-        assert {len(c) for c in codes.values()} == {width}
-        # bytes compare as the letters do
-        assert sorted(codes, key=codes.get) == sorted(codes, key=words._letter_key)
-        # the inverse word is coded by the reversed code, sign bits flipped
-        for letter, code in codes.items():
-            assert codes[-letter] == code[::-1].translate(words._FLIP)
-        # a code is found only at letter boundaries
+    # generators are renumbered from 0, so a letter code reaches 2 * gens - 1:
+    # over 128 generators need two bytes per character, over 27,648 reach
+    # the surrogate range 0xD800-0xDFFF and over 32,768 need four bytes
+    @pytest.mark.parametrize(
+        "gens,nbytes", [(3, 1), (128, 1), (129, 2), (28000, 2), (33000, 4)]
+    )
+    def test_order_inverse_and_least_rotations(self, gens, nbytes):
         rng = random.Random(gens)
-        text = b"".join(codes[s] for s in rng.sample(sorted(codes), min(len(codes), 300)))
-        for letter in rng.sample(sorted(codes), min(len(codes), 20)):
-            p = text.find(codes[letter])
-            while p >= 0:
-                assert p % width == 0
-                p = text.find(codes[letter], p + 1)
+        # gaps, so that the generators that occur are renumbered; a quarter
+        # of them occur a second time, each time with a random sign
+        chosen = rng.sample(range(1, gens + gens // 2 + 10), gens)
+        period = [rng.choice((1, -1)) * gen for gen in chosen + chosen[: gens // 4]]
+        w = Word(Alphabet.numbered(max(chosen)), period * 2 + period[: gens // 3])
+        letters = w.cyclic_reduce()[0].letters
+        code, least, inverse_least, flip = words._rotation_code(letters)
+        inverse = code[::-1].translate(flip)
+        top = ord(max(code))
+        assert (1 if top <= 0xFF else 2 if top <= 0xFFFF else 4) == nbytes
+        if gens == 28000:
+            assert 0xD800 <= top <= 0xDFFF
+        # code points compare as the letters do
+        char = dict(zip(letters + t_inv(letters), code + inverse))
+        assert "".join(map(char.get, letters)) == code
+        assert len(set(char.values())) == len(char)
+        assert sorted(char, key=char.get) == sorted(char, key=words._letter_key)
+        assert least == char[min(letters, key=words._letter_key)]
+        assert inverse_least == char[min(t_inv(letters), key=words._letter_key)]
+        # the reversed code, translated, is the code of the inverse word
+        assert inverse == words._rotation_code(t_inv(letters))[0]
+        assert words._least_rotation(letters) == least_rotation(letters)
+        unoriented, oriented = words._canonical_classes(w)
+        forward, backward = least_rotation(letters), least_rotation(t_inv(letters))
+        assert oriented.letters == forward
+        assert unoriented.letters == min(
+            forward, backward, key=lambda r: [words._letter_key(s) for s in r]
+        )
+
+    def test_generator_limit(self, monkeypatch):
+        monkeypatch.setattr(words, "_MAX_CODED_GENERATORS", 2)
+        assert canonical_class(parse_word("y2 y1^-1", Y)).letters == (-1, 2)
+        with pytest.raises(ValueError, match="3 distinct generators; the limit is 2"):
+            canonical_class(parse_word("y1 y2 y3", Y))
 
 
 class TestCyclicWord:
