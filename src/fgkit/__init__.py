@@ -12,7 +12,6 @@ from .family import (
     DEFAULT_L_VALUES,
     FamilyParams,
     VerificationReport,
-    boundary_class,
     boundary_word,
     check_shuffle_identities,
     domain_alphabet,
@@ -21,7 +20,6 @@ from .family import (
     generator_images_recursive,
     reference_quotient_order,
     shuffle_words,
-    slope_distinctness,
     target_alphabet,
     verify,
 )
@@ -55,7 +53,6 @@ __all__ = [
     "VerificationReport",
     "Word",
     "WordSyntaxError",
-    "boundary_class",
     "boundary_word",
     "build_subgroup_graph",
     "canonical_class",
@@ -75,7 +72,6 @@ __all__ = [
     "reference_quotient_order",
     "render_word",
     "shuffle_words",
-    "slope_distinctness",
     "smith_normal_form",
     "target_alphabet",
     "verify",

@@ -174,8 +174,7 @@ def _cmd_word(args) -> int:
         for w in words[1:]:
             result = result * w
     elif op == "cyclic":
-        core, _ = words[0].cyclic_reduce()
-        result = core.to_word()
+        result, _ = words[0].cyclic_reduce()
     else:  # canon
         result = canonical_class(words[0], oriented=args.oriented).to_word()
     print(render_word(result))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .abelian import INFINITE, _InfiniteType, image_matrix, quotient_order
 from .homs import Homomorphism
@@ -31,7 +31,6 @@ from .words import (
     CyclicWord,
     Word,
     _canonical_classes,
-    canonical_class,
     render_word,
 )
 
@@ -49,9 +48,7 @@ __all__ = [
     "check_shuffle_identities",
     "first_shuffle_failure",
     "boundary_word",
-    "boundary_class",
     "class_distinctness",
-    "slope_distinctness",
     "reference_quotient_order",
     "verify",
 ]
@@ -92,8 +89,8 @@ def _check_genus(g: int) -> None:
 
 
 def _check_winding(l: int) -> None:
-    """The family's winding rule, shared by :class:`FamilyParams` and
-    :func:`first_shuffle_failure`."""
+    """The family's winding rule, shared by :class:`FamilyParams`,
+    :func:`first_shuffle_failure` and :func:`shuffle_words`."""
     if l < 3:
         raise ValueError("l must be >= 3")
 
@@ -102,10 +99,10 @@ def shuffle_words(l: int) -> tuple[Word, Word]:
     """The word pair (y1 y2 y3, y3^-3 y2^-l y1^3) driving the recursion.
 
     Conjugation blocks built from this pair telescope, which is what the
-    shuffle identities and the closed image forms express.
+    shuffle identities and the closed image forms express.  Raises
+    ``ValueError`` for l < 3.
     """
-    if l < 1:
-        raise ValueError("l must be >= 1")
+    _check_winding(l)
     y = target_alphabet()
     u = Word(y, (1, 2, 3))
     v = Word(y, (-3, -3, -3) + (-2,) * l + (1, 1, 1))
@@ -256,29 +253,14 @@ def boundary_word(g: int) -> Word:
     return Word(domain_alphabet(g), letters)
 
 
-def boundary_class(params: FamilyParams, oriented: bool = False) -> CyclicWord:
-    """Canonical conjugacy class of the image of the boundary word."""
-    hom = embedding(params)
-    return canonical_class(hom.apply(boundary_word(params.g)), oriented=oriented)
-
-
 def class_distinctness(classes: Sequence[CyclicWord]) -> tuple[bool, bool]:
     """(pairwise distinct, all nontrivial) for a list of conjugacy classes.
 
-    The one distinctness check: :func:`slope_distinctness` and the
-    per-genus rows of ``fgkit sweep`` both call it.
+    The one distinctness check; the per-genus rows of ``fgkit sweep``
+    call it on the classes of :func:`verify` reports.
     """
     distinct = len(set(classes)) == len(classes)
     return distinct, not any(c.is_identity() for c in classes)
-
-
-def slope_distinctness(
-    g: int, l_values: Iterable[int], oriented: bool = False
-) -> bool:
-    """True iff the boundary classes for the given l values are pairwise
-    distinct and all nontrivial."""
-    classes = [boundary_class(FamilyParams(g, l), oriented=oriented) for l in l_values]
-    return all(class_distinctness(classes))
 
 
 def reference_quotient_order(l: int) -> int:

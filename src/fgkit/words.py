@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 from operator import neg
 from typing import Iterable, Iterator, Optional
@@ -57,15 +57,19 @@ class Alphabet:
     """
 
     names: tuple[str, ...]
+    # name -> 1-based generator index, so that index() is one lookup
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.names) < 1:
             raise ValueError("alphabet needs at least one generator")
-        if len(set(self.names)) != len(self.names):
+        index = {name: k for k, name in enumerate(self.names, 1)}
+        if len(index) != len(self.names):
             raise ValueError("generator names must be distinct")
         for name in self.names:
             if not _NAME_RE.match(name):
                 raise ValueError(f"invalid generator name {name!r}")
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def numbered(cls, rank: int, prefix: str = "y") -> "Alphabet":
@@ -77,11 +81,8 @@ class Alphabet:
         return len(self.names)
 
     def index(self, name: str) -> int:
-        """1-based generator index of ``name``."""
-        try:
-            return self.names.index(name) + 1
-        except ValueError:
-            raise KeyError(name) from None
+        """1-based generator index of ``name``; ``KeyError`` if it has none."""
+        return self._index[name]
 
     def name(self, gen: int) -> str:
         return self.names[gen - 1]
@@ -204,7 +205,7 @@ class Word:
             n = len(list(run))
             yield abs(letter), n if letter > 0 else -n
 
-    def cyclic_reduce(self) -> tuple["CyclicWord", "Word"]:
+    def cyclic_reduce(self) -> tuple["Word", "Word"]:
         """Split ``w`` as ``conj * core * conj^-1`` with ``core`` cyclically reduced.
 
         >>> ab = Alphabet.numbered(2, "a")
@@ -217,21 +218,24 @@ class Word:
         while j - i >= 2 and ls[i] == -ls[j - 1]:
             i += 1
             j -= 1
-        core = CyclicWord._wrap(self.alphabet, ls[i:j])
-        conj = Word._wrap(self.alphabet, ls[:i])
-        return core, conj
+        return Word._wrap(self.alphabet, ls[i:j]), Word._wrap(self.alphabet, ls[:i])
 
 
 class CyclicWord:
-    """A cyclically reduced word standing for a conjugacy class.
+    """The conjugacy class of a cyclically reduced word.
 
-    Equality and hashing are rotation-invariant, since all rotations of a
-    cyclically reduced word are conjugate representatives of the same class.
-    Orientation is respected: a class and its inverse class compare unequal
-    unless they happen to coincide.
+    Two cyclically reduced words are conjugate exactly when one is a
+    rotation of the other, so a class is held as the least rotation of
+    its words under the letter order, and equality and hashing compare
+    those letters.  Orientation is respected: a class and its inverse
+    class compare unequal unless they happen to coincide.
+
+    >>> ab = Alphabet.numbered(2, "a")
+    >>> CyclicWord(ab, (2, 2, 1)).letters
+    (1, 2, 2)
     """
 
-    __slots__ = ("alphabet", "letters", "_canon")
+    __slots__ = ("alphabet", "letters")
 
     def __init__(self, alphabet: Alphabet, letters: Iterable[int] = ()) -> None:
         letters = tuple(letters)
@@ -241,22 +245,15 @@ class CyclicWord:
         if len(reduced) >= 2 and reduced[0] == -reduced[-1]:
             raise ValueError("word is not cyclically reduced")
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "letters", reduced)
-        object.__setattr__(self, "_canon", None)
+        object.__setattr__(self, "letters", _least_rotation(reduced))
 
     @classmethod
-    def _wrap(
-        cls,
-        alphabet: Alphabet,
-        reduced: tuple[int, ...],
-        canon: Optional[tuple[int, ...]] = None,
-    ) -> "CyclicWord":
-        # trusted constructor: `reduced` must already be cyclically reduced,
-        # and `canon`, if given, its least rotation
+    def _wrap(cls, alphabet: Alphabet, least: tuple[int, ...]) -> "CyclicWord":
+        # trusted constructor: `least` must already be the least rotation
+        # of a cyclically reduced word
         c = object.__new__(cls)
         object.__setattr__(c, "alphabet", alphabet)
-        object.__setattr__(c, "letters", reduced)
-        object.__setattr__(c, "_canon", canon)
+        object.__setattr__(c, "letters", least)
         return c
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -268,23 +265,13 @@ class CyclicWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def _canonical_rotation(self) -> tuple[int, ...]:
-        cached = self._canon
-        if cached is None:
-            cached = _least_rotation(self.letters)
-            object.__setattr__(self, "_canon", cached)
-        return cached
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CyclicWord):
             return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and self._canonical_rotation() == other._canonical_rotation()
-        )
+        return self.alphabet == other.alphabet and self.letters == other.letters
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, self._canonical_rotation()))
+        return hash((self.alphabet, self.letters))
 
     def __repr__(self) -> str:
         return f"CyclicWord({render_word(self.to_word())!r})"
@@ -298,15 +285,9 @@ class CyclicWord:
     def to_word(self) -> Word:
         return Word._wrap(self.alphabet, self.letters)
 
-    def rotated(self, k: int) -> "CyclicWord":
-        ls = self.letters
-        if not ls:
-            return self
-        k %= len(ls)
-        return CyclicWord._wrap(self.alphabet, ls[k:] + ls[:k])
-
     def inverse_class(self) -> "CyclicWord":
-        return CyclicWord._wrap(self.alphabet, tuple(map(neg, reversed(self.letters))))
+        inverse = tuple(map(neg, reversed(self.letters)))
+        return CyclicWord._wrap(self.alphabet, _least_rotation(inverse))
 
 
 # Letters are coded as one character each, so that the rotation scan below
@@ -455,9 +436,7 @@ def canonical_class(w: Word, oriented: bool = True) -> CyclicWord:
     if not oriented:
         return _canonical_classes(w)[0]
     core, _ = w.cyclic_reduce()
-    best = _least_rotation(core.letters)
-    # `best` is a least rotation, so it is its own canonical rotation
-    return CyclicWord._wrap(w.alphabet, best, best)
+    return CyclicWord._wrap(w.alphabet, _least_rotation(core.letters))
 
 
 def _canonical_classes(w: Word) -> tuple[CyclicWord, CyclicWord]:
@@ -481,10 +460,7 @@ def _canonical_classes(w: Word) -> tuple[CyclicWord, CyclicWord]:
         # on a tie the two rotations are equal, so either is the answer
         if inverse[j:] + inverse[:j] < code[i:] + code[:i]:
             unoriented = tuple(map(neg, reversed(letters[n - j :] + letters[: n - j])))
-    return (
-        CyclicWord._wrap(w.alphabet, unoriented, unoriented),
-        CyclicWord._wrap(w.alphabet, oriented, oriented),
-    )
+    return CyclicWord._wrap(w.alphabet, unoriented), CyclicWord._wrap(w.alphabet, oriented)
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:

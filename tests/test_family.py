@@ -12,7 +12,6 @@ from fgkit import (
     InjectivityResult,
     Word,
     build_subgroup_graph,
-    boundary_class,
     canonical_class,
     check_shuffle_identities,
     domain_alphabet,
@@ -24,7 +23,6 @@ from fgkit import (
     parse_word,
     reference_quotient_order,
     shuffle_words,
-    slope_distinctness,
     target_alphabet,
     verify,
 )
@@ -66,6 +64,12 @@ class TestShuffleWords:
 
     def test_l5_length(self):
         assert len(shuffle_words(5)[1]) == 11
+
+    @pytest.mark.parametrize("l", [-1, 0, 1, 2])
+    def test_winding_rule(self, l):
+        # the family's one winding rule, as FamilyParams applies it
+        with pytest.raises(ValueError, match="l must be >= 3"):
+            shuffle_words(l)
 
 
 class TestGeneratorImages:
@@ -207,33 +211,39 @@ class TestBoundaryImage:
         assert not image.is_identity()
         core, _ = image.cyclic_reduce()
         longest = 0
-        for gen, exp in core.to_word().runs():
+        for gen, exp in core.runs():
             if gen == 2:
                 longest = max(longest, abs(exp))
         assert longest >= l
 
     def test_class_depends_on_l(self):
-        a = boundary_class(FamilyParams(2, 3))
-        b = boundary_class(FamilyParams(2, 4))
+        a, b = _boundary_classes(2, (3, 4))
         assert a != b
+
+
+def _boundary_classes(g, l_values, oriented=False):
+    """The boundary classes of ``verify``'s reports, which the sweep's
+    distinctness rows compare."""
+    reports = [verify(FamilyParams(g, l)) for l in l_values]
+    return [r.boundary_class_oriented if oriented else r.boundary_class for r in reports]
 
 
 class TestSlopeDistinctness:
     def test_single_value(self):
-        assert slope_distinctness(2, [3])
+        assert all(class_distinctness(_boundary_classes(2, [3])))
 
     def test_duplicate_parameter(self):
-        assert not slope_distinctness(2, [3, 3])
+        assert not all(class_distinctness(_boundary_classes(2, [3, 3])))
 
     def test_small_range(self):
-        assert slope_distinctness(2, range(3, 9))
-        assert slope_distinctness(4, range(3, 7))
+        assert all(class_distinctness(_boundary_classes(2, range(3, 9))))
+        assert all(class_distinctness(_boundary_classes(4, range(3, 7))))
 
     def test_oriented_variant(self):
-        assert slope_distinctness(2, range(3, 7), oriented=True)
+        assert all(class_distinctness(_boundary_classes(2, range(3, 7), oriented=True)))
 
     def test_class_distinctness(self):
-        a, b = (boundary_class(FamilyParams(2, l)) for l in (3, 4))
+        a, b = _boundary_classes(2, (3, 4))
         trivial = canonical_class(Word(Y))
         assert class_distinctness([a, b]) == (True, True)
         assert class_distinctness([a, a]) == (False, True)

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -44,6 +45,25 @@ class TestAlphabet:
 
     def test_letters_order(self):
         assert AB.letters() == (1, -1, 2, -2)
+
+    def test_index_is_one_lookup(self):
+        # name comparisons, never a time: finding each name by a scan of
+        # the names would make n (n + 1) / 2 of them for the word below
+        compared = []
+
+        class CountingName(str):
+            __hash__ = str.__hash__
+
+            def __eq__(self, other):
+                compared.append(other)
+                return str.__eq__(self, other)
+
+        n = 400
+        alphabet = Alphabet(tuple(CountingName(f"g{k}") for k in range(1, n + 1)))
+        compared.clear()
+        w = parse_word(" ".join(f"g{k}" for k in range(n, 0, -1)), alphabet)
+        assert w.letters == tuple(range(n, 0, -1))
+        assert len(compared) <= n
 
 
 class TestParse:
@@ -216,8 +236,9 @@ class TestCyclicReduce:
         w = parse_word("y1^3 y3^3 y1", Y)
         core, conj = w.cyclic_reduce()
         assert len(core) == 7
-        assert core == CyclicWord(Y, parse_word("y1^4 y3^3", Y).letters)
-        assert conj * core.to_word() * conj.inverse() == w
+        assert core == w and conj.is_identity()
+        assert canonical_class(core) == CyclicWord(Y, parse_word("y1^4 y3^3", Y).letters)
+        assert conj * core * conj.inverse() == w
 
     def test_round_trip_random(self):
         rng = random.Random(17)
@@ -225,7 +246,7 @@ class TestCyclicReduce:
             raw = [rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 16))]
             w = Word(AB, raw)
             core, conj = w.cyclic_reduce()
-            assert conj * core.to_word() * conj.inverse() == w
+            assert conj * core * conj.inverse() == w
             ls = core.letters
             assert not (len(ls) >= 2 and ls[0] == -ls[-1])
             assert core.is_identity() == w.is_identity()
@@ -405,9 +426,10 @@ class TestLeastRotation:
 
     @pytest.mark.parametrize("label", ["periodic", "one long tie", "boundary g=64"])
     def test_scan_steps_are_bounded(self, label, monkeypatch):
-        # step counts, never a time.  Each round of the scan makes one
+        # step counts, never a time.  Each round of a scan makes one
         # common-prefix call and moves a pointer past a candidate start, and
-        # every round but the last moves one past the bytes it compared
+        # every round but the last moves one past the letters it compared;
+        # the scans are the forward one, then the two of _canonical_classes
         if label == "periodic":
             period = (1, 1, 2, 1, 1, 3, 1, -2)
             letters = period * 2**17
@@ -417,26 +439,39 @@ class TestLeastRotation:
         else:
             image = embedding(FamilyParams(64, 12)).apply(boundary_word(64))
             letters = image.cyclic_reduce()[0].letters
-        rounds = []
-        real = words._common_prefix
+        rounds, scans = [], []
+        real_prefix, real_start = words._common_prefix, words._least_start
 
-        def counted(data, i, j, limit):
-            rounds.append(real(data, i, j, limit))
+        def counted_prefix(data, i, j, limit):
+            rounds.append(real_prefix(data, i, j, limit))
             assert sum(rounds) <= 3 * limit, "more than linear work"
             return rounds[-1]
 
-        monkeypatch.setattr(words, "_common_prefix", counted)
+        def counted_start(code, least):
+            rounds.clear()
+            start = real_start(code, least)
+            scans.append(len(rounds))
+            return start
+
+        monkeypatch.setattr(words, "_common_prefix", counted_prefix)
+        monkeypatch.setattr(words, "_least_start", counted_start)
         candidates = _longest_run_starts(letters)
+        inverse_candidates = _longest_run_starts(t_inv(letters))
         best = words._least_rotation(letters)
-        assert len(rounds) <= 2 * len(candidates) + 2
+        _, oriented = words._canonical_classes(Word(Y, letters))
+        forward, forward_again, inverse = scans
+        assert forward_again == forward <= 2 * len(candidates) + 2
+        assert inverse <= 2 * len(inverse_candidates) + 2
+        assert oriented.letters == best
         if label == "periodic":
             assert len(letters) == 2**20
-            assert len(rounds) <= 2 * len(_longest_run_starts(period)) + 2
+            assert forward <= 2 * len(_longest_run_starts(period)) + 2
+            assert inverse <= 2 * len(_longest_run_starts(t_inv(period))) + 2
             assert best == letters
         elif label == "one long tie":
             assert len(letters) == 2**20
-            assert len(candidates) == 2**19
-            assert len(rounds) == 1
+            assert len(candidates) == len(inverse_candidates) == 2**19
+            assert forward == inverse == 1
             assert best == letters
         else:
             assert len(candidates) == 63
@@ -498,14 +533,26 @@ class TestCyclicWord:
             CyclicWord(AB, (1, 2, -1))
 
     def test_rotation_equality_and_hash(self):
-        w = CyclicWord(AB, (1, 2, 2))
-        assert w == w.rotated(1) == w.rotated(2)
-        assert hash(w) == hash(w.rotated(1))
-        assert len({w, w.rotated(1), w.rotated(2)}) == 1
+        w, r1, r2 = (CyclicWord(AB, ls) for ls in ((1, 2, 2), (2, 2, 1), (2, 1, 2)))
+        assert w == r1 == r2
+        assert hash(w) == hash(r1)
+        assert len({w, r1, r2}) == 1
 
     def test_inverse_class_differs(self):
         w = CyclicWord(AB, (1, 2))
         assert w != w.inverse_class()
+
+    # powers of a cyclically reduced word are cyclically reduced and periodic
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.lists(_LETTERS, max_size=16), st.integers(1, 4))
+    def test_holds_least_rotation(self, letters, power):
+        core = Word(Y, letters).cyclic_reduce()[0].letters * power
+        c = CyclicWord(Y, core)
+        assert c.letters == least_rotation(core)
+        assert c.inverse_class().letters == least_rotation(t_inv(core))
+        back = pickle.loads(pickle.dumps(c))
+        assert back.letters == c.letters
+        assert back == c and hash(back) == hash(c)
 
 
 class TestRender:
@@ -545,8 +592,6 @@ class TestIterReducedWords:
 
 class TestPickle:
     def test_word_and_cyclic_round_trip(self):
-        import pickle
-
         w = parse_word("y1 y2^-2", Y)
         assert pickle.loads(pickle.dumps(w)) == w
         c = canonical_class(w)
