@@ -13,7 +13,7 @@ from math import prod
 from typing import Sequence, Union
 
 from .homs import Homomorphism
-from .words import Word
+from .words import Word, _letter_key
 
 __all__ = [
     "INFINITE",
@@ -49,15 +49,19 @@ IntMatrix = list[list[int]]
 def exponent_vector(w: Word) -> tuple[int, ...]:
     """Exponent sum per generator; additive over concatenation.
 
+    Two ``str.count`` passes over the letter code per generator, so the
+    cost is O(rank * length), all of it in C.
+
     >>> from .words import Alphabet, parse_word
     >>> y = Alphabet.numbered(3, "y")
     >>> exponent_vector(parse_word("y3^3", y))
     (0, 0, 3)
     """
-    vec = [0] * w.alphabet.rank
-    for s in w.letters:
-        vec[abs(s) - 1] += 1 if s > 0 else -1
-    return tuple(vec)
+    code = w.code
+    return tuple(
+        code.count(chr(_letter_key(k))) - code.count(chr(_letter_key(-k)))
+        for k in range(1, w.alphabet.rank + 1)
+    )
 
 
 def image_matrix(h: Homomorphism) -> IntMatrix:

@@ -305,7 +305,7 @@ def _block_letters_hold(hom: Homomorphism, graph: SubgroupGraph) -> bool:
     )
     for images, boundary in parities:
         for img in images:
-            if any(abs(s) not in boundary for s in graph.base_labels(img.letters)):
+            if any(abs(s) not in boundary for s in graph.base_labels(img)):
                 return False
     return True
 

@@ -8,10 +8,10 @@ image tuples.  Everything here is immutable and parallel-safe.
 from __future__ import annotations
 
 import random
-from operator import neg
 from typing import Iterable, Optional
 
 from .words import Alphabet, AlphabetMismatch, Word, parse_word, render_word
+from .words import _cancelled, _inverse, _letter_key
 
 __all__ = ["Homomorphism", "compose", "random_reduced_word"]
 
@@ -19,7 +19,7 @@ __all__ = ["Homomorphism", "compose", "random_reduced_word"]
 class Homomorphism:
     """A map between free groups, one reduced image word per generator."""
 
-    __slots__ = ("domain", "codomain", "images")
+    __slots__ = ("domain", "codomain", "images", "_codes")
 
     def __init__(
         self, domain: Alphabet, codomain: Alphabet, images: Iterable[Word]
@@ -35,6 +35,13 @@ class Homomorphism:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "images", images)
+        # letter code -> code of its image; an inverse letter's is the
+        # inverse image's code, built here once
+        codes = {}
+        for k, img in enumerate(images, 1):
+            codes[chr(_letter_key(k))] = img.code
+            codes[chr(_letter_key(-k))] = _inverse(img.code)
+        object.__setattr__(self, "_codes", codes)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Homomorphism is immutable")
@@ -47,7 +54,7 @@ class Homomorphism:
         return cls(
             alphabet,
             alphabet,
-            (Word._wrap(alphabet, (g,)) for g in range(1, alphabet.rank + 1)),
+            (Word(alphabet, (g,)) for g in range(1, alphabet.rank + 1)),
         )
 
     def __eq__(self, other: object) -> bool:
@@ -74,34 +81,37 @@ class Homomorphism:
 
         Every image is reduced, and so is the image of each prefix of
         ``w``, so cancellation can only happen at the junction between
-        the output so far and the next image (or its inverse): the same
-        fact ``Word.__mul__`` uses.  Each letter of ``w`` costs one loop
-        over the k letters cancelled at its junction, a ``del`` of those
-        k and one C-level extend by the rest.  A letter is cancelled at
-        most once after it is output, so the total work is O(letters in
-        + letters out).  An inverse image is read backwards and negated
-        as it is copied; no inverse is built.
+        the output so far and the next image code (or the inverse image
+        code, built once per homomorphism): the same fact
+        ``Word.__mul__`` uses.  The output is a list of image codes, each
+        cut short by the letters that cancel at a later junction, and one
+        ``join`` at the end.  Each letter of ``w`` costs O(log k) Python
+        steps for the k letters that cancel at its junction, one more for
+        each code that cancels whole, and C work linear in its image, so
+        the total work is O(letters in + letters out).
         """
         if w.alphabet != self.domain:
             raise AlphabetMismatch("word is not over the domain alphabet")
-        images = self.images
-        out: list[int] = []
-        for s in w.letters:
-            img = images[abs(s) - 1].letters
-            n, m, k = len(out), len(img), 0
-            limit = min(n, m)
-            if s > 0:
-                while k < limit and out[n - 1 - k] == -img[k]:
-                    k += 1
-                del out[n - k :]
-                out.extend(img[k:])
-            else:
-                # the inverse image starts -img[m-1], -img[m-2], ...
-                while k < limit and out[n - 1 - k] == img[m - 1 - k]:
-                    k += 1
-                del out[n - k :]
-                out.extend(map(neg, reversed(img[: m - k])))
-        return Word._wrap(self.codomain, tuple(out))
+        codes = self._codes
+        # the output so far is parts[0][:ends[0]] + parts[1][:ends[1]] + ...
+        parts: list[str] = []
+        ends: list[int] = []
+        for c in w.code:
+            img, start = codes[c], 0
+            # the junction may cancel several parts whole
+            while parts and start < len(img):
+                n = ends[-1]
+                k = _cancelled(parts[-1], n, img, start, min(n, len(img) - start))
+                start += k
+                if k < n:
+                    ends[-1] = n - k
+                    break
+                parts.pop()
+                ends.pop()
+            if start < len(img):
+                parts.append(img[start:])
+                ends.append(len(img) - start)
+        return Word._wrap(self.codomain, "".join(p[:n] for p, n in zip(parts, ends)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -159,4 +169,4 @@ def random_reduced_word(
         else:
             opts = choices
         out.append(rng.choice(opts))
-    return Word._wrap(alphabet, tuple(out))
+    return Word(alphabet, out)

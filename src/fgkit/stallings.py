@@ -39,6 +39,10 @@ The edges at the base vertex of a folded graph are exactly the first
 letters of the subgroup's nontrivial reduced elements (and, inverted, the
 last letters); :meth:`SubgroupGraph.base_labels` reads which of them a
 given base loop uses.
+
+Edges are labeled by letter codes (see :mod:`fgkit.words`): folding walks
+the generators' codes, and a vertex's edges are ordered by code point,
+which is the letter order.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional
 
 from .homs import Homomorphism
-from .words import Alphabet, AlphabetMismatch, Word, _letter_key
+from .words import Alphabet, AlphabetMismatch, Word, _inverse, _letter, _letter_key
 
 __all__ = [
     "SubgroupGraph",
@@ -62,10 +66,10 @@ class SubgroupGraph:
     def __init__(self, alphabet: Alphabet) -> None:
         self.alphabet = alphabet
         self.base = 0
-        # unfolded: the nontrivial reduced generator words, one loop each
-        self._gens: tuple[tuple[int, ...], ...] = ()
-        # folded adjacency: vertex -> {signed letter: unique target}
-        self._out: Optional[list[dict[int, int]]] = None
+        # unfolded: the codes of the nontrivial generator words, one loop each
+        self._gens: tuple[str, ...] = ()
+        # folded adjacency: vertex -> {letter code: unique target}
+        self._out: Optional[list[dict[str, int]]] = None
 
     @classmethod
     def wedge(cls, generators: Iterable[Word], alphabet: Alphabet) -> "SubgroupGraph":
@@ -75,8 +79,8 @@ class SubgroupGraph:
         for w in generators:
             if w.alphabet != alphabet:
                 raise AlphabetMismatch("generator word not over the given alphabet")
-            if w.letters:
-                gens.append(w.letters)
+            if w.code:
+                gens.append(w.code)
         g._gens = tuple(gens)
         return g
 
@@ -92,7 +96,7 @@ class SubgroupGraph:
             return self
         # adj[v] is current only for representatives v; targets may be stale
         # and are resolved through find
-        adj: list[dict[int, int]] = [{}]
+        adj: list[dict[str, int]] = [{}]
         parent = [0]
 
         def find(v: int) -> int:
@@ -118,9 +122,10 @@ class SubgroupGraph:
                         pending.append((u, t))
                 adj[b] = {}
 
-        # the reads below inline find's fast path for a representative t
+        # the reads below inline find's fast path for a representative t;
+        # inv[n - 1 - k] is the code of the inverse of the letter w[k]
         for w in self._gens:
-            n = len(w)
+            n, inv = len(w), _inverse(w)
             base = find(self.base)
             v, i = base, 0
             while i < n:
@@ -133,7 +138,7 @@ class SubgroupGraph:
                 continue
             u, j = base, n
             while j > i:
-                t = adj[u].get(-w[j - 1])
+                t = adj[u].get(inv[n - j])
                 if t is None:
                     break
                 u, j = (t if parent[t] == t else find(t)), j - 1
@@ -141,33 +146,33 @@ class SubgroupGraph:
                 identify(v, u)
                 continue
             # fresh arc v -> ... -> u spelling w[i:j]; only its closing
-            # edge can collide, when v == u and w[i] == -w[j-1]
-            for s in w[i : j - 1]:
+            # edge can collide, when v == u and w[i] is the inverse of w[j-1]
+            for s, r in zip(w[i : j - 1], reversed(inv[n - j + 1 : n - i])):
                 x = len(adj)
                 adj[v][s] = x
-                adj.append({-s: v})
+                adj.append({r: v})
                 parent.append(x)
                 v = x
-            s = w[j - 1]
-            adj[v][s] = u
-            t = adj[u].setdefault(-s, v)
+            adj[v][w[j - 1]] = u
+            t = adj[u].setdefault(inv[n - j], v)
             if t != v:
                 identify(t, v)
 
         self._freeze(adj, find)
         return self
 
-    def _freeze(self, adj: list[dict[int, int]], find) -> None:
-        # canonical relabeling: BFS from base, neighbors in letter order;
-        # iterating `order` while it grows is the queue
+    def _freeze(self, adj: list[dict[str, int]], find) -> None:
+        # canonical relabeling: BFS from base, neighbors in letter order,
+        # which is code point order; iterating `order` while it grows is
+        # the queue
         root = find(self.base)
         mapping = {root: 0}
         order = [root]
-        out: list[dict[int, int]] = []
+        out: list[dict[str, int]] = []
         for v in order:
             d = adj[v]
             row = {}
-            for s in sorted(d, key=_letter_key):
+            for s in sorted(d):
                 t = find(d[s])
                 idx = mapping.get(t)
                 if idx is None:
@@ -181,7 +186,7 @@ class SubgroupGraph:
 
     # -- queries ---------------------------------------------------------
 
-    def _folded_out(self, what: str) -> list[dict[int, int]]:
+    def _folded_out(self, what: str) -> list[dict[str, int]]:
         if self._out is None:
             raise ValueError(f"graph must be folded before {what}")
         return self._out
@@ -196,16 +201,17 @@ class SubgroupGraph:
     def n_edges(self) -> int:
         """Undirected edge count (each labeled edge counted once)."""
         if self._out is not None:
-            return sum(1 for d in self._out for s in d if s > 0)
+            # each edge is held once in each direction, a loop too
+            return sum(map(len, self._out)) // 2
         return sum(len(w) for w in self._gens)
 
     def edges(self) -> list[tuple[int, str, int]]:
         """Positively-oriented edges as (from, label name, to), sorted."""
         out = [
-            (v, self.alphabet.name(s), t)
+            (v, self.alphabet.name(_letter(s)), t)
             for v, d in enumerate(self._folded_out("listing edges"))
             for s, t in d.items()
-            if s > 0
+            if _letter(s) > 0
         ]
         out.sort()
         return out
@@ -214,40 +220,45 @@ class SubgroupGraph:
         """True iff ``w`` is readable as a base-to-base path: subgroup membership."""
         if w.alphabet != self.alphabet:
             raise AlphabetMismatch("query word not over the graph's alphabet")
-        return self.reads_loop(w.letters)
+        return self._reads_loop(w.code)
 
     def reads_loop(self, letters: Iterable[int]) -> bool:
         """Whether a raw (not necessarily reduced) letter sequence spells a
         base-to-base edge path."""
+        rank = self.alphabet.rank
+        # "" labels no edge, so a letter out of range ends the path
+        return self._reads_loop(chr(_letter_key(s)) if 0 < abs(s) <= rank else "" for s in letters)
+
+    def _reads_loop(self, code: Iterable[str]) -> bool:
         out = self._folded_out("reading paths")
         v = self.base
-        for s in letters:
+        for s in code:
             nxt = out[v].get(s)
             if nxt is None:
                 return False
             v = nxt
         return v == self.base
 
-    def base_labels(self, letters: Iterable[int]) -> set[int]:
+    def base_labels(self, w: Word) -> set[int]:
         """Labels, read outward from the base, of the base edges a loop uses.
 
-        ``letters`` must spell a base-to-base path in the folded graph.
-        Each time the path leaves the base along ``s`` the result gains
-        ``s``; each time it arrives along ``s`` it gains ``-s``.  One pass
-        over the letters.
+        ``w`` must spell a base-to-base path in the folded graph.  Each
+        time the path leaves the base along ``s`` the result gains ``s``;
+        each time it arrives along ``s`` it gains ``-s``.  One pass over
+        the code of ``w``.
         """
         out, base = self._folded_out("reading base labels"), self.base
         labels: set[int] = set()
         v = base
-        for s in letters:
+        for s in w.code:
             if v == base:
-                labels.add(s)
+                labels.add(_letter(s))
             try:
                 v = out[v][s]
             except KeyError:
                 raise ValueError("letters do not spell a path in the graph") from None
             if v == base:
-                labels.add(-s)
+                labels.add(-_letter(s))
         if v != base:
             raise ValueError("letters do not spell a base-to-base loop")
         return labels

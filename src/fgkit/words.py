@@ -6,6 +6,15 @@ immutable, freely reduced sequence of letters; the empty word is the group
 identity.  All operations are pure and return new values, so words are safe
 to share between threads.
 
+A word is held as its letter code, a ``str`` with one character per
+letter, the same for every alphabet: generator k is ``chr(2k)`` and its
+inverse ``chr(2k + 1)``.  Code points order letters by generator index,
+the generator before its inverse, so codes compare as the words do; the
+code of the inverse word is the reversed code with the last bit of every
+code point flipped.  Products, powers, inverses, cyclic reduction, the
+least rotation and equality all run on codes, in C.  ``letters`` decodes
+the code to signed ints on every access.
+
 The text grammar is whitespace-separated atoms ``name`` or ``name^k`` with
 ``k`` a signed decimal integer; the single token ``1`` denotes the empty
 word.  Rendering always emits maximal runs, e.g. ``y1^3 y2^-2``.
@@ -17,7 +26,6 @@ import re
 import sys
 from dataclasses import dataclass, field
 from itertools import groupby
-from operator import neg
 from typing import Iterable, Iterator, Optional
 
 __all__ = [
@@ -46,6 +54,14 @@ _ATOM_RE = re.compile(r"(?P<name>[A-Za-z][A-Za-z0-9_]*)(?:\^(?P<exp>[+-]?[0-9]+)
 # parse_word refuses text that spells more letters than this before
 # reduction; the boundary image at g = 256, l = 12 has 2,745,848
 _MAX_PARSED_LETTERS = 1 << 22
+# the inverse of the last generator is coded chr(2 * rank + 1), and chr
+# stops at sys.maxunicode, so an alphabet has at most 557,055 generators
+_MAX_RANK = (sys.maxunicode - 1) // 2
+
+
+def _check_rank(rank: int) -> None:
+    if rank > _MAX_RANK:
+        raise ValueError(f"alphabet has {rank} generators; the limit is {_MAX_RANK}")
 
 
 @dataclass(frozen=True)
@@ -63,6 +79,7 @@ class Alphabet:
     def __post_init__(self) -> None:
         if len(self.names) < 1:
             raise ValueError("alphabet needs at least one generator")
+        _check_rank(len(self.names))
         index = {name: k for k, name in enumerate(self.names, 1)}
         if len(index) != len(self.names):
             raise ValueError("generator names must be distinct")
@@ -74,6 +91,7 @@ class Alphabet:
     @classmethod
     def numbered(cls, rank: int, prefix: str = "y") -> "Alphabet":
         """Alphabet with generators ``prefix1 .. prefixN``."""
+        _check_rank(rank)
         return cls(tuple(f"{prefix}{k}" for k in range(1, rank + 1)))
 
     @property
@@ -96,20 +114,80 @@ class Alphabet:
 
 
 def _letter_key(letter: int) -> int:
-    # total order: generator index ascending, positive sign before negative
-    return 2 * abs(letter) + (0 if letter > 0 else 1)
+    # the code point of a letter: 2k for generator k, 2k + 1 for its
+    # inverse, so code points order letters by generator, then sign
+    return 2 * letter if letter > 0 else 1 - 2 * letter
 
 
-def _free_reduce(letters: Iterable[int], rank: int) -> tuple[int, ...]:
+def _free_reduce(letters: Iterable[int], rank: int) -> str:
+    """Code of the free reduction of ``letters``, each checked to be a
+    letter of ``rank``."""
     out: list[int] = []
     for s in letters:
         if not isinstance(s, int) or s == 0 or abs(s) > rank:
             raise ValueError(f"letter {s!r} out of range for rank {rank}")
-        if out and out[-1] == -s:
+        p = _letter_key(s)
+        if out and out[-1] == p ^ 1:
             out.pop()
         else:
-            out.append(s)
-    return tuple(out)
+            out.append(p)
+    return "".join(map(chr, out))
+
+
+def _letter(char: str) -> int:
+    """The signed letter whose code is ``char``."""
+    p = ord(char)
+    return -(p >> 1) if p & 1 else p >> 1
+
+
+def _decode(code: str) -> tuple[int, ...]:
+    return tuple(map(_letter, code))
+
+
+class _Flip(dict):
+    """``str.translate`` table from each code point to its inverse letter's:
+    a dict lookup in C for the one-byte code points of alphabets of up to
+    127 generators, a Python call for wider ones."""
+
+    def __missing__(self, point: int) -> int:
+        return point ^ 1
+
+
+_FLIP = _Flip({point: point ^ 1 for point in range(256)})
+
+
+def _inverse(code: str) -> str:
+    """Code of the inverse word: reversed, each code point's last bit flipped."""
+    return code[::-1].translate(_FLIP)
+
+
+def _cancelled(left: str, end: int, right: str, start: int, limit: int) -> int:
+    """Number of letters, at most ``limit``, that cancel where the reduced
+    codes ``left[:end]`` and ``right[start:]`` meet: the length of the
+    longest suffix of the one that is the inverse code of a prefix of the
+    other.
+
+    Blocks of doubling size are compared while they cancel, then halving
+    ones, so k cancelled letters cost O(log k) Python steps and O(k)
+    characters of C work, and nothing else is copied."""
+    if not limit or ord(left[end - 1]) ^ 1 != ord(right[start]):
+        return 0
+    k, step = 1, 2
+    # a block cancels when it is the inverse code of the block it meets
+    while k + step <= limit:
+        block = right[start + k : start + k + step]
+        if left[end - k - step : end - k] != block[::-1].translate(_FLIP):
+            break
+        k += step
+        step *= 2
+    # the first letter that does not cancel, or the limit, lies in [k, k + step)
+    while step > 1:
+        step //= 2
+        if k + step <= limit:
+            block = right[start + k : start + k + step]
+            if left[end - k - step : end - k] == block[::-1].translate(_FLIP):
+                k += step
+    return k
 
 
 class Word:
@@ -122,28 +200,33 @@ class Word:
     True
     """
 
-    __slots__ = ("alphabet", "letters")
+    __slots__ = ("alphabet", "code")
 
     def __init__(self, alphabet: Alphabet, letters: Iterable[int] = ()) -> None:
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "letters", _free_reduce(letters, alphabet.rank))
+        object.__setattr__(self, "code", _free_reduce(letters, alphabet.rank))
 
     @classmethod
-    def _wrap(cls, alphabet: Alphabet, reduced: tuple[int, ...]) -> "Word":
-        # trusted constructor: `reduced` must already be freely reduced
+    def _wrap(cls, alphabet: Alphabet, code: str) -> "Word":
+        # trusted constructor: `code` must be the code of a reduced word
         w = object.__new__(cls)
         object.__setattr__(w, "alphabet", alphabet)
-        object.__setattr__(w, "letters", reduced)
+        object.__setattr__(w, "code", code)
         return w
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Word is immutable")
 
     def __reduce__(self):
-        return (Word._wrap, (self.alphabet, self.letters))
+        return (Word._wrap, (self.alphabet, self.code))
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        """The signed letters, decoded from the code on every access."""
+        return _decode(self.code)
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.code)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
@@ -151,10 +234,10 @@ class Word:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Word):
             return NotImplemented
-        return self.alphabet == other.alphabet and self.letters == other.letters
+        return self.alphabet == other.alphabet and self.code == other.code
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, self.letters))
+        return hash((self.alphabet, self.code))
 
     def __repr__(self) -> str:
         return f"Word({render_word(self)!r})"
@@ -163,22 +246,20 @@ class Word:
         return render_word(self)
 
     def is_identity(self) -> bool:
-        return not self.letters
+        return not self.code
 
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
         if self.alphabet != other.alphabet:
             raise AlphabetMismatch("cannot concatenate words over different alphabets")
-        left, right = self.letters, other.letters
+        left, right = self.code, other.code
         # both factors are reduced, so cancellation stops at the junction
-        n, limit, k = len(left), min(len(left), len(right)), 0
-        while k < limit and left[n - 1 - k] == -right[k]:
-            k += 1
-        return Word._wrap(self.alphabet, left[: n - k] + right[k:])
+        k = _cancelled(left, len(left), right, 0, min(len(left), len(right)))
+        return Word._wrap(self.alphabet, left[: len(left) - k] + right[k:])
 
     def inverse(self) -> "Word":
-        return Word._wrap(self.alphabet, tuple(map(neg, reversed(self.letters))))
+        return Word._wrap(self.alphabet, _inverse(self.code))
 
     def __pow__(self, n: int) -> "Word":
         """n-fold reduced product; negative n inverts.
@@ -188,22 +269,19 @@ class Word:
         'a1^3'
         """
         if n == 0:
-            return Word._wrap(self.alphabet, ())
+            return Word._wrap(self.alphabet, "")
         if n < 0:
             return (self ** (-n)).inverse()
         # w = c u c^-1 with u cyclically reduced, so w^n = c u^n c^-1 and
         # the n copies of u concatenate with no cancellation.
         core, conj = self.cyclic_reduce()
-        mid = core.letters * n
-        return Word._wrap(
-            self.alphabet, conj.letters + mid + conj.inverse().letters
-        )
+        return Word._wrap(self.alphabet, conj.code + core.code * n + _inverse(conj.code))
 
     def runs(self) -> Iterator[tuple[int, int]]:
         """Maximal runs as (generator, signed exponent) pairs."""
-        for letter, run in groupby(self.letters):
-            n = len(list(run))
-            yield abs(letter), n if letter > 0 else -n
+        for char, run in groupby(self.code):
+            p, n = ord(char), len(list(run))
+            yield p >> 1, -n if p & 1 else n
 
     def cyclic_reduce(self) -> tuple["Word", "Word"]:
         """Split ``w`` as ``conj * core * conj^-1`` with ``core`` cyclically reduced.
@@ -213,65 +291,72 @@ class Word:
         >>> core.letters, conj.letters
         ((2,), (1,))
         """
-        ls = self.letters
-        i, j = 0, len(ls)
-        while j - i >= 2 and ls[i] == -ls[j - 1]:
-            i += 1
-            j -= 1
-        return Word._wrap(self.alphabet, ls[i:j]), Word._wrap(self.alphabet, ls[:i])
+        code = self.code
+        # the word is reduced, so at least one letter of an odd-length word
+        # and two of an even-length one stay in the core
+        i = _cancelled(code, len(code), code, 0, len(code) // 2)
+        return (
+            Word._wrap(self.alphabet, code[i : len(code) - i]),
+            Word._wrap(self.alphabet, code[:i]),
+        )
 
 
 class CyclicWord:
     """The conjugacy class of a cyclically reduced word.
 
     Two cyclically reduced words are conjugate exactly when one is a
-    rotation of the other, so a class is held as the least rotation of
-    its words under the letter order, and equality and hashing compare
-    those letters.  Orientation is respected: a class and its inverse
-    class compare unequal unless they happen to coincide.
+    rotation of the other, so a class is held as the code of the least
+    rotation of its words, and equality and hashing compare those codes.
+    Orientation is respected: a class and its inverse class compare
+    unequal unless they happen to coincide.
 
     >>> ab = Alphabet.numbered(2, "a")
     >>> CyclicWord(ab, (2, 2, 1)).letters
     (1, 2, 2)
     """
 
-    __slots__ = ("alphabet", "letters")
+    __slots__ = ("alphabet", "code")
 
     def __init__(self, alphabet: Alphabet, letters: Iterable[int] = ()) -> None:
         letters = tuple(letters)
-        reduced = _free_reduce(letters, alphabet.rank)
-        if letters != reduced:
+        code = _free_reduce(letters, alphabet.rank)
+        if len(code) != len(letters):
             raise ValueError("letters are not freely reduced")
-        if len(reduced) >= 2 and reduced[0] == -reduced[-1]:
+        if len(code) >= 2 and ord(code[0]) ^ 1 == ord(code[-1]):
             raise ValueError("word is not cyclically reduced")
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "letters", _least_rotation(reduced))
+        object.__setattr__(self, "code", _least_rotation(code))
 
     @classmethod
-    def _wrap(cls, alphabet: Alphabet, least: tuple[int, ...]) -> "CyclicWord":
+    def _wrap(cls, alphabet: Alphabet, least: str) -> "CyclicWord":
         # trusted constructor: `least` must already be the least rotation
-        # of a cyclically reduced word
+        # of the code of a cyclically reduced word
         c = object.__new__(cls)
         object.__setattr__(c, "alphabet", alphabet)
-        object.__setattr__(c, "letters", least)
+        object.__setattr__(c, "code", least)
         return c
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("CyclicWord is immutable")
 
     def __reduce__(self):
-        return (CyclicWord._wrap, (self.alphabet, self.letters))
+        return (CyclicWord._wrap, (self.alphabet, self.code))
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        """The signed letters of the least rotation, decoded on every access."""
+        return _decode(self.code)
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.code)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CyclicWord):
             return NotImplemented
-        return self.alphabet == other.alphabet and self.letters == other.letters
+        return self.alphabet == other.alphabet and self.code == other.code
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, self.letters))
+        return hash((self.alphabet, self.code))
 
     def __repr__(self) -> str:
         return f"CyclicWord({render_word(self.to_word())!r})"
@@ -280,48 +365,29 @@ class CyclicWord:
         return render_word(self.to_word())
 
     def is_identity(self) -> bool:
-        return not self.letters
+        return not self.code
 
     def to_word(self) -> Word:
-        return Word._wrap(self.alphabet, self.letters)
+        return Word._wrap(self.alphabet, self.code)
 
     def inverse_class(self) -> "CyclicWord":
-        inverse = tuple(map(neg, reversed(self.letters)))
-        return CyclicWord._wrap(self.alphabet, _least_rotation(inverse))
+        return CyclicWord._wrap(self.alphabet, _least_rotation(_inverse(self.code)))
 
 
-# Letters are coded as one character each, so that the rotation scan below
-# compares words in C.  The generators that occur get consecutive indices t,
-# in generator order, and a letter of generator t is chr(2t), its inverse
-# chr(2t + 1).  Characters compare by code point, so as the letters do under
-# _letter_key, and the inverse word is coded by the reversed code with the
-# last bit of every code point flipped.  Python stores the code with 1, 2 or
-# 4 bytes per character, whichever its largest code point needs (PEP 393).
-# chr stops at sys.maxunicode, which bounds the generators a word may use.
-_MAX_CODED_GENERATORS = (sys.maxunicode + 1) // 2
+# min() compares one character object per letter, while `in` scans in C;
+# so the code points 2 .. 2 + _LEAST_PROBES - 1, the six letters of a
+# rank-3 word, are probed first, each probe one pass that stops at the
+# first hit, and min() runs only when none of them occurs
+_LEAST_PROBES = 6
 
 
-def _rotation_code(letters: tuple[int, ...]) -> tuple[str, str, str, dict[int, int]]:
-    """The code of the nonempty word ``letters``, the codes of the least
-    letter of that word and of its inverse, and the table that flips each
-    code point to its inverse's (see above)."""
-    present = set(letters)
-    gens = sorted({abs(s) for s in present})
-    if len(gens) > _MAX_CODED_GENERATORS:
-        raise ValueError(
-            f"word uses {len(gens)} distinct generators; "
-            f"the limit is {_MAX_CODED_GENERATORS}"
-        )
-    codes = {}
-    for t, gen in enumerate(gens):
-        codes[gen], codes[-gen] = chr(2 * t), chr(2 * t + 1)
-    code = "".join(map(codes.__getitem__, letters))
-    # the least letter is the least generator, or its inverse if only that occurs
-    first = gens[0]
-    least = codes[first if first in present else -first]
-    inverse_least = codes[first if -first in present else -first]
-    flip = {c: c ^ 1 for c in range(2 * len(gens))}
-    return code, least, inverse_least, flip
+def _least_letter(code: str) -> str:
+    """The least character of the nonempty ``code``, in O(len(code)) for
+    any alphabet."""
+    for p in range(2, 2 + _LEAST_PROBES):
+        if chr(p) in code:
+            return chr(p)
+    return min(code)
 
 
 def _least_start(code: str, least: str) -> int:
@@ -396,23 +462,20 @@ def _common_prefix(data: str, i: int, j: int, limit: int) -> int:
     return k
 
 
-def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically least rotation under the total letter order.
+def _least_rotation(code: str) -> str:
+    """Lexicographically least rotation of a cyclic word's code.
 
     Let m be the least letter that occurs and r the length of its longest
     cyclic run.  A least rotation begins with m^r, since every word of r
     letters is at least m^r, and at the start of a maximal run of m, since
     inside a run fewer than r letters m follow.  So only the starts of the
-    longest runs of m are candidates.  The word is coded once as a string,
-    one character per letter, that compares as the letters do (see
-    :func:`_rotation_code`), and :func:`_least_start` scans the candidates,
+    longest runs of m are candidates, and :func:`_least_start` scans them,
     comparing in C.
     """
-    if not letters:
-        return letters
-    code, least, _, _ = _rotation_code(letters)
-    i = _least_start(code, least)
-    return letters[i:] + letters[:i]
+    if not code:
+        return code
+    i = _least_start(code, _least_letter(code))
+    return code[i:] + code[:i]
 
 
 def canonical_class(w: Word, oriented: bool = True) -> CyclicWord:
@@ -436,30 +499,18 @@ def canonical_class(w: Word, oriented: bool = True) -> CyclicWord:
     if not oriented:
         return _canonical_classes(w)[0]
     core, _ = w.cyclic_reduce()
-    return CyclicWord._wrap(w.alphabet, _least_rotation(core.letters))
+    return CyclicWord._wrap(w.alphabet, _least_rotation(core.code))
 
 
 def _canonical_classes(w: Word) -> tuple[CyclicWord, CyclicWord]:
     """``(canonical_class(w, oriented=False), canonical_class(w))`` from one
     least rotation of the core of ``w`` and one of its inverse, so that
     :func:`~fgkit.family.verify` gets both classes for two rotations.
-
-    Both rotations run on one string code (the inverse's is the reversed
-    code with each character's last bit flipped), the unoriented choice is
-    one string comparison, and only a winning inverse rotation is decoded."""
+    The unoriented choice is one comparison of two codes."""
     core, _ = w.cyclic_reduce()
-    letters = core.letters
-    oriented = unoriented = letters
-    if letters:
-        code, least, inverse_least, flip = _rotation_code(letters)
-        inverse = code[::-1].translate(flip)
-        n = len(letters)
-        i = _least_start(code, least)
-        j = _least_start(inverse, inverse_least)
-        oriented = unoriented = letters[i:] + letters[:i]
-        # on a tie the two rotations are equal, so either is the answer
-        if inverse[j:] + inverse[:j] < code[i:] + code[:i]:
-            unoriented = tuple(map(neg, reversed(letters[n - j :] + letters[: n - j])))
+    oriented = _least_rotation(core.code)
+    # on a tie the two rotations are equal, so either is the answer
+    unoriented = min(oriented, _least_rotation(_inverse(core.code)))
     return CyclicWord._wrap(w.alphabet, unoriented), CyclicWord._wrap(w.alphabet, oriented)
 
 
@@ -481,7 +532,7 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     """
     stripped = text.strip()
     if stripped == "1":
-        return Word._wrap(alphabet, ())
+        return Word._wrap(alphabet, "")
     runs: list[tuple[int, int]] = []
     for atom in stripped.split():
         m = _ATOM_RE.match(atom)
@@ -545,16 +596,16 @@ def iter_reduced_words(
     gens = tuple(sorted(allowed)) if allowed is not None else tuple(
         range(1, alphabet.rank + 1)
     )
-    letters = [s for g in gens for s in (g, -g)]
-    frontier: list[tuple[int, ...]] = [()]
-    yield Word._wrap(alphabet, ())
+    letters = [chr(_letter_key(s)) for g in gens for s in (g, -g)]
+    frontier = [""]
+    yield Word._wrap(alphabet, "")
     for _ in range(max_length):
-        nxt: list[tuple[int, ...]] = []
+        nxt: list[str] = []
         for prefix in frontier:
             for s in letters:
-                if prefix and prefix[-1] == -s:
+                if prefix and ord(prefix[-1]) == ord(s) ^ 1:
                     continue
-                seq = prefix + (s,)
+                seq = prefix + s
                 nxt.append(seq)
                 yield Word._wrap(alphabet, seq)
         frontier = nxt

@@ -2,6 +2,9 @@ import concurrent.futures
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -12,9 +15,9 @@ from hypothesis import strategies as st
 
 import fgkit.cli as cli
 import fgkit.family as family
+import fgkit.words as words
 from fgkit.cli import main
 from fgkit.family import FamilyParams, VerificationReport
-from fgkit.words import Alphabet, CyclicWord
 
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -110,6 +113,15 @@ class TestWordCommand:
     def test_bad_alphabet(self, capsys):
         code, _, err = run(capsys, "word", "reduce", "y1", "--alphabet", "a,a")
         assert code == 2
+
+    def test_alphabet_rank_bound(self, capsys, monkeypatch):
+        # the real bound, 557,055 names, does not fit in one argument
+        monkeypatch.setattr(words, "_MAX_RANK", 2)
+        code, out, _ = run(capsys, "word", "canon", "y2 y1^-1", "--alphabet", "y1,y2")
+        assert (code, out) == (0, "y1 y2^-1\n")
+        code, out, err = run(capsys, "word", "reduce", "y1", "--alphabet", "y1,y2,y3")
+        assert (code, out) == (2, "")
+        assert err == "error: alphabet has 3 generators; the limit is 2\n"
 
 
 class TestVerifyCommand:
@@ -261,6 +273,18 @@ class TestSweepCommand:
         )
         assert code == 0
         assert path.read_bytes() == (GOLDEN / f"sweep_default.{fmt}").read_bytes()
+
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_output_does_not_depend_on_string_hashing(self, seed):
+        # words hash their str codes, and str hashes are salted per process
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fgkit.cli", "sweep", "--no-timings", "--format", "json"],
+            env=env, capture_output=True, check=True,
+        )
+        assert proc.stdout == (GOLDEN / "sweep_default.json").read_bytes()
 
     def test_range_syntax(self, capsys):
         code, out, _ = run(

@@ -267,21 +267,21 @@ class TestContains:
 class TestBaseLabels:
     def test_conjugate_uses_one_base_edge(self):
         g = build_subgroup_graph(words(AB, "a1 a2 a1^-1"), AB)
-        assert g.base_labels((1, 2, -1)) == {1}
+        assert g.base_labels(Word(AB, (1, 2, -1))) == {1}
 
     def test_loop_through_base_collects_both_sides(self):
         g = build_subgroup_graph(words(AB, "a1", "a2"), AB)
-        assert g.base_labels((1, -2)) == {1, -1, 2, -2}
-        assert g.base_labels(()) == set()
+        assert g.base_labels(Word(AB, (1, -2))) == {1, -1, 2, -2}
+        assert g.base_labels(Word(AB)) == set()
 
     def test_rejects_non_loops(self):
         g = build_subgroup_graph(words(AB, "a1^2"), AB)
         with pytest.raises(ValueError, match="path"):
-            g.base_labels((2,))
+            g.base_labels(Word(AB, (2,)))
         with pytest.raises(ValueError, match="loop"):
-            g.base_labels((1,))
+            g.base_labels(Word(AB, (1,)))
         with pytest.raises(ValueError, match="folded"):
-            SubgroupGraph.wedge(words(AB, "a1"), AB).base_labels((1,))
+            SubgroupGraph.wedge(words(AB, "a1"), AB).base_labels(Word(AB, (1,)))
 
 
 class TestDump:

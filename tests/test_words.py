@@ -1,6 +1,8 @@
 import itertools
 import pickle
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,19 +13,31 @@ from fgkit import (
     Alphabet,
     AlphabetMismatch,
     CyclicWord,
+    Homomorphism,
     Word,
     WordSyntaxError,
     canonical_class,
+    exponent_vector,
     iter_reduced_words,
     parse_word,
     render_word,
 )
 from fgkit.family import FamilyParams, boundary_word, embedding, shuffle_words, verify
 
-from oracles import least_rotation, naive_reduce, t_inv, t_mul, t_pow
+from oracles import least_rotation, naive_reduce, t_apply, t_inv, t_mul, t_pow
 
 Y = Alphabet.numbered(3, "y")
 AB = Alphabet.numbered(2, "a")
+
+
+def _code(letters):
+    """The letter code of a raw letter sequence, spelled out here: generator
+    k is chr(2k), its inverse chr(2k + 1)."""
+    return "".join(chr(2 * abs(s) + (s < 0)) for s in letters)
+
+
+def _letters(code):
+    return tuple(-(ord(c) // 2) if ord(c) % 2 else ord(c) // 2 for c in code)
 
 
 class TestAlphabet:
@@ -64,6 +78,22 @@ class TestAlphabet:
         w = parse_word(" ".join(f"g{k}" for k in range(n, 0, -1)), alphabet)
         assert w.letters == tuple(range(n, 0, -1))
         assert len(compared) <= n
+
+    def test_rank_bound(self):
+        # the top code point, chr(2 * rank + 1), must exist
+        bound = words._MAX_RANK
+        assert bound == 557_055
+        assert chr(2 * bound + 1) == chr(sys.maxunicode)
+        with pytest.raises(ValueError):
+            chr(2 * (bound + 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{bound + 1} generators; the limit is {bound}"):
+                Alphabet.numbered(bound + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # refused before any name was built
 
 
 class TestParse:
@@ -397,7 +427,7 @@ class TestLeastRotation:
         letters = tuple(letters)
         rotations = [letters[k:] + letters[:k] for k in range(len(letters))] or [()]
         best = min(rotations, key=lambda r: [words._letter_key(s) for s in r])
-        assert words._least_rotation(letters) == best
+        assert _letters(words._least_rotation(_code(letters))) == best
 
     # over 128 generators occur, so the code needs two bytes per character
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -410,8 +440,8 @@ class TestLeastRotation:
     def test_wide_codes_match_brute_force(self, letters, size, copies, tail):
         period = tuple(letters[:size])
         letters = period * copies + period[:tail]
-        assert max(words._rotation_code(letters)[0]) > "\xff"
-        assert words._least_rotation(letters) == _brute_least_rotation(letters)
+        assert max(_code(letters)) > "\xff"
+        assert _letters(words._least_rotation(_code(letters))) == _brute_least_rotation(letters)
         _assert_classes_match_brute_force(Alphabet.numbered(200), letters)
 
     def test_five_byte_codes_match_brute_force(self):
@@ -420,8 +450,8 @@ class TestLeastRotation:
         rng = random.Random(64)
         period = tuple(rng.choice((1, -1)) * gen for gen in rng.sample(range(1, 6001), 4200))
         letters = period + period[:50]
-        assert max(words._rotation_code(letters)[0]) > "\xff"
-        assert words._least_rotation(letters) == _brute_least_rotation(letters)
+        assert max(_code(letters)) > "\xff"
+        assert _letters(words._least_rotation(_code(letters))) == _brute_least_rotation(letters)
         _assert_classes_match_brute_force(Alphabet.numbered(6000), letters)
 
     @pytest.mark.parametrize("label", ["periodic", "one long tie", "boundary g=64"])
@@ -457,7 +487,7 @@ class TestLeastRotation:
         monkeypatch.setattr(words, "_least_start", counted_start)
         candidates = _longest_run_starts(letters)
         inverse_candidates = _longest_run_starts(t_inv(letters))
-        best = words._least_rotation(letters)
+        best = _letters(words._least_rotation(_code(letters)))
         _, oriented = words._canonical_classes(Word(Y, letters))
         forward, forward_again, inverse = scans
         assert forward_again == forward <= 2 * len(candidates) + 2
@@ -479,48 +509,138 @@ class TestLeastRotation:
 
 
 class TestLetterCodes:
-    # generators are renumbered from 0, so a letter code reaches 2 * gens - 1:
-    # over 128 generators need two bytes per character, over 27,648 reach
-    # the surrogate range 0xD800-0xDFFF and over 32,768 need four bytes
+    # generator k is coded chr(2k) and its inverse chr(2k + 1), so the top
+    # code point of a rank-n alphabet is 2n + 1: over 127 generators need
+    # two bytes per character, over 27,647 reach the surrogate range
+    # 0xD800-0xDFFF and over 32,767 need four bytes
     @pytest.mark.parametrize(
-        "gens,nbytes", [(3, 1), (128, 1), (129, 2), (28000, 2), (33000, 4)]
+        "gens,nbytes", [(3, 1), (127, 1), (129, 2), (28000, 2), (33000, 4)]
     )
     def test_order_inverse_and_least_rotations(self, gens, nbytes):
         rng = random.Random(gens)
-        # gaps, so that the generators that occur are renumbered; a quarter
-        # of them occur a second time, each time with a random sign
-        chosen = rng.sample(range(1, gens + gens // 2 + 10), gens)
+        # every generator occurs, a quarter of them a second time, each time
+        # with a random sign
+        alphabet = Alphabet.numbered(gens)
+        chosen = rng.sample(range(1, gens + 1), gens)
         period = [rng.choice((1, -1)) * gen for gen in chosen + chosen[: gens // 4]]
-        w = Word(Alphabet.numbered(max(chosen)), period * 2 + period[: gens // 3])
-        letters = w.cyclic_reduce()[0].letters
-        code, least, inverse_least, flip = words._rotation_code(letters)
-        inverse = code[::-1].translate(flip)
+        w = Word(alphabet, period * 2 + period[: gens // 3])
+        core = w.cyclic_reduce()[0]
+        letters, code = core.letters, core.code
+        inverse = core.inverse().code
         top = ord(max(code))
+        assert top >> 1 == gens
         assert (1 if top <= 0xFF else 2 if top <= 0xFFFF else 4) == nbytes
         if gens == 28000:
             assert 0xD800 <= top <= 0xDFFF
-        # code points compare as the letters do
+        # the code is fixed per alphabet, and code points compare as the
+        # letters do
+        assert code == _code(letters)
         char = dict(zip(letters + t_inv(letters), code + inverse))
         assert "".join(map(char.get, letters)) == code
         assert len(set(char.values())) == len(char)
         assert sorted(char, key=char.get) == sorted(char, key=words._letter_key)
-        assert least == char[min(letters, key=words._letter_key)]
-        assert inverse_least == char[min(t_inv(letters), key=words._letter_key)]
-        # the reversed code, translated, is the code of the inverse word
-        assert inverse == words._rotation_code(t_inv(letters))[0]
-        assert words._least_rotation(letters) == least_rotation(letters)
+        assert sorted(char, key=char.get) == sorted(char, key=lambda s: (abs(s), s < 0))
+        assert words._least_letter(code) == char[min(letters, key=words._letter_key)]
+        assert words._least_letter(inverse) == char[min(t_inv(letters), key=words._letter_key)]
+        # the inverse word's code is the reversed code with each code
+        # point's last bit flipped
+        assert inverse == "".join(chr(ord(c) ^ 1) for c in reversed(code))
+        assert inverse == _code(t_inv(letters)) == Word(alphabet, t_inv(letters)).code
+        assert _letters(words._least_rotation(code)) == least_rotation(letters)
         unoriented, oriented = words._canonical_classes(w)
         forward, backward = least_rotation(letters), least_rotation(t_inv(letters))
         assert oriented.letters == forward
         assert unoriented.letters == min(
             forward, backward, key=lambda r: [words._letter_key(s) for s in r]
         )
+        # codes in the surrogate range survive a pickle round trip
+        assert pickle.loads(pickle.dumps(unoriented)) == unoriented
 
     def test_generator_limit(self, monkeypatch):
-        monkeypatch.setattr(words, "_MAX_CODED_GENERATORS", 2)
-        assert canonical_class(parse_word("y2 y1^-1", Y)).letters == (-1, 2)
-        with pytest.raises(ValueError, match="3 distinct generators; the limit is 2"):
-            canonical_class(parse_word("y1 y2 y3", Y))
+        monkeypatch.setattr(words, "_MAX_RANK", 2)
+        assert canonical_class(parse_word("a2 a1^-1", AB)).letters == (-1, 2)
+        with pytest.raises(ValueError, match="3 generators; the limit is 2"):
+            Alphabet.numbered(3, "y")
+        with pytest.raises(ValueError, match="3 generators; the limit is 2"):
+            Alphabet(("y1", "y2", "y3"))
+
+    @pytest.mark.parametrize("label", ["generator 6000 only", "no probed generator"])
+    def test_least_letter_passes_are_bounded(self, label, monkeypatch):
+        # full passes over the code, never a time: a probe of every code
+        # point in turn would make about 12,000 of them for these words,
+        # which miss every probed code point, so min() finds the least
+        alphabet = Alphabet.numbered(6000)
+        if label == "generator 6000 only":
+            letters = (6000,) * 1000
+        else:
+            rng = random.Random(6000)
+            gens = (4, 5, 5999, 6000)
+            letters = [rng.choice(gens) * rng.choice((1, -1)) for _ in range(1000)]
+        w = Word(alphabet, letters)
+        core = w.cyclic_reduce()[0].letters
+        forward, backward = least_rotation(core), least_rotation(t_inv(core))
+        passes, calls = [], []
+
+        class CountingCode(str):
+            def __contains__(self, item):
+                passes.append("in")
+                return str.__contains__(self, item)
+
+            def __iter__(self):
+                passes.append("iter")
+                return str.__iter__(self)
+
+        real = words._least_letter
+
+        def counted(code):
+            calls.append(len(code))
+            return real(CountingCode(code))
+
+        monkeypatch.setattr(words, "_least_letter", counted)
+        unoriented, oriented = words._canonical_classes(w)
+        assert oriented.letters == forward
+        assert unoriented.letters == min(forward, backward, key=lambda r: [(abs(s), s < 0) for s in r])
+        assert calls == [len(core)] * 2
+        assert len(passes) <= 2 * (words._LEAST_PROBES + 1)
+        least = min(core, key=lambda s: (abs(s), s < 0))
+        assert real(CountingCode(w.code)) == chr(2 * abs(least) + (least < 0))
+
+    # the int-tuple oracles over the rank-3 codomain, and over a wide
+    # alphabet whose codes need one byte (generators 1 and 127) or two
+    # (generators 128 and 200)
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize(
+        "alphabet,gens", [(Y, (1, 2, 3)), (Alphabet.numbered(200, "g"), (1, 127, 128, 200))]
+    )
+    def test_operations_match_int_tuple_oracles(self, alphabet, gens, data):
+        letters = st.lists(st.sampled_from([s for g in gens for s in (g, -g)]), max_size=16)
+        raw_a, raw_b = data.draw(letters), data.draw(letters)
+        a, b = naive_reduce(raw_a), naive_reduce(raw_b)
+        u, v = Word(alphabet, raw_a), Word(alphabet, raw_b)
+        assert u.letters == tuple(u) == a and v.letters == b
+        assert u.code == _code(a)
+        assert (u * v).letters == t_mul(a, b)
+        assert u.inverse().letters == t_inv(a)
+        n = data.draw(st.integers(-4, 4))
+        assert (u ** n).letters == t_pow(a, n)
+        core, conj = u.cyclic_reduce()
+        i = 0
+        while len(a) - 2 * i >= 2 and a[i] == -a[len(a) - 1 - i]:
+            i += 1
+        assert (core.letters, conj.letters) == (a[i : len(a) - i], a[:i])
+        images = [naive_reduce(data.draw(letters)) for _ in range(3)]
+        x = Alphabet.numbered(3, "x")
+        hom = Homomorphism(x, alphabet, [Word(alphabet, img) for img in images])
+        domain_word = naive_reduce(data.draw(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=8)))
+        assert hom.apply(Word(x, domain_word)).letters == t_apply(images, domain_word)
+        assert exponent_vector(u) == tuple(
+            a.count(g) - a.count(-g) for g in range(1, alphabet.rank + 1)
+        )
+        runs = [(abs(s), len(list(run)) * (1 if s > 0 else -1)) for s, run in itertools.groupby(a)]
+        assert list(u.runs()) == runs
+        names = [alphabet.name(g) if e == 1 else f"{alphabet.name(g)}^{e}" for g, e in runs]
+        assert render_word(u) == (" ".join(names) or "1")
 
 
 class TestCyclicWord:
