@@ -1,9 +1,10 @@
-"""fgkit: exact computation in finite-rank free groups.
+"""fgkit: a small, exact verifier for a built-in family of surface-group
+embeddings into the rank-3 free group F(y1, y2, y3).
 
-Word arithmetic with free and cyclic reduction, homomorphisms given by
-generator images, Stallings subgroup graphs with injectivity certificates,
-exact integer Smith normal forms, and a verifier for a built-in family of
-surface-group embeddings into the rank-3 free group.
+:func:`verify` checks one instance (g, l) of the family.  It runs on exact
+free-group arithmetic: freely reduced words and their conjugacy classes,
+homomorphism application, Stallings subgroup graphs with injectivity
+certificates, and integer Smith normal forms.
 """
 
 from .abelian import INFINITE, exponent_vector, image_matrix, quotient_order, smith_normal_form
@@ -23,7 +24,7 @@ from .family import (
     target_alphabet,
     verify,
 )
-from .homs import Homomorphism, compose, random_reduced_word
+from .homs import Homomorphism
 from .stallings import InjectivityResult, SubgroupGraph, build_subgroup_graph, is_injective
 from .words import (
     Alphabet,
@@ -32,7 +33,6 @@ from .words import (
     Word,
     WordSyntaxError,
     canonical_class,
-    iter_reduced_words,
     parse_word,
     render_word,
 )
@@ -57,7 +57,6 @@ __all__ = [
     "build_subgroup_graph",
     "canonical_class",
     "check_shuffle_identities",
-    "compose",
     "domain_alphabet",
     "embedding",
     "exponent_vector",
@@ -65,10 +64,8 @@ __all__ = [
     "generator_images_recursive",
     "image_matrix",
     "is_injective",
-    "iter_reduced_words",
     "parse_word",
     "quotient_order",
-    "random_reduced_word",
     "reference_quotient_order",
     "render_word",
     "shuffle_words",

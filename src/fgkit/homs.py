@@ -1,19 +1,19 @@
 """Free-group homomorphisms given by generator images.
 
 A homomorphism is determined by one image word per domain generator.
-Application and composition reduce eagerly, so equal maps have equal
-image tuples.  Everything here is immutable and parallel-safe.
+Images are reduced words, so equal maps have equal image tuples, and
+application returns a reduced word.  Everything here is immutable and
+parallel-safe.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .words import Alphabet, AlphabetMismatch, Word, parse_word, render_word
+from .words import Alphabet, AlphabetMismatch, Word, render_word
 from .words import _cancelled, _inverse, _letter_key
 
-__all__ = ["Homomorphism", "compose", "random_reduced_word"]
+__all__ = ["Homomorphism"]
 
 
 class Homomorphism:
@@ -48,14 +48,6 @@ class Homomorphism:
 
     def __reduce__(self):
         return (Homomorphism, (self.domain, self.codomain, self.images))
-
-    @classmethod
-    def identity(cls, alphabet: Alphabet) -> "Homomorphism":
-        return cls(
-            alphabet,
-            alphabet,
-            (Word(alphabet, (g,)) for g in range(1, alphabet.rank + 1)),
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Homomorphism):
@@ -112,61 +104,3 @@ class Homomorphism:
                 parts.append(img[start:])
                 ends.append(len(img) - start)
         return Word._wrap(self.codomain, "".join(p[:n] for p, n in zip(parts, ends)))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "domain": list(self.domain.names),
-            "codomain": list(self.codomain.names),
-            "images": {
-                self.domain.name(k + 1): render_word(img)
-                for k, img in enumerate(self.images)
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Homomorphism":
-        domain = Alphabet(tuple(data["domain"]))
-        codomain = Alphabet(tuple(data["codomain"]))
-        images = [
-            parse_word(data["images"][name], codomain) for name in domain.names
-        ]
-        return cls(domain, codomain, images)
-
-
-def compose(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
-    """Composite map applying ``inner`` first, then ``outer``:
-    ``compose(outer, inner).apply(w) == outer.apply(inner.apply(w))``."""
-    if inner.codomain != outer.domain:
-        raise AlphabetMismatch(
-            "inner codomain does not match outer domain"
-        )
-    return Homomorphism(
-        inner.domain, outer.codomain, (outer.apply(img) for img in inner.images)
-    )
-
-
-def random_reduced_word(
-    alphabet: Alphabet,
-    length: int,
-    seed: int,
-    allowed: Optional[Iterable[int]] = None,
-) -> Word:
-    """Uniformly random reduced word of exactly the requested length.
-
-    The walk is non-backtracking: the first letter is uniform over all
-    2*rank signed letters, each later letter uniform over the 2*rank - 1
-    letters that do not cancel.  Deterministic for a fixed seed.
-    """
-    rng = random.Random(seed)
-    gens = tuple(sorted(allowed)) if allowed is not None else tuple(
-        range(1, alphabet.rank + 1)
-    )
-    choices = [s for g in gens for s in (g, -g)]
-    out: list[int] = []
-    for _ in range(length):
-        if out:
-            opts = [s for s in choices if s != -out[-1]]
-        else:
-            opts = choices
-        out.append(rng.choice(opts))
-    return Word(alphabet, out)

@@ -50,7 +50,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional
 
 from .homs import Homomorphism
-from .words import Alphabet, AlphabetMismatch, Word, _inverse, _letter, _letter_key
+from .words import Alphabet, AlphabetMismatch, Word, _inverse, _letter
 
 __all__ = [
     "SubgroupGraph",
@@ -220,19 +220,9 @@ class SubgroupGraph:
         """True iff ``w`` is readable as a base-to-base path: subgroup membership."""
         if w.alphabet != self.alphabet:
             raise AlphabetMismatch("query word not over the graph's alphabet")
-        return self._reads_loop(w.code)
-
-    def reads_loop(self, letters: Iterable[int]) -> bool:
-        """Whether a raw (not necessarily reduced) letter sequence spells a
-        base-to-base edge path."""
-        rank = self.alphabet.rank
-        # "" labels no edge, so a letter out of range ends the path
-        return self._reads_loop(chr(_letter_key(s)) if 0 < abs(s) <= rank else "" for s in letters)
-
-    def _reads_loop(self, code: Iterable[str]) -> bool:
         out = self._folded_out("reading paths")
         v = self.base
-        for s in code:
+        for s in w.code:
             nxt = out[v].get(s)
             if nxt is None:
                 return False

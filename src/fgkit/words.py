@@ -26,7 +26,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 __all__ = [
     "Alphabet",
@@ -37,7 +37,6 @@ __all__ = [
     "parse_word",
     "render_word",
     "canonical_class",
-    "iter_reduced_words",
 ]
 
 
@@ -104,13 +103,6 @@ class Alphabet:
 
     def name(self, gen: int) -> str:
         return self.names[gen - 1]
-
-    def letters(self) -> tuple[int, ...]:
-        """All 2*rank signed letters, in canonical order y1, y1^-1, y2, ..."""
-        out: list[int] = []
-        for g in range(1, self.rank + 1):
-            out.extend((g, -g))
-        return tuple(out)
 
 
 def _letter_key(letter: int) -> int:
@@ -581,31 +573,3 @@ def render_word(w: Word) -> str:
         parts.append(name if exp == 1 else f"{name}^{exp}")
     return " ".join(parts)
 
-
-def iter_reduced_words(
-    alphabet: Alphabet,
-    max_length: int,
-    allowed: Optional[Iterable[int]] = None,
-) -> Iterator[Word]:
-    """Yield every reduced word of length <= max_length, shortest first.
-
-    ``allowed`` restricts the generators used (1-based indices).  The order
-    is deterministic: within a length, words are lexicographic under the
-    canonical letter order.
-    """
-    gens = tuple(sorted(allowed)) if allowed is not None else tuple(
-        range(1, alphabet.rank + 1)
-    )
-    letters = [chr(_letter_key(s)) for g in gens for s in (g, -g)]
-    frontier = [""]
-    yield Word._wrap(alphabet, "")
-    for _ in range(max_length):
-        nxt: list[str] = []
-        for prefix in frontier:
-            for s in letters:
-                if prefix and ord(prefix[-1]) == ord(s) ^ 1:
-                    continue
-                seq = prefix + s
-                nxt.append(seq)
-                yield Word._wrap(alphabet, seq)
-        frontier = nxt

@@ -4,10 +4,12 @@ Everything here works on plain tuples of signed integers and deliberately
 avoids the library's own algorithms: reduction is by repeated full scans,
 lattice indices come from integer row echelon, determinants from Bareiss
 elimination, and subgroup membership from Nielsen-reduced enumeration.
+The word generators the tests draw their inputs from live here too.
 """
 
 from __future__ import annotations
 
+import random
 from math import prod
 
 
@@ -52,6 +54,52 @@ def t_apply(images, word) -> tuple[int, ...]:
     for s in word:
         seq.extend(images[s - 1] if s > 0 else t_inv(images[-s - 1]))
     return naive_reduce(seq)
+
+
+# -- word generators ----------------------------------------------------------
+
+
+def _signed_letters(rank: int, allowed) -> list[int]:
+    """``g, -g`` for each generator g of ``allowed`` (default all of
+    1..rank), in increasing g; ``ValueError`` for one outside 1..rank."""
+    gens = sorted(allowed) if allowed is not None else range(1, rank + 1)
+    for g in gens:
+        if not (isinstance(g, int) and 1 <= g <= rank):
+            raise ValueError(f"generator {g!r} out of range for rank {rank}")
+    return [s for g in gens for s in (g, -g)]
+
+
+def reduced_words(rank: int, max_length: int, allowed=None):
+    """Yield every reduced word of length <= ``max_length`` over the
+    generators ``allowed`` (default 1..rank), shortest first; within a
+    length, lexicographic under the letter order g, -g of ``allowed``."""
+    letters = _signed_letters(rank, allowed)
+    frontier: list[tuple[int, ...]] = [()]
+    yield ()
+    for _ in range(max_length):
+        nxt = []
+        for prefix in frontier:
+            for s in letters:
+                if prefix and prefix[-1] == -s:
+                    continue
+                seq = prefix + (s,)
+                nxt.append(seq)
+                yield seq
+        frontier = nxt
+
+
+def random_reduced_letters(rank: int, length: int, seed: int, allowed=None) -> tuple[int, ...]:
+    """Random reduced word of exactly ``length`` letters, deterministic per
+    seed: a non-backtracking walk whose first letter is uniform over the
+    signed letters of ``allowed`` (default 1..rank) and each later letter
+    uniform over those that do not cancel it."""
+    rng = random.Random(seed)
+    choices = _signed_letters(rank, allowed)
+    out: list[int] = []
+    for _ in range(length):
+        opts = [s for s in choices if s != -out[-1]] if out else choices
+        out.append(rng.choice(opts))
+    return tuple(out)
 
 
 # -- shuffle identities -------------------------------------------------------

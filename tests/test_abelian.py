@@ -81,7 +81,8 @@ class TestExponentVector:
 
 class TestImageMatrix:
     def test_identity(self):
-        assert image_matrix(Homomorphism.identity(Y)) == [
+        identity = Homomorphism(Y, Y, [Word(Y, (g,)) for g in (1, 2, 3)])
+        assert image_matrix(identity) == [
             [1, 0, 0],
             [0, 1, 0],
             [0, 0, 1],

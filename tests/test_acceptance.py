@@ -21,10 +21,8 @@ from fgkit import (
     generator_images_recursive,
     image_matrix,
     is_injective,
-    iter_reduced_words,
     parse_word,
     quotient_order,
-    random_reduced_word,
     reference_quotient_order,
     render_word,
     check_shuffle_identities,
@@ -187,11 +185,7 @@ def test_criterion_6_word_engine_property_suite():
 
 def _membership_instances():
     for rank in (1, 2):
-        cands = [
-            w.letters
-            for w in iter_reduced_words(Alphabet.numbered(rank, "a"), 3)
-            if not w.is_identity()
-        ]
+        cands = [t for t in oracles.reduced_words(rank, 3) if t]
         # generating sets are inverse-insensitive, so one representative
         # per {w, w^-1} pair is enough
         canon = sorted({min(t, oracles.t_inv(t)) for t in cands})
@@ -205,13 +199,13 @@ def test_criterion_7_stallings_oracle_and_smith_certificates():
     mismatches = []
     for rank, instances in _membership_instances():
         alphabet = Alphabet.numbered(rank, "a")
-        queries = list(iter_reduced_words(alphabet, 6))
+        queries = list(oracles.reduced_words(rank, 6))
         for inst in instances:
             ball = oracles.subgroup_elements_up_to(inst, 6)
             graph = build_subgroup_graph([Word(alphabet, t) for t in inst], alphabet)
-            for q in queries:
-                if graph.contains(q) != (q.letters in ball):
-                    mismatches.append((inst, q.letters))
+            for t in queries:
+                if graph.contains(Word(alphabet, t)) != (t in ball):
+                    mismatches.append((inst, t))
                 checks += 1
     assert not mismatches, mismatches[:5]
 
@@ -247,22 +241,19 @@ def test_criterion_8_block_letter_structure():
         even = tuple(range(2, 2 * g + 1, 2))
         odd = tuple(range(1, 2 * g + 1, 2))
         for gens, boundary in ((even, {1}), (odd, {2, 3})):
-            samples = [
-                w
-                for w in iter_reduced_words(domain, 3, allowed=gens)
-                if not w.is_identity()
-            ]
+            rank = domain.rank
+            samples = [t for t in oracles.reduced_words(rank, 3, allowed=gens) if t]
             for i in range(200):
                 length = 1 + i % 8
                 samples.append(
-                    random_reduced_word(domain, length, seed=SEED + i, allowed=gens)
+                    oracles.random_reduced_letters(rank, length, seed=SEED + i, allowed=gens)
                 )
-            for w in samples:
-                img = hom.apply(w)
+            for t in samples:
+                img = hom.apply(Word(domain, t))
                 if img.is_identity() or not (
                     abs(img.letters[0]) in boundary and abs(img.letters[-1]) in boundary
                 ):
-                    failures.append((g, l, gens, w))
+                    failures.append((g, l, gens, t))
     _verdict(
         8,
         not failures,

@@ -19,7 +19,6 @@ from fgkit import (
     exponent_vector,
     generator_images_closed,
     generator_images_recursive,
-    iter_reduced_words,
     parse_word,
     reference_quotient_order,
     shuffle_words,
@@ -261,7 +260,7 @@ def _certificate(hom: Homomorphism) -> tuple[bool, bool]:
 X4 = Alphabet.numbered(4, "x")
 SHORT_WORDS = [
     (
-        [w for w in iter_reduced_words(X4, 4, allowed=gens) if not w.is_identity()],
+        [Word(X4, t) for t in oracles.reduced_words(4, 4, allowed=gens) if t],
         boundary,
     )
     for gens, boundary in (((2, 4), {1}), ((1, 3), {2, 3}))

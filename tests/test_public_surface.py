@@ -1,0 +1,130 @@
+"""The public surface of fgkit: what the package exports, what the
+benchmark harness calls, and that importing the CLI needs only the
+standard library.
+
+The lists here are literal, so deleting or renaming a public name is a
+deliberate edit of this file.
+"""
+
+import importlib
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fgkit
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PACKAGE_ALL = [
+    "Alphabet",
+    "AlphabetMismatch",
+    "CyclicWord",
+    "DEFAULT_G_VALUES",
+    "DEFAULT_L_VALUES",
+    "FamilyParams",
+    "Homomorphism",
+    "INFINITE",
+    "InjectivityResult",
+    "SubgroupGraph",
+    "VerificationReport",
+    "Word",
+    "WordSyntaxError",
+    "boundary_word",
+    "build_subgroup_graph",
+    "canonical_class",
+    "check_shuffle_identities",
+    "domain_alphabet",
+    "embedding",
+    "exponent_vector",
+    "generator_images_closed",
+    "generator_images_recursive",
+    "image_matrix",
+    "is_injective",
+    "parse_word",
+    "quotient_order",
+    "reference_quotient_order",
+    "render_word",
+    "shuffle_words",
+    "smith_normal_form",
+    "target_alphabet",
+    "verify",
+]
+
+SUBMODULES = ["abelian", "family", "homs", "stallings", "words"]
+
+# (module, name): what perfbench/workloads.py calls and perfbench/tracer.py
+# wraps, read from the module the harness reads it from
+PERFBENCH_FUNCTIONS = [
+    ("fgkit.words", "canonical_class"),
+    ("fgkit.words", "render_word"),
+    ("fgkit.stallings", "is_injective"),
+    ("fgkit.stallings", "build_subgroup_graph"),
+    ("fgkit.abelian", "image_matrix"),
+    ("fgkit.abelian", "smith_normal_form"),
+    ("fgkit.abelian", "quotient_order"),
+    ("fgkit.family", "generator_images_recursive"),
+    ("fgkit.family", "generator_images_closed"),
+    ("fgkit.family", "check_shuffle_identities"),
+    ("fgkit.family", "verify"),
+    ("fgkit.family", "FamilyParams"),
+    ("fgkit.family", "domain_alphabet"),
+    ("fgkit.family", "target_alphabet"),
+    ("fgkit.family", "boundary_word"),
+    ("fgkit.homs", "Homomorphism"),
+    ("fgkit.cli", "main"),
+]
+
+# (class, method): the tracer wraps what it finds in the class's own
+# __dict__, so an inherited method would go untraced
+PERFBENCH_METHODS = [
+    ("fgkit.words", "Word", "__mul__"),
+    ("fgkit.words", "Word", "__pow__"),
+    ("fgkit.homs", "Homomorphism", "apply"),
+    ("fgkit.stallings", "SubgroupGraph", "wedge"),
+    ("fgkit.stallings", "SubgroupGraph", "fold"),
+    ("fgkit.stallings", "SubgroupGraph", "rank"),
+]
+
+
+def test_package_all_is_frozen():
+    assert fgkit.__all__ == PACKAGE_ALL
+    for name in PACKAGE_ALL:
+        assert hasattr(fgkit, name), name
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_all_resolves(name):
+    module = importlib.import_module(f"fgkit.{name}")
+    for attr in module.__all__:
+        assert hasattr(module, attr), (name, attr)
+
+
+@pytest.mark.parametrize("module, name", PERFBENCH_FUNCTIONS)
+def test_perfbench_function_exists(module, name):
+    assert callable(getattr(importlib.import_module(module), name, None))
+
+
+@pytest.mark.parametrize("module, cls, method", PERFBENCH_METHODS)
+def test_perfbench_method_exists(module, cls, method):
+    assert method in vars(getattr(importlib.import_module(module), cls))
+
+
+def test_wedge_is_a_classmethod():
+    assert isinstance(vars(fgkit.SubgroupGraph)["wedge"], classmethod)
+
+
+def test_cli_imports_only_the_standard_library():
+    # -S skips site, so nothing from site-packages is imported on the side
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "import fgkit.cli\n"
+        "tops = {name.partition('.')[0] for name in sys.modules}\n"
+        "print(' '.join(sorted(tops - set(sys.stdlib_module_names))))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert set(done.stdout.split()) - {"__main__"} == {"fgkit"}

@@ -12,7 +12,6 @@ from fgkit import (
     build_subgroup_graph,
     embedding,
     is_injective,
-    iter_reduced_words,
     parse_word,
 )
 
@@ -95,8 +94,9 @@ class TestFold:
         assert not g.contains(parse_word("a1", ABC))
 
     def test_language_preserved_before_and_after_folding(self):
-        # the unreduced concatenation of generator loops spells a base loop
-        # of the folded graph, and the reduced product is a member
+        # in a folded graph a raw letter sequence spells a base loop exactly
+        # when its free reduction does, so the free reduction of the raw
+        # concatenation of generator loops, and the product, are members
         rng = random.Random(71)
         gens = words(AB, "a1^2", "a2 a1 a2^-1", "a2^3")
         wedge = SubgroupGraph.wedge(gens, AB)
@@ -114,7 +114,7 @@ class TestFold:
         for g in gens:
             assert folded.contains(g)
         for raw, w in products:
-            assert folded.reads_loop(raw)
+            assert folded.contains(Word(AB, raw))
             assert folded.contains(w)
 
     def test_closing_edge_collides_at_base(self):
@@ -143,7 +143,7 @@ class TestFold:
         checked = 0
         for _ in range(200):
             alphabet = Alphabet.numbered(rng.randint(1, 3), "a")
-            letters = alphabet.letters()
+            letters = [s for g in range(1, alphabet.rank + 1) for s in (g, -g)]
             gens = [
                 Word(alphabet, [rng.choice(letters) for _ in range(rng.randint(1, 5))])
                 for _ in range(rng.randint(1, 3))
@@ -151,8 +151,8 @@ class TestFold:
             ball = oracles.subgroup_elements_up_to([w.letters for w in gens if w.letters], 4)
             graph = build_subgroup_graph(gens, alphabet)
             assert graph.rank() == len(oracles.nielsen_reduce([w.letters for w in gens]))
-            for q in iter_reduced_words(alphabet, 4):
-                assert graph.contains(q) == (q.letters in ball), (gens, q)
+            for t in oracles.reduced_words(alphabet.rank, 4):
+                assert graph.contains(Word(alphabet, t)) == (t in ball), (gens, t)
                 checked += 1
         assert checked > 10_000
 
@@ -173,7 +173,8 @@ class TestFold:
                     reference.n_edges,
                 )
                 assert other.rank() == reference.rank()
-                for q in iter_reduced_words(AB, 4):
+                for t in oracles.reduced_words(2, 4):
+                    q = Word(AB, t)
                     assert other.contains(q) == reference.contains(q)
 
 
@@ -192,7 +193,6 @@ class TestWedge:
         folded = build_subgroup_graph(words(AB, "a1^2"), AB)
         queries = [
             lambda: wedge.contains(parse_word("a1^2", AB)),
-            lambda: wedge.reads_loop((1, 1)),
             wedge.edges,
             wedge.dump,
             lambda: wedge == folded,

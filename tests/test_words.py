@@ -18,13 +18,12 @@ from fgkit import (
     WordSyntaxError,
     canonical_class,
     exponent_vector,
-    iter_reduced_words,
     parse_word,
     render_word,
 )
 from fgkit.family import FamilyParams, boundary_word, embedding, shuffle_words, verify
 
-from oracles import least_rotation, naive_reduce, t_apply, t_inv, t_mul, t_pow
+from oracles import least_rotation, naive_reduce, reduced_words, t_apply, t_inv, t_mul, t_pow
 
 Y = Alphabet.numbered(3, "y")
 AB = Alphabet.numbered(2, "a")
@@ -56,9 +55,6 @@ class TestAlphabet:
             Alphabet(("1bad",))
         with pytest.raises(ValueError):
             Alphabet(("with space",))
-
-    def test_letters_order(self):
-        assert AB.letters() == (1, -1, 2, -2)
 
     def test_index_is_one_lookup(self):
         # name comparisons, never a time: finding each name by a scan of
@@ -698,16 +694,32 @@ class TestRender:
 
 
 class TestIterReducedWords:
+    """``oracles.reduced_words``, the exhaustive word lists of the tests."""
+
     def test_counts(self):
-        words = list(iter_reduced_words(AB, 2))
+        words = list(reduced_words(2, 2))
         # 1 empty + 4 of length 1 + 12 of length 2
         assert len(words) == 17
-        assert len({w.letters for w in words}) == 17
-        assert all(w.letters == naive_reduce(w.letters) for w in words)
+        assert len(set(words)) == 17
+        assert all(w == naive_reduce(w) for w in words)
+
+    def test_order_frozen(self):
+        assert list(reduced_words(2, 2)) == [
+            (), (1,), (-1,), (2,), (-2,),
+            (1, 1), (1, 2), (1, -2), (-1, -1), (-1, 2), (-1, -2),
+            (2, 1), (2, -1), (2, 2), (-2, 1), (-2, -1), (-2, -2),
+        ]
 
     def test_allowed_subset(self):
-        words = list(iter_reduced_words(Y, 2, allowed=(2,)))
-        assert {w.letters for w in words} == {(), (2,), (-2,), (2, 2), (-2, -2)}
+        words = list(reduced_words(3, 2, allowed=(2,)))
+        assert set(words) == {(), (2,), (-2,), (2, 2), (-2, -2)}
+
+    def test_allowed_out_of_range(self):
+        # a generator outside 1..rank would give words that no Word over
+        # the rank-3 alphabet can hold
+        for allowed in ((5,), (0,), (2, 4)):
+            with pytest.raises(ValueError, match="out of range"):
+                list(reduced_words(3, 1, allowed=allowed))
 
 
 class TestPickle:
