@@ -20,13 +20,13 @@ recorded in the report, never raised.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
 from .abelian import INFINITE, _InfiniteType, image_matrix, quotient_order
 from .homs import Homomorphism
 from .stallings import InjectivityResult, SubgroupGraph, build_subgroup_graph
 from .words import (
+    _MAX_PARSED_LETTERS,
     Alphabet,
     CyclicWord,
     Word,
@@ -69,16 +69,61 @@ def domain_alphabet(g: int) -> Alphabet:
     return Alphabet.numbered(2 * g, "x")
 
 
-@dataclass(frozen=True)
 class FamilyParams:
-    """One instance of the family: genus g (even, >= 2), winding l (>= 3)."""
+    """One instance of the family: genus g (even, >= 2), winding l (>= 3).
 
-    g: int
-    l: int
+    Immutable; equal when g and l are.  An instance whose boundary image
+    may spell more than ``words._MAX_PARSED_LETTERS`` letters (see
+    :func:`_boundary_letters_bound`) is refused before any word is built.
+    """
 
-    def __post_init__(self) -> None:
-        _check_genus(self.g)
-        _check_winding(self.l)
+    __slots__ = ("g", "l")
+
+    def __init__(self, g: int, l: int) -> None:
+        _check_genus(g)
+        _check_winding(l)
+        bound = _boundary_letters_bound(g, l)
+        if bound > _MAX_PARSED_LETTERS:
+            raise ValueError(
+                f"g={g}, l={l}: the boundary image may have {bound} letters; "
+                f"the limit is {_MAX_PARSED_LETTERS}"
+            )
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "l", l)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FamilyParams is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("FamilyParams is immutable")
+
+    def __reduce__(self):
+        return (FamilyParams, (self.g, self.l))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.g, self.l) == (other.g, other.l)
+
+    def __hash__(self) -> int:
+        return hash((self.g, self.l))
+
+    def __repr__(self) -> str:
+        return f"FamilyParams(g={self.g!r}, l={self.l!r})"
+
+
+def _boundary_letters_bound(g: int, l: int) -> int:
+    """Upper bound on the letters of the boundary image at (g, l), before
+    reduction, in O(1).
+
+    x1 has 3 letters, and step k of the recursion wraps x_(k-1) in
+    ``left * x_(k-1) * right`` (:func:`generator_images_recursive`), which
+    adds l + 5 letters for odd k and 4 for even k.  So |x_(2m+1)| <=
+    3 + m(l + 9) and |x_(2m+2)| <= |x_(2m+1)| + 4, and the boundary word,
+    which spells each x_k once and its inverse once, maps to at most
+    2 * (10g + (l + 9) g (g - 1)) letters.
+    """
+    return 2 * (10 * g + (l + 9) * g * (g - 1))
 
 
 def _check_genus(g: int) -> None:
@@ -110,25 +155,21 @@ def shuffle_words(l: int) -> tuple[Word, Word]:
 
 
 def generator_images_recursive(params: FamilyParams) -> list[Word]:
-    """Images of x1 .. x_{2g} by the defining four-step recursion."""
+    """Images of x1 .. x_{2g} by the defining four-step recursion: x1 ->
+    y3^3, and x_k -> left * x_(k-1) * right with the pair chosen by k % 4."""
     y = target_alphabet()
     l = params.l
-    y1 = Word(y, (1,))
-    y2 = Word(y, (2,))
-    y3 = Word(y, (3,))
-    images = [y3 ** 3]
+    # (left, right) for k % 4 == 0, 1, 2, 3
+    sides = (
+        (Word(y, (-1,)), Word(y, (-1, -1, -1))),
+        (Word(y, (-3, -2)), Word(y, (2,) * l + (3, 3, 3))),
+        (Word(y, (1, 1, 1)), Word(y, (1,))),
+        (Word(y, (-3, -3, -3) + (-2,) * l), Word(y, (2, 3))),
+    )
+    images = [Word(y, (3, 3, 3))]
     for k in range(2, 2 * params.g + 1):
-        prev = images[-1]
-        step = k % 4
-        if step == 1:
-            img = y3 ** -1 * y2 ** -1 * prev * y2 ** l * y3 ** 3
-        elif step == 2:
-            img = y1 ** 3 * prev * y1
-        elif step == 3:
-            img = y3 ** -3 * y2 ** -l * prev * y2 * y3
-        else:
-            img = y1 ** -1 * prev * y1 ** -3
-        images.append(img)
+        left, right = sides[k % 4]
+        images.append(left * images[-1] * right)
     return images
 
 
@@ -142,22 +183,15 @@ def generator_images_closed(params: FamilyParams) -> list[Word]:
     u, v = shuffle_words(params.l)
     a = u.inverse() * v
     b = u * v.inverse()
-    y1 = Word(y, (1,))
-    y3 = Word(y, (3,))
+    y1_3, y1 = Word(y, (1, 1, 1)), Word(y, (1,))
+    y1_inv, y1_inv3 = y1.inverse(), y1_3.inverse()
+    y3_3 = Word(y, (3, 3, 3))
     images = []
-    for k in range(1, 2 * params.g + 1):
-        i = (k - 1) // 4
-        mid = a ** i * y3 ** 3 * b ** i
-        step = k % 4
-        if step == 1:
-            img = mid
-        elif step == 2:
-            img = y1 ** 3 * mid * y1
-        elif step == 3:
-            img = v * mid * u
-        else:
-            img = y1 ** -1 * v * mid * u * y1 ** -3
-        images.append(img)
+    # g is even, so x_(4i+1) .. x_(4i+4) for i < g/2 are all 2g images
+    for i in range(params.g // 2):
+        mid = a ** i * y3_3 * b ** i
+        vmu = v * mid * u
+        images += (mid, y1_3 * mid * y1, vmu, y1_inv * vmu * y1_inv3)
     return images
 
 
@@ -313,23 +347,51 @@ def _block_letters_hold(hom: Homomorphism, graph: SubgroupGraph) -> bool:
 # -- the per-instance verdict ----------------------------------------------
 
 
-@dataclass
 class VerificationReport:
-    """Structured outcome of one (g, l) verification run."""
+    """Structured outcome of one (g, l) verification run.
 
-    params: FamilyParams
-    injective: bool
-    image_rank: int
-    closed_form_ok: bool
-    shuffle_identities_ok: bool
-    block_letter_ok: bool
-    quotient_order: Union[int, _InfiniteType]
-    reference_order: int
-    reference_order_match: bool
-    boundary_class: CyclicWord
-    boundary_class_oriented: CyclicWord
-    warnings: list[str] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
+    Fields are plain attributes, set in the constructor's order; ``==``
+    compares them all, and a report is unhashable.
+    """
+
+    def __init__(
+        self,
+        params: FamilyParams,
+        injective: bool,
+        image_rank: int,
+        closed_form_ok: bool,
+        shuffle_identities_ok: bool,
+        block_letter_ok: bool,
+        quotient_order: Union[int, _InfiniteType],
+        reference_order: int,
+        reference_order_match: bool,
+        boundary_class: CyclicWord,
+        boundary_class_oriented: CyclicWord,
+        warnings: Optional[list[str]] = None,
+        timings: Optional[dict[str, float]] = None,
+    ) -> None:
+        self.params = params
+        self.injective = injective
+        self.image_rank = image_rank
+        self.closed_form_ok = closed_form_ok
+        self.shuffle_identities_ok = shuffle_identities_ok
+        self.block_letter_ok = block_letter_ok
+        self.quotient_order = quotient_order
+        self.reference_order = reference_order
+        self.reference_order_match = reference_order_match
+        self.boundary_class = boundary_class
+        self.boundary_class_oriented = boundary_class_oriented
+        self.warnings = [] if warnings is None else warnings
+        self.timings = {} if timings is None else timings
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"VerificationReport({fields})"
 
     @property
     def quotient_finite(self) -> bool:

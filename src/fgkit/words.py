@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -49,9 +47,13 @@ class AlphabetMismatch(ValueError):
 
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# a maximal run of one letter code, and that code; DOTALL, since generator
+# 5 is coded chr(10), a newline
+_RUN_RE = re.compile(r"(?s)((.)\2*)")
 _ATOM_RE = re.compile(r"(?P<name>[A-Za-z][A-Za-z0-9_]*)(?:\^(?P<exp>[+-]?[0-9]+))?\Z")
 # parse_word refuses text that spells more letters than this before
-# reduction; the boundary image at g = 256, l = 12 has 2,745,848
+# reduction, and FamilyParams an instance whose boundary image may; the
+# boundary image at g = 256, l = 12 has 2,745,848
 _MAX_PARSED_LETTERS = 1 << 22
 # the inverse of the last generator is coded chr(2 * rank + 1), and chr
 # stops at sys.maxunicode, so an alphabet has at most 557,055 generators
@@ -63,29 +65,50 @@ def _check_rank(rank: int) -> None:
         raise ValueError(f"alphabet has {rank} generators; the limit is {_MAX_RANK}")
 
 
-@dataclass(frozen=True)
 class Alphabet:
     """An ordered set of free generators, identified by name.
+
+    Immutable; equal when the names are.
 
     >>> Alphabet.numbered(3, "y").names
     ('y1', 'y2', 'y3')
     """
 
-    names: tuple[str, ...]
-    # name -> 1-based generator index, so that index() is one lookup
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    # _index maps name -> 1-based generator index, so that index() is one lookup
+    __slots__ = ("names", "_index")
 
-    def __post_init__(self) -> None:
-        if len(self.names) < 1:
+    def __init__(self, names: tuple[str, ...]) -> None:
+        if len(names) < 1:
             raise ValueError("alphabet needs at least one generator")
-        _check_rank(len(self.names))
-        index = {name: k for k, name in enumerate(self.names, 1)}
-        if len(index) != len(self.names):
+        _check_rank(len(names))
+        index = {name: k for k, name in enumerate(names, 1)}
+        if len(index) != len(names):
             raise ValueError("generator names must be distinct")
-        for name in self.names:
+        for name in names:
             if not _NAME_RE.match(name):
                 raise ValueError(f"invalid generator name {name!r}")
+        object.__setattr__(self, "names", names)
         object.__setattr__(self, "_index", index)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Alphabet is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Alphabet is immutable")
+
+    def __reduce__(self):
+        return (Alphabet, (self.names,))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.names == other.names
+
+    def __hash__(self) -> int:
+        return hash((self.names,))
+
+    def __repr__(self) -> str:
+        return f"Alphabet(names={self.names!r})"
 
     @classmethod
     def numbered(cls, rank: int, prefix: str = "y") -> "Alphabet":
@@ -268,12 +291,6 @@ class Word:
         # the n copies of u concatenate with no cancellation.
         core, conj = self.cyclic_reduce()
         return Word._wrap(self.alphabet, conj.code + core.code * n + _inverse(conj.code))
-
-    def runs(self) -> Iterator[tuple[int, int]]:
-        """Maximal runs as (generator, signed exponent) pairs."""
-        for char, run in groupby(self.code):
-            p, n = ord(char), len(list(run))
-            yield p >> 1, -n if p & 1 else n
 
     def cyclic_reduce(self) -> tuple["Word", "Word"]:
         """Split ``w`` as ``conj * core * conj^-1`` with ``core`` cyclically reduced.
@@ -567,9 +584,20 @@ def render_word(w: Word) -> str:
     """
     if w.is_identity():
         return "1"
+    names = w.alphabet.names
+    # the atom of each distinct run, built on its first occurrence
+    atoms: dict[str, str] = {}
     parts = []
-    for gen, exp in w.runs():
-        name = w.alphabet.name(gen)
-        parts.append(name if exp == 1 else f"{name}^{exp}")
+    for run, char in _RUN_RE.findall(w.code):
+        atom = atoms.get(run)
+        if atom is None:
+            p, n = ord(char), len(run)
+            name = names[(p >> 1) - 1]
+            if p & 1:
+                atom = f"{name}^-{n}"
+            else:
+                atom = name if n == 1 else f"{name}^{n}"
+            atoms[run] = atom
+        parts.append(atom)
     return " ".join(parts)
 

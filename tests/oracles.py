@@ -10,6 +10,7 @@ The word generators the tests draw their inputs from live here too.
 from __future__ import annotations
 
 import random
+from itertools import groupby
 from math import prod
 
 
@@ -54,6 +55,20 @@ def t_apply(images, word) -> tuple[int, ...]:
     for s in word:
         seq.extend(images[s - 1] if s > 0 else t_inv(images[-s - 1]))
     return naive_reduce(seq)
+
+
+def runs(letters) -> list[tuple[int, int]]:
+    """Maximal runs of ``letters`` as (generator, signed exponent) pairs,
+    by ``itertools.groupby``."""
+    return [(abs(s), len(list(group)) * (1 if s > 0 else -1)) for s, group in groupby(letters)]
+
+
+def render(letters, names) -> str:
+    """Text of the reduced word ``letters`` with generator k named
+    ``names[k - 1]``: one atom ``name`` or ``name^e`` per maximal run, ``1``
+    for the empty word."""
+    atoms = [names[g - 1] if e == 1 else f"{names[g - 1]}^{e}" for g, e in runs(letters)]
+    return " ".join(atoms) or "1"
 
 
 # -- word generators ----------------------------------------------------------

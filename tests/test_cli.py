@@ -459,6 +459,10 @@ class TestUsage:
             ("identities", "--l-list", "2"),
             ("identities", "--i-max", "-1"),
             pytest.param(("word", "reduce", "y1^" + "9" * 5000), id="y1^<5000 nines>"),
+            # refused by the predicted boundary size, before any word is built
+            ("sweep", "--g-list", "2", "--l-list", "99999999999"),
+            ("sweep", "--g-list", "2,318", "--l-list", "12"),
+            ("verify", "--g", "100000000000", "--l", "3"),
         ],
     )
     def test_usage_error_is_one_line(self, capsys, argv):

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+import fgkit.words as words
 from fgkit import (
     Alphabet,
+    CyclicWord,
     FamilyParams,
     Homomorphism,
     INFINITE,
@@ -27,7 +29,9 @@ from fgkit import (
 )
 import oracles
 from fgkit.family import (
+    VerificationReport,
     _block_letters_hold,
+    _boundary_letters_bound,
     _shuffle_sides,
     boundary_word,
     class_distinctness,
@@ -45,6 +49,56 @@ class TestParams:
     @pytest.mark.parametrize("g,l,msg", [(3, 3, "even"), (0, 3, ">= 2"), (2, 2, ">= 3")])
     def test_invalid(self, g, l, msg):
         with pytest.raises(ValueError, match=msg):
+            FamilyParams(g, l)
+
+    def test_value_class(self):
+        p = FamilyParams(g=4, l=7)
+        assert repr(p) == "FamilyParams(g=4, l=7)"
+        assert p == FamilyParams(4, 7) and hash(p) == hash(FamilyParams(4, 7))
+        assert p != FamilyParams(4, 9) and p != (4, 7)
+        assert len({p, FamilyParams(4, 7), FamilyParams(6, 7)}) == 2
+        with pytest.raises(AttributeError):
+            p.g = 6
+        with pytest.raises(AttributeError):
+            del p.l
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and repr(back) == repr(p)
+
+
+class TestSizeBound:
+    """The instance-size limit, tested by predicted size only: no test
+    builds an instance near the limit."""
+
+    @pytest.mark.parametrize("g,l", [(2, 3), (2, 12), (4, 5), (6, 3), (8, 12)])
+    def test_bound_is_the_unreduced_length(self, g, l):
+        # no letter cancels in the recursion, so the bound is attained by
+        # the images, and the reduced boundary image is no longer
+        images = generator_images_recursive(FamilyParams(g, l))
+        bound = _boundary_letters_bound(g, l)
+        assert bound == 2 * sum(len(img) for img in images)
+        assert len(embedding(FamilyParams(g, l)).apply(boundary_word(g))) <= bound
+
+    def test_matches_closed_form_of_image_lengths(self):
+        # |x_(2m+1)| = 3 + m(l + 9) and |x_(2m+2)| = |x_(2m+1)| + 4
+        for g in (2, 4, 10, 256):
+            for l in (3, 12, 1000):
+                lengths = [3 + m * (l + 9) + 4 * e for m in range(g) for e in (0, 1)]
+                assert _boundary_letters_bound(g, l) == 2 * sum(lengths)
+
+    @pytest.mark.parametrize(
+        "g,l", [(256, 12), (316, 12), (418, 3), (2, 1_048_557)]
+    )
+    def test_largest_accepted(self, g, l):
+        assert _boundary_letters_bound(g, l) <= words._MAX_PARSED_LETTERS
+        assert FamilyParams(g, l).g == g
+
+    @pytest.mark.parametrize(
+        "g,l", [(318, 12), (420, 3), (2, 1_048_558), (2, 99_999_999_999), (10**12, 3)]
+    )
+    def test_refused_before_building(self, g, l):
+        bound = _boundary_letters_bound(g, l)
+        assert bound > words._MAX_PARSED_LETTERS
+        with pytest.raises(ValueError, match=f"may have {bound} letters; the limit is 4194304"):
             FamilyParams(g, l)
 
 
@@ -210,7 +264,7 @@ class TestBoundaryImage:
         assert not image.is_identity()
         core, _ = image.cyclic_reduce()
         longest = 0
-        for gen, exp in core.runs():
+        for gen, exp in oracles.runs(core.letters):
             if gen == 2:
                 longest = max(longest, abs(exp))
         assert longest >= l
@@ -393,6 +447,60 @@ class TestVerify:
         assert clone.to_json_dict(include_timings=False) == report.to_json_dict(
             include_timings=False
         )
+        assert clone == report
+
+
+class TestVerificationReport:
+    FIELDS = dict(
+        params=FamilyParams(2, 3),
+        injective=True,
+        image_rank=4,
+        closed_form_ok=True,
+        shuffle_identities_ok=True,
+        block_letter_ok=False,
+        quotient_order=24,
+        reference_order=16,
+        reference_order_match=False,
+        boundary_class=canonical_class(Word(Y, (2, 1))),
+        boundary_class_oriented=canonical_class(Word(Y, (1, 2))),
+    )
+
+    def test_repr(self):
+        assert repr(VerificationReport(**self.FIELDS)) == (
+            "VerificationReport(params=FamilyParams(g=2, l=3), injective=True, "
+            "image_rank=4, closed_form_ok=True, shuffle_identities_ok=True, "
+            "block_letter_ok=False, quotient_order=24, reference_order=16, "
+            "reference_order_match=False, boundary_class=CyclicWord('y1 y2'), "
+            "boundary_class_oriented=CyclicWord('y1 y2'), warnings=[], timings={})"
+        )
+        positional = VerificationReport(
+            *list(self.FIELDS.values())[:6], INFINITE, 16, False,
+            CyclicWord(Y, ()), CyclicWord(Y, ()), ["w"], {"a": 1.5},
+        )
+        assert repr(positional).endswith(
+            "quotient_order=INFINITE, reference_order=16, reference_order_match=False, "
+            "boundary_class=CyclicWord('1'), boundary_class_oriented=CyclicWord('1'), "
+            "warnings=['w'], timings={'a': 1.5})"
+        )
+
+    def test_defaults_are_fresh(self):
+        a, b = VerificationReport(**self.FIELDS), VerificationReport(**self.FIELDS)
+        a.warnings.append("w")
+        a.timings["x"] = 1.0
+        assert b.warnings == [] and b.timings == {}
+
+    def test_eq_mutable_and_unhashable(self):
+        a, b = VerificationReport(**self.FIELDS), VerificationReport(**self.FIELDS)
+        assert a == b and a != self.FIELDS
+        b.closed_form_ok = False
+        assert a != b and not b.hard_pass
+        with pytest.raises(TypeError):
+            hash(a)
+
+    def test_pickle_round_trip(self):
+        a = VerificationReport(**self.FIELDS, warnings=["w"], timings={"t": 0.5})
+        back = pickle.loads(pickle.dumps(a))
+        assert back == a and repr(back) == repr(a)
 
     def test_quotient_constant_in_genus(self):
         orders = {

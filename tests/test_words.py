@@ -23,7 +23,16 @@ from fgkit import (
 )
 from fgkit.family import FamilyParams, boundary_word, embedding, shuffle_words, verify
 
-from oracles import least_rotation, naive_reduce, reduced_words, t_apply, t_inv, t_mul, t_pow
+from oracles import (
+    least_rotation,
+    naive_reduce,
+    reduced_words,
+    render,
+    t_apply,
+    t_inv,
+    t_mul,
+    t_pow,
+)
 
 Y = Alphabet.numbered(3, "y")
 AB = Alphabet.numbered(2, "a")
@@ -55,6 +64,19 @@ class TestAlphabet:
             Alphabet(("1bad",))
         with pytest.raises(ValueError):
             Alphabet(("with space",))
+
+    def test_value_class(self):
+        a = Alphabet(names=("a", "b"))
+        assert repr(a) == "Alphabet(names=('a', 'b'))"
+        assert a == Alphabet(("a", "b")) and hash(a) == hash(Alphabet(("a", "b")))
+        assert a != Alphabet(("b", "a")) and a != ("a", "b")
+        assert len({a, Alphabet(("a", "b")), AB}) == 2
+        with pytest.raises(AttributeError):
+            a.names = ("c",)
+        with pytest.raises(AttributeError):
+            del a.names
+        back = pickle.loads(pickle.dumps(Y))
+        assert back == Y and repr(back) == repr(Y) and back.index("y3") == 3
 
     def test_index_is_one_lookup(self):
         # name comparisons, never a time: finding each name by a scan of
@@ -633,10 +655,7 @@ class TestLetterCodes:
         assert exponent_vector(u) == tuple(
             a.count(g) - a.count(-g) for g in range(1, alphabet.rank + 1)
         )
-        runs = [(abs(s), len(list(run)) * (1 if s > 0 else -1)) for s, run in itertools.groupby(a)]
-        assert list(u.runs()) == runs
-        names = [alphabet.name(g) if e == 1 else f"{alphabet.name(g)}^{e}" for g, e in runs]
-        assert render_word(u) == (" ".join(names) or "1")
+        assert render_word(u) == render(a, alphabet.names)
 
 
 class TestCyclicWord:
@@ -683,6 +702,32 @@ class TestRender:
         for _ in range(200):
             w = Word(Y, [rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(rng.randint(0, 20))])
             assert parse_word(render_word(w), Y) == w
+
+    # runs of up to several hundred letters, over the rank-3 codomain and
+    # over a wide alphabet with generators 5 and 6, whose codes chr(10) to
+    # chr(13) include the newline and carriage return
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize(
+        "alphabet,gens", [(Y, (1, 2, 3)), (Alphabet.numbered(200, "g"), (1, 5, 6, 127, 128, 200))]
+    )
+    def test_matches_groupby_oracle(self, alphabet, gens, data):
+        pieces = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from([s for g in gens for s in (g, -g)]),
+                    st.one_of(st.integers(1, 3), st.integers(1, 400)),
+                ),
+                max_size=12,
+            )
+        )
+        letters: list[int] = []
+        for s, n in pieces:
+            if not letters or letters[-1] != -s:  # keep the letters reduced
+                letters += [s] * n
+        w = Word(alphabet, letters)
+        assert w.letters == tuple(letters)
+        assert render_word(w) == render(letters, alphabet.names)
 
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=40))
