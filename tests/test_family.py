@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-import fgkit.words as words
 from fgkit import (
     Alphabet,
     CyclicWord,
@@ -28,6 +27,7 @@ from fgkit import (
     verify,
 )
 import oracles
+from fgkit.words import _MAX_PARSED_LETTERS
 from fgkit.family import (
     VerificationReport,
     _block_letters_hold,
@@ -89,7 +89,7 @@ class TestSizeBound:
         "g,l", [(256, 12), (316, 12), (418, 3), (2, 1_048_557)]
     )
     def test_largest_accepted(self, g, l):
-        assert _boundary_letters_bound(g, l) <= words._MAX_PARSED_LETTERS
+        assert _boundary_letters_bound(g, l) <= _MAX_PARSED_LETTERS
         assert FamilyParams(g, l).g == g
 
     @pytest.mark.parametrize(
@@ -97,7 +97,7 @@ class TestSizeBound:
     )
     def test_refused_before_building(self, g, l):
         bound = _boundary_letters_bound(g, l)
-        assert bound > words._MAX_PARSED_LETTERS
+        assert bound > _MAX_PARSED_LETTERS
         with pytest.raises(ValueError, match=f"may have {bound} letters; the limit is 4194304"):
             FamilyParams(g, l)
 
@@ -449,6 +449,13 @@ class TestVerify:
         )
         assert clone == report
 
+    def test_quotient_constant_in_genus(self):
+        orders = {
+            verify(FamilyParams(g, 5)).quotient_order for g in (2, 4)
+        }
+        assert len(orders) == 1
+        assert INFINITE not in orders
+
 
 class TestVerificationReport:
     FIELDS = dict(
@@ -501,10 +508,3 @@ class TestVerificationReport:
         a = VerificationReport(**self.FIELDS, warnings=["w"], timings={"t": 0.5})
         back = pickle.loads(pickle.dumps(a))
         assert back == a and repr(back) == repr(a)
-
-    def test_quotient_constant_in_genus(self):
-        orders = {
-            verify(FamilyParams(g, 5)).quotient_order for g in (2, 4)
-        }
-        assert len(orders) == 1
-        assert INFINITE not in orders
