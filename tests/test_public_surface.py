@@ -1,6 +1,6 @@
 """The public surface of fgkit: what the package exports, what the
 benchmark harness calls, and that importing the CLI needs only the
-standard library.
+standard library and none of its slow-to-import modules.
 
 The lists here are literal, so deleting or renaming a public name is a
 deliberate edit of this file.
