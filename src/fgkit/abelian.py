@@ -10,7 +10,7 @@ with each entry dividing the next.
 from __future__ import annotations
 
 from math import prod
-from typing import Sequence, Union
+from collections.abc import Sequence
 
 from .homs import Homomorphism
 from .words import Word, _letter_key
@@ -186,7 +186,7 @@ def smith_normal_form(
 
 def quotient_order(
     matrix: Sequence[Sequence[int]], ambient_rank: int
-) -> Union[int, _InfiniteType]:
+) -> int | _InfiniteType:
     """Order of Z^ambient_rank modulo the row lattice of ``matrix``.
 
     Returns :data:`INFINITE` when the rows span a lattice of rank less

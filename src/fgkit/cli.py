@@ -14,7 +14,7 @@ import itertools
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .family import (
     DEFAULT_G_VALUES,
@@ -58,7 +58,7 @@ _MAX_LIST_VALUES = 4096
 
 
 def _int_list(
-    text: Optional[str], default: Sequence[int], name: str, distinct: bool = False
+    text: str | None, default: Sequence[int], name: str, distinct: bool = False
 ) -> list[int]:
     """Comma-separated integers, ``a..b`` items expanding to inclusive
     ranges; ``default`` when ``text`` is None.  An empty list, one of more
@@ -137,7 +137,7 @@ def _add_report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-timings", action="store_true")
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -164,19 +164,18 @@ def _cmd_word(args) -> int:
         raise ValueError("concat needs at least two words")
     if op != "concat" and len(args.texts) != 1:
         raise ValueError(f"{op} takes exactly one word")
-    words = [parse_word(t, alphabet) for t in args.texts]
-    if op == "reduce":
-        result = words[0]
-    elif op == "invert":
-        result = words[0].inverse()
-    elif op == "concat":
-        result = words[0]
-        for w in words[1:]:
-            result = result * w
+    # one parse of all operands, so its letter limit bounds their total;
+    # an operand "1" is the empty word, but an atom "1" in a longer text
+    # is malformed
+    word = parse_word(" ".join(t for t in args.texts if t.strip() != "1"), alphabet)
+    if op == "invert":
+        result = word.inverse()
     elif op == "cyclic":
-        result, _ = words[0].cyclic_reduce()
-    else:  # canon
-        result = canonical_class(words[0], oriented=args.oriented).to_word()
+        result, _ = word.cyclic_reduce()
+    elif op == "canon":
+        result = canonical_class(word, oriented=args.oriented).to_word()
+    else:  # reduce, concat
+        result = word
     print(render_word(result))
     return 0
 
@@ -278,15 +277,17 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_identities(args) -> int:
     l_values = _int_list(args.l_list, DEFAULT_L_VALUES, "l")
-    # first_shuffle_failure rejects a negative bound or l < 3
+    # first_shuffle_failure rejects a negative bound, l < 3 or an l too
+    # large to spell v
     for l in l_values:
         failure = first_shuffle_failure(args.i_max, args.j_max, l)
         if failure is not None:
             branch, i, j = failure
             print(f"FAIL: branch={branch} i={i} j={j} l={l}")
             return 1
-    # the grid i, j <= 1 certifies every exponent (README lemma); with a
-    # zero bound only the grid up to the bounds was walked
+    # with both bounds >= 1 the three equalities certify every exponent
+    # (README lemma); with a zero bound the ones in reach certify the grid
+    # up to the bounds
     if min(args.i_max, args.j_max) >= 1:
         scope = "all i, j >= 0"
     else:
@@ -295,7 +296,7 @@ def _cmd_identities(args) -> int:
     return 0
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
+def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:

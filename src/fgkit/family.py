@@ -10,8 +10,8 @@ never assumed.
 
 :func:`verify` runs the full battery for one parameter pair: closed-form
 agreement, the telescoping shuffle identities (for all exponents, from
-the grid i, j <= 1), first/last-letter structure
-of images of single-parity words, an injectivity certificate via Stallings
+three equalities), first/last-letter structure of images of
+single-parity words, an injectivity certificate via Stallings
 folding, the order of the abelianized cokernel, and the canonical conjugacy
 class of the image of the surface boundary word.  Mathematical failures are
 recorded in the report, never raised.
@@ -20,7 +20,7 @@ recorded in the report, never raised.
 from __future__ import annotations
 
 import time
-from typing import Iterator, Optional, Sequence, Union
+from collections.abc import Sequence
 
 from .abelian import INFINITE, _InfiniteType, image_matrix, quotient_order
 from .homs import Homomorphism
@@ -134,8 +134,8 @@ def _check_genus(g: int) -> None:
 
 
 def _check_winding(l: int) -> None:
-    """The family's winding rule, shared by :class:`FamilyParams`,
-    :func:`first_shuffle_failure` and :func:`shuffle_words`."""
+    """The family's winding rule, shared by :class:`FamilyParams` and
+    :func:`shuffle_words`."""
     if l < 3:
         raise ValueError("l must be >= 3")
 
@@ -145,9 +145,16 @@ def shuffle_words(l: int) -> tuple[Word, Word]:
 
     Conjugation blocks built from this pair telescope, which is what the
     shuffle identities and the closed image forms express.  Raises
-    ``ValueError`` for l < 3.
+    ``ValueError`` for l < 3, and for an l whose v, of l + 6 letters,
+    would spell more than ``words._MAX_PARSED_LETTERS``; that is refused
+    before any letter is built.
     """
     _check_winding(l)
+    if l + 6 > _MAX_PARSED_LETTERS:
+        raise ValueError(
+            f"l={l}: the shuffle word v has {l + 6} letters; "
+            f"the limit is {_MAX_PARSED_LETTERS}"
+        )
     y = target_alphabet()
     u = Word(y, (1, 2, 3))
     v = Word(y, (-3, -3, -3) + (-2,) * l + (1, 1, 1))
@@ -204,58 +211,42 @@ def embedding(params: FamilyParams) -> Homomorphism:
 
 def first_shuffle_failure(
     i_max: int, j_max: int, l: int
-) -> Optional[tuple[str, int, int]]:
+) -> tuple[str, int, int] | None:
     """First (branch, i, j) where a shuffle identity fails, or None.
 
     The four branches state how mixed conjugation blocks telescope:
     ``b^j u a^i`` collapses to ``v a^(i-j-1)`` when i > j and to
     ``b^(j-i) u`` otherwise, and ``b^j v a^i`` collapses to ``v a^(i-j)``
     when i >= j and to ``b^(j-i-1) u`` otherwise, where a = u^-1 v and
-    b = u v^-1.  Raises ``ValueError`` for a negative bound or l < 3.
+    b = u v^-1.  Raises ``ValueError`` for a negative bound or for an l
+    that :func:`shuffle_words` refuses.
 
-    Only the grid i, j <= 1 is walked: it holds ``u a = v`` (point
-    (1, 0)), ``b v = u`` (point (0, 1)) and ``b u a = u`` (point (1, 1)),
-    and these imply every branch for all i, j >= 0.  By induction
-    ``b^j u a^j = u``; hence ``b^j u a^i`` is ``u a^(i-j) = v a^(i-j-1)``
-    when i > j and ``b^(j-i) u`` when i <= j, and ``b^j v a^i =
-    b^j u a^(i+1)`` gives the two second branches.  So None proves every
-    branch for all i, j >= 0 when both bounds are at least 1 (a zero
-    bound leaves out a point of the three, and None then proves the
-    branches on the grid i <= i_max, j <= j_max).  A failure is the first
-    one in row order on the walked grid.  The identities hold in any
-    group, so what this really tests is that :class:`Word` arithmetic
-    realises them on these words.
+    Three equalities imply every branch for all i, j >= 0: ``b v = u``,
+    ``u a = v`` and ``b u a = u``.  By induction ``b^j u a^j = u``; hence
+    ``b^j u a^i`` is ``u a^(i-j) = v a^(i-j-1)`` when i > j and
+    ``b^(j-i) u`` when i <= j, and ``b^j v a^i = b^j u a^(i+1)`` gives the
+    two second branches.  They are the branches ``second:i<j`` at (0, 1),
+    ``first:i>j`` at (1, 0) and ``first:i<=j`` at (1, 1), and each is
+    checked, in that (row) order, only when its point is within the
+    bounds.  So None proves every branch for all i, j >= 0 when both
+    bounds are at least 1, and otherwise on the grid up to the bounds:
+    with j_max = 0 that grid needs only ``u a = v``, and with i_max = 0
+    only ``b v = u``.  The identities hold in any group, so what this
+    really tests is that :class:`Word` multiplication realises them on
+    these words.
     """
     if i_max < 0 or j_max < 0:
         raise ValueError("bounds must be >= 0")
-    _check_winding(l)
-    for branch, i, j, lhs, rhs in _shuffle_sides(min(i_max, 1), min(j_max, 1), l):
-        if lhs != rhs:
-            return (branch, i, j)
-    return None
-
-
-def _shuffle_sides(
-    i_max: int, j_max: int, l: int
-) -> Iterator[tuple[str, int, int, Word, Word]]:
-    """Yield ``(branch, i, j, lhs, rhs)`` for both shuffle identities at
-    every (i, j) with i <= i_max and j <= j_max, in row order, each side
-    computed by :class:`Word` products and powers."""
     u, v = shuffle_words(l)
     a = u.inverse() * v
     b = u * v.inverse()
-    for i in range(i_max + 1):
-        for j in range(j_max + 1):
-            lhs = b ** j * u * a ** i
-            if i > j:
-                yield "first:i>j", i, j, lhs, v * a ** (i - j - 1)
-            else:
-                yield "first:i<=j", i, j, lhs, b ** (j - i) * u
-            lhs = b ** j * v * a ** i
-            if i >= j:
-                yield "second:i>=j", i, j, lhs, v * a ** (i - j)
-            else:
-                yield "second:i<j", i, j, lhs, b ** (j - i - 1) * u
+    if j_max >= 1 and b * v != u:
+        return ("second:i<j", 0, 1)
+    if i_max >= 1 and u * a != v:
+        return ("first:i>j", 1, 0)
+    if i_max >= 1 and j_max >= 1 and b * u * a != u:
+        return ("first:i<=j", 1, 1)
+    return None
 
 
 def check_shuffle_identities(i_max: int, j_max: int, l: int) -> bool:
@@ -362,13 +353,13 @@ class VerificationReport:
         closed_form_ok: bool,
         shuffle_identities_ok: bool,
         block_letter_ok: bool,
-        quotient_order: Union[int, _InfiniteType],
+        quotient_order: int | _InfiniteType,
         reference_order: int,
         reference_order_match: bool,
         boundary_class: CyclicWord,
         boundary_class_oriented: CyclicWord,
-        warnings: Optional[list[str]] = None,
-        timings: Optional[dict[str, float]] = None,
+        warnings: list[str] | None = None,
+        timings: dict[str, float] | None = None,
     ) -> None:
         self.params = params
         self.injective = injective

@@ -8,7 +8,7 @@ parallel-safe.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .words import Alphabet, AlphabetMismatch, Word, render_word
 from .words import _cancelled, _inverse, _letter_key

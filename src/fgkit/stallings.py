@@ -47,7 +47,8 @@ which is the letter order.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .homs import Homomorphism
 from .words import Alphabet, AlphabetMismatch, Word, _inverse, _letter
@@ -69,7 +70,7 @@ class SubgroupGraph:
         # unfolded: the codes of the nontrivial generator words, one loop each
         self._gens: tuple[str, ...] = ()
         # folded adjacency: vertex -> {letter code: unique target}
-        self._out: Optional[list[dict[str, int]]] = None
+        self._out: list[dict[str, int]] | None = None
 
     @classmethod
     def wedge(cls, generators: Iterable[Word], alphabet: Alphabet) -> "SubgroupGraph":
@@ -280,10 +281,12 @@ def build_subgroup_graph(generators: Iterable[Word], codomain: Alphabet) -> Subg
     return SubgroupGraph.wedge(generators, codomain).fold()
 
 
-class InjectivityResult(NamedTuple):
-    verdict: bool
-    image_rank: int
-    domain_rank: int
+class InjectivityResult(
+    namedtuple("InjectivityResult", ["verdict", "image_rank", "domain_rank"])
+):
+    """An injectivity verdict with the two ranks it compares."""
+
+    __slots__ = ()
 
     @classmethod
     def from_graph(cls, graph: SubgroupGraph, domain_rank: int) -> "InjectivityResult":

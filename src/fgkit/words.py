@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 __all__ = [
     "Alphabet",

@@ -28,9 +28,10 @@ from fgkit import (
     check_shuffle_identities,
     smith_normal_form,
 )
-from fgkit.family import _shuffle_sides, boundary_word, class_distinctness, domain_alphabet
+from fgkit.family import boundary_word, class_distinctness, domain_alphabet
 
 import oracles
+from test_family import word_shuffle_sides
 
 GRID = [(g, l) for g in (2, 4, 6, 8) for l in range(3, 13)]
 SEED = 20250810
@@ -76,14 +77,13 @@ def test_criterion_3_shuffle_identities():
     t0 = time.perf_counter()
     failures = [l for l in range(3, 13) if not check_shuffle_identities(6, 6, l)]
     elapsed = time.perf_counter() - t0
-    # the check walks only i, j <= 1, so the grid of Word products and
+    # the check compares three products, so the grid of Word products and
     # powers up to 6 is compared with the fgkit-free oracle
     failures += [
         l
         for l in range(3, 13)
         if oracles.shuffle_grid_failure(6, 6, l) is not None
-        or list(oracles.shuffle_grid_sides(6, 6, l))
-        != [(br, i, j, x.letters, y.letters) for br, i, j, x, y in _shuffle_sides(6, 6, l)]
+        or list(oracles.shuffle_grid_sides(6, 6, l)) != list(word_shuffle_sides(6, 6, l))
     ]
     ok = not failures and elapsed < 5.0
     _verdict(

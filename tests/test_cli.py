@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fgkit.cli as cli
-import fgkit.family as family
 import fgkit.words as words
 from fgkit.cli import main
 from fgkit.family import FamilyParams, VerificationReport
@@ -78,6 +77,19 @@ class TestWordCommand:
         code, out, _ = run(capsys, "word", "concat", "y1 y2 y3", "y3^-1 y2^-1")
         assert code == 0
         assert out.strip() == "y1"
+
+    @pytest.mark.parametrize(
+        "texts,expected", [(("1", "y1"), "y1"), (("y1", " 1 ", "y1"), "y1^2"), (("1", "1"), "1")]
+    )
+    def test_concat_identity_operands(self, capsys, texts, expected):
+        code, out, _ = run(capsys, "word", "concat", *texts)
+        assert (code, out) == (0, expected + "\n")
+
+    def test_concat_total_is_bounded(self, capsys):
+        # each operand is within the limit, their total is not
+        code, out, err = run(capsys, "word", "concat", "y1^2097153", "y1^2097153")
+        assert (code, out) == (2, "")
+        assert err == "error: word spells 4194306 letters; the limit is 4194304\n"
 
     def test_invert(self, capsys):
         code, out, _ = run(capsys, "word", "invert", "y3^-3 y2^-5 y1^3")
@@ -404,17 +416,12 @@ class TestIdentitiesCommand:
         assert err == ""
         assert out == f"OK: all identity branches hold for all i, j >= 0, l in {values}\n"
 
-    def test_huge_bound_is_free(self, capsys, monkeypatch):
-        walked = []
-        real = family._shuffle_sides
+    def test_huge_bound_raises_no_power(self, capsys, monkeypatch):
+        # the three equalities are products; a power would mean a walk
+        def no_power(self, n):
+            raise AssertionError("Word.__pow__ called")
 
-        def recorded(i_max, j_max, l):
-            walked.append((i_max, j_max))
-            if max(i_max, j_max) > 1:
-                raise AssertionError("grid walked past i, j <= 1")
-            return real(i_max, j_max, l)
-
-        monkeypatch.setattr(family, "_shuffle_sides", recorded)
+        monkeypatch.setattr(words.Word, "__pow__", no_power)
         code, out, _ = run(
             capsys, "identities", "--i-max", "1000000000", "--j-max", "1000000000",
             "--l-list", "3..12",
@@ -424,7 +431,21 @@ class TestIdentitiesCommand:
             "OK: all identity branches hold for all i, j >= 0, "
             "l in [3, 4, 5, 6, 7, 8, 9, 10, 11, 12]\n"
         )
-        assert walked == [(1, 1)] * 10
+
+    @pytest.mark.parametrize("l", [4_194_299, 4_611_686_018_427_387_904])
+    def test_huge_l_refused_before_building(self, capsys, l):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "identities", "--l-list", str(l))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: l={l}: the shuffle word v has {l + 6} letters; "
+            "the limit is 4194304\n"
+        )
+        assert peak < 1 << 20  # v was not built
 
     def test_failure_reports_quadruple(self, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -27,18 +27,39 @@ from fgkit import (
     verify,
 )
 import oracles
-from fgkit.words import _MAX_PARSED_LETTERS
+from fgkit.words import _MAX_PARSED_LETTERS, _cancelled
 from fgkit.family import (
     VerificationReport,
     _block_letters_hold,
     _boundary_letters_bound,
-    _shuffle_sides,
     boundary_word,
     class_distinctness,
     first_shuffle_failure,
 )
 
 Y = target_alphabet()
+
+
+def word_shuffle_sides(i_max, j_max, l):
+    """Yield ``(branch, i, j, lhs, rhs)`` for both shuffle identities at
+    every (i, j) with i <= i_max and j <= j_max, in row order, each side
+    built by :class:`Word` products and powers and given as its letters;
+    the same layout as ``oracles.shuffle_grid_sides``."""
+    u, v = shuffle_words(l)
+    a = u.inverse() * v
+    b = u * v.inverse()
+    for i in range(i_max + 1):
+        for j in range(j_max + 1):
+            if i > j:
+                first = "first:i>j", v * a ** (i - j - 1)
+            else:
+                first = "first:i<=j", b ** (j - i) * u
+            if i >= j:
+                second = "second:i>=j", v * a ** (i - j)
+            else:
+                second = "second:i<j", b ** (j - i - 1) * u
+            for (branch, rhs), mid in ((first, u), (second, v)):
+                yield branch, i, j, (b ** j * mid * a ** i).letters, rhs.letters
 
 
 class TestParams:
@@ -165,6 +186,30 @@ class TestGeneratorImages:
                 assert Word(Y, img.letters) == img
 
 
+def _blind_eq(limit):
+    """An equality blind to words longer than ``limit``."""
+
+    def eq(self, other):
+        return max(len(self), len(other)) <= limit and self.code == other.code
+
+    return eq
+
+
+def _capped_mul(self, other):
+    """A product that cancels at most 9 letters where the factors meet."""
+    left, right = self.code, other.code
+    k = _cancelled(left, len(left), right, 0, min(len(left), len(right), 9))
+    return Word._wrap(self.alphabet, left[: len(left) - k] + right[k:])
+
+
+# Word methods replaced by broken ones, one per shuffle equality
+SHUFFLE_MUTANTS = {
+    "eq<=2": ("__eq__", _blind_eq(2)),
+    "eq<=3": ("__eq__", _blind_eq(3)),
+    "mul<=9": ("__mul__", _capped_mul),
+}
+
+
 class TestShuffleIdentities:
     def test_trivial_cases(self):
         u, v = shuffle_words(3)
@@ -178,37 +223,36 @@ class TestShuffleIdentities:
     @pytest.mark.parametrize("l", [3, 7, 12] + [4, 5, 6, 8, 9, 10, 11])
     def test_grid(self, l):
         assert check_shuffle_identities(6, 6, l)
-        # the check walks only i, j <= 1; the grid of Word products and
+        # the check compares three products; the grid of Word products and
         # powers up to 6 must still equal the fgkit-free oracle's
         expected = list(oracles.shuffle_grid_sides(6, 6, l))
-        sides = [
-            (br, i, j, lhs.letters, rhs.letters)
-            for br, i, j, lhs, rhs in _shuffle_sides(6, 6, l)
-        ]
-        assert sides == expected
+        assert list(word_shuffle_sides(6, 6, l)) == expected
         assert oracles.shuffle_grid_failure(6, 6, l) is None
 
-    @pytest.mark.parametrize("limit", [0, 8, 9])
-    def test_grid_walked_when_certificate_fails(self, monkeypatch, limit):
-        # an equality blind to words longer than `limit`: at l = 3 it fails
-        # u a == v (v has 9 letters, b u has 15), and the walk over i, j <= 1
-        # must name the first point, in row order, with a side that long
-        def blind_eq(self, other):
-            return max(len(self), len(other)) <= limit and self.letters == other.letters
-
-        expected = next(
-            (branch, i, j)
-            for branch, i, j, lhs, rhs in oracles.shuffle_grid_sides(1, 1, 3)
-            if max(len(lhs), len(rhs)) > limit
-        )
-        assert expected == {
-            0: ("first:i<=j", 0, 0),
-            8: ("second:i>=j", 0, 0),
-            9: ("first:i<=j", 0, 1),
-        }[limit]
-        monkeypatch.setattr(Word, "__eq__", blind_eq)
-        assert first_shuffle_failure(6, 6, 3) == expected
-        assert not check_shuffle_identities(6, 6, 3)
+    # At l = 3, u has 3 letters and v has 9.  An equality blind past 2
+    # letters fails b v = u, one blind past 3 fails u a = v first, and
+    # (b u) a cancels 12 letters, so a product capped at 9 fails only
+    # b u a = u.  Each equality is reported only when its point, (0, 1),
+    # (1, 0) or (1, 1), is within the bounds.
+    @pytest.mark.parametrize(
+        "mutant,bounds,expected",
+        [
+            ("eq<=2", (0, 0), None),
+            ("eq<=2", (0, 1), ("second:i<j", 0, 1)),
+            ("eq<=2", (1, 0), ("first:i>j", 1, 0)),
+            ("eq<=2", (6, 6), ("second:i<j", 0, 1)),
+            ("eq<=3", (0, 1), None),
+            ("eq<=3", (1, 0), ("first:i>j", 1, 0)),
+            ("eq<=3", (6, 6), ("first:i>j", 1, 0)),
+            ("mul<=9", (0, 1), None),
+            ("mul<=9", (1, 0), None),
+            ("mul<=9", (6, 6), ("first:i<=j", 1, 1)),
+        ],
+    )
+    def test_each_equality_is_checked(self, monkeypatch, mutant, bounds, expected):
+        monkeypatch.setattr(Word, *SHUFFLE_MUTANTS[mutant])
+        assert first_shuffle_failure(*bounds, 3) == expected
+        assert check_shuffle_identities(*bounds, 3) == (expected is None)
 
     def test_no_failure_reported(self):
         assert first_shuffle_failure(4, 4, 5) is None

@@ -118,20 +118,31 @@ def test_wedge_is_a_classmethod():
 # slow to import and not needed: dataclasses alone pulls in inspect and ast
 SLOW_IMPORTS = {"dataclasses", "inspect", "ast"}
 
+# every standard library module fgkit imports at import time; importing
+# fgkit.cli after these must add no other top-level module (typing, say)
+FGKIT_STDLIB_IMPORTS = [
+    "__future__", "argparse", "collections.abc", "csv", "io", "itertools",
+    "json", "math", "os", "re", "sys", "time",
+]
+
 
 def test_cli_imports_only_the_standard_library():
     # -S skips site, so nothing from site-packages is imported on the side
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(SRC)!r})\n"
+        f"import {', '.join(FGKIT_STDLIB_IMPORTS)}\n"
+        "before = {name.partition('.')[0] for name in sys.modules}\n"
         "import fgkit.cli\n"
         "tops = {name.partition('.')[0] for name in sys.modules}\n"
         "print(' '.join(sorted(tops - set(sys.stdlib_module_names))))\n"
         f"print(' '.join(sorted(tops & {SLOW_IMPORTS!r})))\n"
+        "print(' '.join(sorted(tops - before)))\n"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
-    outside, slow = done.stdout.split("\n")[:2]
+    outside, slow, added = done.stdout.split("\n")[:3]
     assert set(outside.split()) - {"__main__"} == {"fgkit"}
     assert slow.split() == []
+    assert added.split() == ["fgkit"]
