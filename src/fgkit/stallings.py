@@ -14,8 +14,20 @@ that is kept folded (attach-and-fold): it reads the longest prefix of the
 generator forward from the base, the longest remaining suffix backward from
 the base, and adds fresh vertices only for the letters in between.  Folds
 happen only where the new arc closes up, through a union-find worklist that
-merges the smaller adjacency dict into the larger.  Each generator costs
-time about linear in its length, plus the merges it causes.  See
+merges the smaller adjacency dict into the larger.
+
+Each read starts with a jump along the loops already attached.  The codes
+of the attached generators and of their inverses are kept in one sorted
+list, each with the vertex ids its loop passes through.  Merges only
+identify vertices, so ``find`` of those ids still spells the loop, and the
+longest prefix that a read shares with any known code is shared with a
+neighbour of its insertion point in the sorted list.  That prefix is found
+by comparing slices of doubling, then halving, length, and the read goes
+on letter by letter from ``find`` of the id it ends at; the backward read
+jumps no further than the forward one left to read.  So only letters that
+no earlier loop spells cost a Python step each, and the rest cost O(log n)
+Python steps and O(n) characters of C work per generator, plus the merges
+it causes.  See
 N. Touikan, *A fast algorithm for Stallings' folding process*, IJAC 16(6)
 (2006), and I. Kapovich and A. Myasnikov, *Stallings foldings and
 subgroups of free groups*, J. Algebra 248 (2002), §§3–5.
@@ -47,11 +59,12 @@ which is the letter order.
 
 from __future__ import annotations
 
+from bisect import bisect, insort
 from collections import namedtuple
 from collections.abc import Iterable
 
 from .homs import Homomorphism
-from .words import Alphabet, AlphabetMismatch, Word, _inverse, _letter
+from .words import Alphabet, AlphabetMismatch, Word, _common_prefix, _inverse, _letter
 
 __all__ = [
     "SubgroupGraph",
@@ -123,46 +136,83 @@ class SubgroupGraph:
                         pending.append((u, t))
                 adj[b] = {}
 
+        # every attached code and inverse code, sorted, and the ids of the
+        # vertices it reads through: loops[c] = (path, step) with path the
+        # ids along its generator w, positions 0..len(w), and step -1 when
+        # c is the inverse code, which reads them backwards.  Merges only
+        # identify vertices, so find of those ids still spells c.
+        codes: list[str] = []
+        loops: dict[str, tuple[list[int], int]] = {}
+
+        def known_prefix(code: str, limit: int) -> list[int]:
+            # ids along the longest prefix of `code`, at most `limit`
+            # letters, that a known loop spells; over a sorted list the
+            # longest common prefix is with a neighbour of the insertion point
+            k = bisect(codes, code)
+            best, ids = 0, [self.base]
+            for c in codes[k - 1 : k + 1] if k else codes[:1]:
+                # one slice compare says whether c beats the best so far
+                p, m = best + 1, min(limit, len(c))
+                if p <= m and code[:p] == c[:p]:
+                    p += _common_prefix(code, p, c, p, m - p)
+                    path, step = loops[c]
+                    best, ids = p, path[: p + 1] if step > 0 else path[-1 - p :][::-1]
+            return ids
+
         # the reads below inline find's fast path for a representative t;
-        # inv[n - 1 - k] is the code of the inverse of the letter w[k]
+        # inv[n - 1 - k] is the code of the inverse of the letter w[k];
+        # fwd[k] is an id at position k of w, and bwd[q] at position n - q
         for w in self._gens:
             n, inv = len(w), _inverse(w)
-            base = find(self.base)
-            v, i = base, 0
+            fwd = known_prefix(w, n)
+            i = len(fwd) - 1
+            v = find(fwd[-1])
             while i < n:
                 t = adj[v].get(w[i])
                 if t is None:
                     break
                 v, i = (t if parent[t] == t else find(t)), i + 1
+                fwd.append(v)
             if i == n:
-                identify(v, base)
-                continue
-            u, j = base, n
-            while j > i:
-                t = adj[u].get(inv[n - j])
-                if t is None:
-                    break
-                u, j = (t if parent[t] == t else find(t)), j - 1
-            if j == i:
-                identify(v, u)
-                continue
-            # fresh arc v -> ... -> u spelling w[i:j]; only its closing
-            # edge can collide, when v == u and w[i] is the inverse of w[j-1]
-            for s, r in zip(w[i : j - 1], reversed(inv[n - j + 1 : n - i])):
-                x = len(adj)
-                adj[v][s] = x
-                adj.append({r: v})
-                parent.append(x)
-                v = x
-            adj[v][w[j - 1]] = u
-            t = adj[u].setdefault(inv[n - j], v)
-            if t != v:
-                identify(t, v)
+                identify(v, self.base)
+                bwd = []
+            else:
+                bwd = known_prefix(inv, n - i)
+                j = n + 1 - len(bwd)
+                u = find(bwd[-1])
+                while j > i:
+                    t = adj[u].get(inv[n - j])
+                    if t is None:
+                        break
+                    u, j = (t if parent[t] == t else find(t)), j - 1
+                    bwd.append(u)
+                if j == i:
+                    identify(v, u)
+                    fwd.pop()  # position i is bwd's last
+                else:
+                    # fresh arc v -> ... -> u spelling w[i:j]; only its closing
+                    # edge can collide, when v == u and w[i] is the inverse of w[j-1]
+                    for s, r in zip(w[i : j - 1], reversed(inv[n - j + 1 : n - i])):
+                        x = len(adj)
+                        adj[v][s] = x
+                        adj.append({r: v})
+                        parent.append(x)
+                        fwd.append(x)
+                        v = x
+                    adj[v][w[j - 1]] = u
+                    t = adj[u].setdefault(inv[n - j], v)
+                    if t != v:
+                        identify(t, v)
+            if w not in loops:  # else a repeat, or an earlier inverse
+                path = fwd + bwd[::-1]
+                for c, step in ((w, 1), (inv, -1)):
+                    insort(codes, c)
+                    loops[c] = (path, step)
 
-        self._freeze(adj, find)
+        self._freeze(adj, parent, find)
         return self
 
-    def _freeze(self, adj: list[dict[str, int]], find) -> None:
+    def _freeze(self, adj: list[dict[str, int]], parent: list[int], find) -> None:
         # canonical relabeling: BFS from base, neighbors in letter order,
         # which is code point order; iterating `order` while it grows is
         # the queue
@@ -174,7 +224,9 @@ class SubgroupGraph:
             d = adj[v]
             row = {}
             for s in sorted(d):
-                t = find(d[s])
+                t = d[s]
+                if parent[t] != t:
+                    t = find(t)
                 idx = mapping.get(t)
                 if idx is None:
                     idx = mapping[t] = len(order)

@@ -47,9 +47,11 @@ class AlphabetMismatch(ValueError):
 
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-# a maximal run of one letter code, and that code; DOTALL, since generator
-# 5 is coded chr(10), a newline
-_RUN_RE = re.compile(r"(?s)((.)\2*)")
+# the end of each maximal run of one letter code: splitting at it puts the
+# runs at even indices, each followed by its code, and scans without the
+# per-letter backtracking state a match of the whole run keeps; DOTALL,
+# since generator 5 is coded chr(10), a newline
+_RUN_END_RE = re.compile(r"(?s)(?<=(.))(?!\1)")
 _ATOM_RE = re.compile(r"(?P<name>[A-Za-z][A-Za-z0-9_]*)(?:\^(?P<exp>[+-]?[0-9]+))?\Z")
 # parse_word refuses text that spells more letters than this before
 # reduction, and FamilyParams an instance whose boundary image may; the
@@ -429,7 +431,7 @@ def _least_start(code: str, least: str) -> int:
     i = candidate(0)
     j = candidate(i + 1)
     while j < size:
-        k = _common_prefix(doubled, i, j, size)
+        k = _common_prefix(doubled, i, doubled, j, size)
         if k == size:
             break  # periodic: both are least
         if doubled[i + k] > doubled[j + k]:
@@ -455,18 +457,19 @@ def _longest_run(data: str, unit: str) -> int:
     return r
 
 
-def _common_prefix(data: str, i: int, j: int, limit: int) -> int:
-    """Length of the longest common prefix of ``data[i:i + limit]`` and
-    ``data[j:j + limit]``: blocks of doubling size while they agree, then
-    halving ones."""
+def _common_prefix(a: str, i: int, b: str, j: int, limit: int) -> int:
+    """Length of the longest common prefix of ``a[i:i + limit]`` and
+    ``b[j:j + limit]``: blocks of doubling size while they agree, then
+    halving ones, so k equal letters cost O(log k) Python steps and O(k)
+    characters of C work.  ``limit`` must not run past either string."""
     k, step = 0, 1
-    while k + step <= limit and data[i + k : i + k + step] == data[j + k : j + k + step]:
+    while k + step <= limit and a[i + k : i + k + step] == b[j + k : j + k + step]:
         k += step
         step *= 2
     # the first mismatch, or the limit, lies in [k, k + step)
     while step > 1:
         step //= 2
-        if k + step <= limit and data[i + k : i + k + step] == data[j + k : j + k + step]:
+        if k + step <= limit and a[i + k : i + k + step] == b[j + k : j + k + step]:
             k += step
     return k
 
@@ -588,7 +591,8 @@ def render_word(w: Word) -> str:
     # the atom of each distinct run, built on its first occurrence
     atoms: dict[str, str] = {}
     parts = []
-    for run, char in _RUN_RE.findall(w.code):
+    pieces = _RUN_END_RE.split(w.code)
+    for run, char in zip(pieces[::2], pieces[1::2]):
         atom = atoms.get(run)
         if atom is None:
             p, n = ord(char), len(run)

@@ -3,7 +3,8 @@
 Everything here works on plain tuples of signed integers and deliberately
 avoids the library's own algorithms: reduction is by repeated full scans,
 lattice indices come from integer row echelon, determinants from Bareiss
-elimination, and subgroup membership from Nielsen-reduced enumeration.
+elimination, subgroup membership from Nielsen-reduced enumeration, and
+folded subgroup graphs from folding the whole wedge of loops.
 The word generators the tests draw their inputs from live here too.
 """
 
@@ -315,6 +316,59 @@ def subgroup_elements_up_to(gens, max_len: int) -> set[tuple[int, ...]]:
 
     extend((), None, 0)
     return found
+
+
+def folded_dump(gens, names) -> tuple[str, int]:
+    """Dump and rank of the folded graph of the subgroup ``gens`` generate,
+    by the textbook fold: build the wedge of one loop per nontrivial
+    generator, then identify the far ends of two edges that carry the same
+    label out of (or into) one vertex, until no such pair is left.
+
+    Edges are (tail, generator, head) triples in a set, so two edges that
+    come to join the same vertices in the same direction become one.  The
+    folded graph is numbered breadth-first from the base, each vertex's
+    edges taken in the letter order g, -g, g + 1, ...; the dump is the base,
+    then one ``tail name head`` line per edge, sorted.  Rank is E - V + 1.
+    """
+    edges: set[tuple[int, int, int]] = set()
+    n_vertices = 1
+    for w in gens:
+        if not w:
+            continue
+        path = [0, *range(n_vertices, n_vertices + len(w) - 1), 0]
+        n_vertices += len(w) - 1
+        for a, s, b in zip(path, w, path[1:]):
+            edges.add((a, s, b) if s > 0 else (b, -s, a))
+    while True:
+        ends: dict[tuple[int, int, int], int] = {}
+        pair = None
+        for a, s, b in sorted(edges):
+            for key, far in (((a, s, 1), b), ((b, s, -1), a)):
+                if ends.setdefault(key, far) != far:
+                    pair = sorted((ends[key], far))
+                    break
+            if pair:
+                break
+        if pair is None:
+            break
+        keep, drop = pair  # the base, 0, is never dropped
+        edges = {
+            (keep if a == drop else a, s, keep if b == drop else b) for a, s, b in edges
+        }
+    out: dict[int, list[tuple[tuple[int, int], int]]] = {}
+    for a, s, b in edges:
+        out.setdefault(a, []).append(((s, 0), b))
+        out.setdefault(b, []).append(((s, 1), a))
+    number = {0: 0}
+    order = [0]
+    for v in order:
+        for _, t in sorted(out.get(v, [])):
+            if t not in number:
+                number[t] = len(order)
+                order.append(t)
+    lines = sorted((number[a], names[s - 1], number[b]) for a, s, b in edges)
+    dump = "".join(f"{a} {name} {b}\n" for a, name, b in lines)
+    return "0\n" + dump, len(edges) - len(order) + 1
 
 
 # -- exact integer linear algebra --------------------------------------------

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgkit import (
     Alphabet,
@@ -294,6 +296,87 @@ class TestDump:
         reference = build_subgroup_graph(gens, AB).dump()
         for seed in range(4):
             assert build_subgroup_graph(reordered(gens, seed), AB).dump() == reference
+
+
+# how each later generator is built from the ones before it, so that its
+# reads jump along known loops: a random word, left * last * right as the
+# family builds its images, a prefix, a suffix (read backward along an
+# earlier inverse code), the same word again, its inverse
+_BUILDS = ["random", "chain", "prefix", "suffix", "repeat", "inverse"]
+
+
+def _fold_both_ways(gens, rank):
+    alphabet = Alphabet.numbered(rank, "a")
+    graph = build_subgroup_graph([Word(alphabet, w) for w in gens], alphabet)
+    return (graph.dump(), graph.rank()), oracles.folded_dump(gens, alphabet.names)
+
+
+class TestAgainstTextbookFold:
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_generators_built_from_earlier_ones(self, data):
+        rank = data.draw(st.integers(1, 3))
+        signed = st.sampled_from([s for g in range(1, rank + 1) for s in (g, -g)])
+
+        def word(max_size):
+            return data.draw(st.lists(signed, max_size=max_size).map(oracles.naive_reduce))
+
+        gens = [word(8)]
+        for _ in range(data.draw(st.integers(0, 6))):
+            build = data.draw(st.sampled_from(_BUILDS))
+            earlier = data.draw(st.sampled_from(gens))
+            k = data.draw(st.integers(0, len(earlier)))
+            if build == "random":
+                new = word(8)
+            elif build == "chain":
+                new = oracles.t_mul(oracles.t_mul(word(3), gens[-1]), word(3))
+            elif build == "prefix":
+                new = earlier[:k]
+            elif build == "suffix":
+                new = earlier[k:]
+            elif build == "repeat":
+                new = earlier
+            else:
+                new = oracles.t_inv(earlier)
+            gens.append(new)
+        mine, textbook = _fold_both_ways(gens, rank)
+        assert mine == textbook, gens
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda rank: st.tuples(
+                st.just(rank),
+                st.lists(
+                    st.lists(st.integers(1, rank).flatmap(lambda g: st.sampled_from([g, -g])))
+                    .map(oracles.naive_reduce),
+                    max_size=5,
+                ),
+            )
+        )
+    )
+    def test_random_generators(self, ranked):
+        rank, gens = ranked
+        mine, textbook = _fold_both_ways(gens, rank)
+        assert mine == textbook, gens
+
+    def test_backward_read_is_capped_at_the_forward_one(self):
+        # a1 reads forward along the first loop to a vertex with no
+        # a3-edge; a3^-1 a1^-1 is a prefix of the second loop's inverse
+        # code, but only its first letter is left to read backward
+        gens = [(1, 2), (-2, 1, 3), (1, 3)]
+        mine, textbook = _fold_both_ways(gens, 3)
+        assert mine == textbook
+        assert textbook[1] == 3
+
+    @pytest.mark.parametrize("g", [2, 4, 8])
+    @pytest.mark.parametrize("l", [3, 12])
+    def test_family(self, g, l):
+        h = embedding(FamilyParams(g, l))
+        graph = build_subgroup_graph(h.images, h.codomain)
+        textbook = oracles.folded_dump([w.letters for w in h.images], h.codomain.names)
+        assert (graph.dump(), graph.rank()) == textbook
+        assert textbook[1] == 2 * g
 
 
 class TestInjectivity:

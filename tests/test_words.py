@@ -490,8 +490,8 @@ class TestLeastRotation:
         rounds, scans = [], []
         real_prefix, real_start = words._common_prefix, words._least_start
 
-        def counted_prefix(data, i, j, limit):
-            rounds.append(real_prefix(data, i, j, limit))
+        def counted_prefix(a, i, b, j, limit):
+            rounds.append(real_prefix(a, i, b, j, limit))
             assert sum(rounds) <= 3 * limit, "more than linear work"
             return rounds[-1]
 
@@ -736,6 +736,19 @@ class TestRender:
         text = render_word(w)
         assert parse_word(text, Y) == w
         assert render_word(parse_word(text, Y)) == text
+
+    def test_long_run_renders_in_constant_memory(self):
+        # a regex match of the whole run keeps state for every letter,
+        # about 92 MiB here
+        w = parse_word("y1^1000000", Y)
+        tracemalloc.start()
+        try:
+            text = render_word(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == "y1^1000000"
+        assert peak < 4 << 20
 
 
 class TestIterReducedWords:
