@@ -402,6 +402,12 @@ class VerificationReport:
         )
 
     def to_json_dict(self, include_timings: bool = True) -> dict:
+        # the two classes are equal on every instance checked; render once
+        boundary = render_word(self.boundary_class.to_word())
+        if self.boundary_class_oriented == self.boundary_class:
+            oriented = boundary
+        else:
+            oriented = render_word(self.boundary_class_oriented.to_word())
         data = {
             "schema": REPORT_SCHEMA,
             "params": {"g": self.params.g, "l": self.params.l},
@@ -415,10 +421,8 @@ class VerificationReport:
             ),
             "reference_order": self.reference_order,
             "reference_order_match": self.reference_order_match,
-            "boundary_class": render_word(self.boundary_class.to_word()),
-            "boundary_class_oriented": render_word(
-                self.boundary_class_oriented.to_word()
-            ),
+            "boundary_class": boundary,
+            "boundary_class_oriented": oriented,
             "hard_pass": self.hard_pass,
             "warnings": list(self.warnings),
         }

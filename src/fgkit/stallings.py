@@ -32,15 +32,23 @@ N. Touikan, *A fast algorithm for Stallings' folding process*, IJAC 16(6)
 (2006), and I. Kapovich and A. Myasnikov, *Stallings foldings and
 subgroups of free groups*, J. Algebra 248 (2002), §§3–5.
 
-Folding is a single-owner mutation; after :meth:`SubgroupGraph.fold` the
-graph is frozen, relabeled canonically (breadth-first from the base, edges
-in letter order), and safe to query from any thread.  Because the folded
-core is unique, any two attach orders produce identical canonical graphs.
-Every query except the two size counts needs a folded graph.
+Folding is a single-owner mutation.  :meth:`SubgroupGraph.fold` keeps the
+fold's own union-find state: each representative's adjacency dict, whose
+targets may be stale, and the parent list they are resolved through.  It
+counts the merges as it goes, so V is the vertices created less the
+merges, and E is half the entries of the dicts, since a merged vertex's
+dict is emptied.  Membership and base labels walk that state and resolve
+each target through ``parent`` without writing to it, so a folded graph is
+safe to query from any thread.  The canonical relabel (breadth-first from
+the base, edges in letter order) is built on the first call of
+:meth:`~SubgroupGraph.edges`, :meth:`~SubgroupGraph.dump` or ``==`` and
+cached.  Because the folded core is unique, any two attach orders produce
+identical canonical graphs.  Every query except the two size counts needs
+a folded graph.
 
-The rank of the subgroup is E - V + 1 of its folded graph: the graph is
-connected, and a hanging tree adds as many edges as vertices, so no
-trimming to the core is needed.
+The rank of the subgroup is E - V + 1 of its folded graph, counted during
+the fold: the graph is connected, and a hanging tree adds as many edges as
+vertices, so no trimming to the core is needed.
 
 Injectivity of a homomorphism between free groups is certified by rank
 counting: the folded graph of the image subgroup has rank equal to the
@@ -82,7 +90,12 @@ class SubgroupGraph:
         self.base = 0
         # unfolded: the codes of the nontrivial generator words, one loop each
         self._gens: tuple[str, ...] = ()
-        # folded adjacency: vertex -> {letter code: unique target}
+        # folded: the fold's union-find state (see fold) and its (V, E)
+        self._adj: list[dict[str, int]] | None = None
+        self._parent: list[int] = []
+        self._root = 0  # the base's representative
+        self._counts = (1, 0)
+        # the canonical relabel, built on first use
         self._out: list[dict[str, int]] | None = None
 
     @classmethod
@@ -100,18 +113,23 @@ class SubgroupGraph:
 
     @property
     def folded(self) -> bool:
-        return self._out is not None
+        return self._adj is not None
 
     # -- folding ---------------------------------------------------------
 
     def fold(self) -> "SubgroupGraph":
-        """Attach the generator loops one at a time, folding as they go; freeze."""
+        """Attach the generator loops one at a time, folding as they go.
+
+        Keeps the union-find state and counts V and E, so the rank needs
+        no further pass.
+        """
         if self.folded:
             return self
         # adj[v] is current only for representatives v; targets may be stale
         # and are resolved through find
         adj: list[dict[str, int]] = [{}]
         parent = [0]
+        merges = 0
 
         def find(v: int) -> int:
             while parent[v] != v:
@@ -120,6 +138,7 @@ class SubgroupGraph:
             return v
 
         def identify(a: int, b: int) -> None:
+            nonlocal merges
             pending = [(a, b)]
             while pending:
                 a, b = pending.pop()
@@ -129,6 +148,7 @@ class SubgroupGraph:
                 if len(adj[a]) < len(adj[b]):
                     a, b = b, a
                 parent[b] = a
+                merges += 1
                 into = adj[a]
                 for s, t in adj[b].items():
                     u = into.setdefault(s, t)
@@ -209,60 +229,66 @@ class SubgroupGraph:
                     insort(codes, c)
                     loops[c] = (path, step)
 
-        self._freeze(adj, parent, find)
-        return self
-
-    def _freeze(self, adj: list[dict[str, int]], parent: list[int], find) -> None:
-        # canonical relabeling: BFS from base, neighbors in letter order,
-        # which is code point order; iterating `order` while it grows is
-        # the queue
-        root = find(self.base)
-        mapping = {root: 0}
-        order = [root]
-        out: list[dict[str, int]] = []
-        for v in order:
-            d = adj[v]
-            row = {}
-            for s in sorted(d):
-                t = d[s]
-                if parent[t] != t:
-                    t = find(t)
-                idx = mapping.get(t)
-                if idx is None:
-                    idx = mapping[t] = len(order)
-                    order.append(t)
-                row[s] = idx
-            out.append(row)
-        self._out = out
+        self._adj, self._parent, self._root = adj, parent, find(self.base)
+        # the vertices are the representatives; a merged vertex's dict is
+        # emptied, and each edge is held once in each direction, a loop too
+        self._counts = (len(parent) - merges, sum(map(len, adj)) // 2)
         self._gens = ()
-        self.base = 0
+        return self
 
     # -- queries ---------------------------------------------------------
 
-    def _folded_out(self, what: str) -> list[dict[str, int]]:
-        if self._out is None:
+    def _folded(self, what: str) -> tuple[list[dict[str, int]], list[int], int]:
+        if self._adj is None:
             raise ValueError(f"graph must be folded before {what}")
+        return self._adj, self._parent, self._root
+
+    def _canonical(self, what: str) -> list[dict[str, int]]:
+        """Adjacency relabeled canonically, built on first use and cached.
+
+        Breadth-first from the base, neighbors in letter order, which is
+        code point order; iterating ``order`` while it grows is the queue.
+        Targets are resolved through ``parent`` without writing to it.
+        """
+        if self._out is None:
+            adj, parent, root = self._folded(what)
+            mapping = {root: 0}
+            order = [root]
+            out: list[dict[str, int]] = []
+            for v in order:
+                d = adj[v]
+                row = {}
+                for s in sorted(d):
+                    t = d[s]
+                    while parent[t] != t:
+                        t = parent[t]
+                    idx = mapping.get(t)
+                    if idx is None:
+                        idx = mapping[t] = len(order)
+                        order.append(t)
+                    row[s] = idx
+                out.append(row)
+            self._out = out
         return self._out
 
     @property
     def n_vertices(self) -> int:
-        if self._out is not None:
-            return len(self._out)
+        if self.folded:
+            return self._counts[0]
         return 1 + sum(len(w) - 1 for w in self._gens)
 
     @property
     def n_edges(self) -> int:
         """Undirected edge count (each labeled edge counted once)."""
-        if self._out is not None:
-            # each edge is held once in each direction, a loop too
-            return sum(map(len, self._out)) // 2
+        if self.folded:
+            return self._counts[1]
         return sum(len(w) for w in self._gens)
 
     def edges(self) -> list[tuple[int, str, int]]:
         """Positively-oriented edges as (from, label name, to), sorted."""
         out = [
             (v, self.alphabet.name(_letter(s)), t)
-            for v, d in enumerate(self._folded_out("listing edges"))
+            for v, d in enumerate(self._canonical("listing edges"))
             for s, t in d.items()
             if _letter(s) > 0
         ]
@@ -273,14 +299,15 @@ class SubgroupGraph:
         """True iff ``w`` is readable as a base-to-base path: subgroup membership."""
         if w.alphabet != self.alphabet:
             raise AlphabetMismatch("query word not over the graph's alphabet")
-        out = self._folded_out("reading paths")
-        v = self.base
+        adj, parent, root = self._folded("reading paths")
+        v = root
         for s in w.code:
-            nxt = out[v].get(s)
-            if nxt is None:
+            v = adj[v].get(s)
+            if v is None:
                 return False
-            v = nxt
-        return v == self.base
+            while parent[v] != v:
+                v = parent[v]
+        return v == root
 
     def base_labels(self, w: Word) -> set[int]:
         """Labels, read outward from the base, of the base edges a loop uses.
@@ -290,16 +317,18 @@ class SubgroupGraph:
         each time it arrives along ``s`` it gains ``-s``.  One pass over
         the code of ``w``.
         """
-        out, base = self._folded_out("reading base labels"), self.base
+        adj, parent, base = self._folded("reading base labels")
         labels: set[int] = set()
         v = base
         for s in w.code:
             if v == base:
                 labels.add(_letter(s))
             try:
-                v = out[v][s]
+                v = adj[v][s]
             except KeyError:
                 raise ValueError("letters do not spell a path in the graph") from None
+            while parent[v] != v:
+                v = parent[v]
             if v == base:
                 labels.add(-_letter(s))
         if v != base:
@@ -309,10 +338,11 @@ class SubgroupGraph:
     def rank(self) -> int:
         """Rank of the represented subgroup: E - V + 1 of the folded graph.
 
-        :meth:`fold` keeps only the vertices reachable from the base, so
-        the graph is connected and E - V + 1 is its cycle rank.
+        Every loop is attached at the base, so the folded graph is
+        connected and E - V + 1 is its cycle rank.  V and E are counted
+        by :meth:`fold`.
         """
-        self._folded_out("rank computation")
+        self._folded("rank computation")
         return self.n_edges - self.n_vertices + 1
 
     def dump(self) -> str:
@@ -324,12 +354,12 @@ class SubgroupGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SubgroupGraph):
             return NotImplemented
-        mine, theirs = self._folded_out("comparison"), other._folded_out("comparison")
+        mine, theirs = self._canonical("comparison"), other._canonical("comparison")
         return self.alphabet == other.alphabet and mine == theirs
 
 
 def build_subgroup_graph(generators: Iterable[Word], codomain: Alphabet) -> SubgroupGraph:
-    """Folded, canonically labeled graph of the subgroup the words generate."""
+    """Folded graph of the subgroup the words generate."""
     return SubgroupGraph.wedge(generators, codomain).fold()
 
 

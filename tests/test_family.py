@@ -22,10 +22,12 @@ from fgkit import (
     generator_images_recursive,
     parse_word,
     reference_quotient_order,
+    render_word,
     shuffle_words,
     target_alphabet,
     verify,
 )
+import fgkit.family
 import oracles
 from fgkit.words import _MAX_PARSED_LETTERS, _cancelled
 from fgkit.family import (
@@ -552,3 +554,22 @@ class TestVerificationReport:
         a = VerificationReport(**self.FIELDS, warnings=["w"], timings={"t": 0.5})
         back = pickle.loads(pickle.dumps(a))
         assert back == a and repr(back) == repr(a)
+
+    def test_equal_classes_render_once(self, monkeypatch):
+        rendered = []
+
+        def counting_render(w):
+            rendered.append(w)
+            return render_word(w)
+
+        monkeypatch.setattr(fgkit.family, "render_word", counting_render)
+        data = VerificationReport(**self.FIELDS).to_json_dict()
+        assert data["boundary_class"] == data["boundary_class_oriented"] == "y1 y2"
+        assert len(rendered) == 1
+        unequal = dict(self.FIELDS, boundary_class_oriented=canonical_class(Word(Y, (1, -2))))
+        data = VerificationReport(**unequal).to_json_dict()
+        assert (data["boundary_class"], data["boundary_class_oriented"]) == (
+            "y1 y2",
+            "y1 y2^-1",
+        )
+        assert len(rendered) == 3

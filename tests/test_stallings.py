@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from fgkit import (
     embedding,
     is_injective,
     parse_word,
+    verify,
 )
 
 import oracles
@@ -377,6 +379,88 @@ class TestAgainstTextbookFold:
         textbook = oracles.folded_dump([w.letters for w in h.images], h.codomain.names)
         assert (graph.dump(), graph.rank()) == textbook
         assert textbook[1] == 2 * g
+
+
+def _dump_counts(dump):
+    """(V, E) of a canonical dump: vertex ids are 0..V-1, one edge a line."""
+    lines = dump.splitlines()[1:]
+    ends = {0} | {int(x) for line in lines for x in line.split()[::2]}
+    return len(ends), len(lines)
+
+
+class TestCountsDuringFold:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_counts_match_canonical_form_and_textbook_fold(self, data):
+        rank = data.draw(st.integers(1, 3))
+        signed = st.sampled_from([s for g in range(1, rank + 1) for s in (g, -g)])
+        gens = data.draw(st.lists(st.lists(signed, max_size=7).map(oracles.naive_reduce), max_size=4))
+        # repeats, inverses, powers (merge-heavy: a1^2 then a1^3) and trivial words
+        for _ in range(data.draw(st.integers(0, 4))):
+            earlier = data.draw(st.sampled_from(gens)) if gens else ()
+            build = data.draw(st.sampled_from(["repeat", "inverse", "power", "trivial"]))
+            if build == "repeat":
+                new = earlier
+            elif build == "inverse":
+                new = oracles.t_inv(earlier)
+            elif build == "power":
+                new = oracles.t_pow(earlier, data.draw(st.integers(2, 5)))
+            else:
+                new = ()
+            gens.append(new)
+        alphabet = Alphabet.numbered(rank, "a")
+        graph = build_subgroup_graph([Word(alphabet, w) for w in gens], alphabet)
+        counts = (graph.n_vertices, graph.n_edges, graph.rank())
+        textbook, textbook_rank = oracles.folded_dump(gens, alphabet.names)
+        assert counts == (*_dump_counts(textbook), textbook_rank), gens
+        assert counts[:2] == _dump_counts(graph.dump()), gens
+
+    def test_powers_fold_to_their_gcd(self):
+        for texts, counts in [(("a1^2", "a1^3"), (1, 1, 1)), (("a1^6", "a1^4"), (2, 2, 1))]:
+            g = build_subgroup_graph(words(A1, *texts), A1)
+            assert (g.n_vertices, g.n_edges, g.rank()) == counts
+
+    def test_one_identify_cascades_through_several_merges(self):
+        # a1^4 reads all the way along the a1^6 loop, and closing it at the
+        # base cascades 0~4, 1~5, 2~0, 3~1: four merges from one call
+        g = SubgroupGraph.wedge(words(A1, "a1^6", "a1^4"), A1)
+        assert g.fold() is g
+        assert (g.n_vertices, g.n_edges, g.rank()) == (2, 2, 1)
+        assert len(g._parent) - g.n_vertices == 4
+        assert g.dump() == "0\n0 a1 1\n1 a1 0\n"
+
+
+class TestFoldedQueries:
+    def test_rank_paths_build_no_canonical_form(self, monkeypatch):
+        def refuse(self, what):
+            raise AssertionError(f"canonical relabel built for {what}")
+
+        monkeypatch.setattr(SubgroupGraph, "_canonical", refuse)
+        h = embedding(FamilyParams(4, 5))
+        assert is_injective(h) == (True, 8, 8)
+        assert build_subgroup_graph(h.images, h.codomain).rank() == 8
+        assert verify(FamilyParams(2, 3)).hard_pass
+        with pytest.raises(AssertionError, match="edges"):
+            build_subgroup_graph(h.images, h.codomain).edges()
+
+    @pytest.mark.parametrize(
+        "alphabet, texts, outsider",
+        [(A1, ("a1^6", "a1^4"), "a1^3"), (AB, ("a2^-1 a1^-1 a2^2", "a2^-2"), "a2")],
+    )
+    def test_queries_leave_the_union_find_state_unchanged(self, alphabet, texts, outsider):
+        # both folds leave stale targets and move the base's representative
+        gens = words(alphabet, *texts)
+        g = build_subgroup_graph(gens, alphabet)
+        parent = g._parent
+        assert g._root != 0
+        assert any(parent[t] != t for d in g._adj for t in d.values())
+        before = copy.deepcopy((g._adj, g._parent, g._root, g._counts))
+        for w in gens:
+            assert g.contains(w)
+            assert g.base_labels(w)
+        assert not g.contains(parse_word(outsider, alphabet))
+        assert (g._adj, g._parent, g._root, g._counts) == before
+        assert g._out is None
 
 
 class TestInjectivity:
