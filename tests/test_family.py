@@ -27,7 +27,6 @@ from fgkit import (
     target_alphabet,
     verify,
 )
-import fgkit.family
 import oracles
 from fgkit.words import _MAX_PARSED_LETTERS, _cancelled
 from fgkit.family import (
@@ -562,11 +561,12 @@ class TestVerificationReport:
             rendered.append(w)
             return render_word(w)
 
-        monkeypatch.setattr(fgkit.family, "render_word", counting_render)
+        monkeypatch.setattr("fgkit.family.render_word", counting_render)
         data = VerificationReport(**self.FIELDS).to_json_dict()
         assert data["boundary_class"] == data["boundary_class_oriented"] == "y1 y2"
         assert len(rendered) == 1
-        unequal = dict(self.FIELDS, boundary_class_oriented=canonical_class(Word(Y, (1, -2))))
+        oriented = canonical_class(Word(Y, (1, -2)))
+        unequal = dict(self.FIELDS, boundary_class_oriented=oriented)
         data = VerificationReport(**unequal).to_json_dict()
         assert (data["boundary_class"], data["boundary_class_oriented"]) == (
             "y1 y2",

@@ -394,7 +394,8 @@ class TestCountsDuringFold:
     def test_counts_match_canonical_form_and_textbook_fold(self, data):
         rank = data.draw(st.integers(1, 3))
         signed = st.sampled_from([s for g in range(1, rank + 1) for s in (g, -g)])
-        gens = data.draw(st.lists(st.lists(signed, max_size=7).map(oracles.naive_reduce), max_size=4))
+        reduced = st.lists(signed, max_size=7).map(oracles.naive_reduce)
+        gens = data.draw(st.lists(reduced, max_size=4))
         # repeats, inverses, powers (merge-heavy: a1^2 then a1^3) and trivial words
         for _ in range(data.draw(st.integers(0, 4))):
             earlier = data.draw(st.sampled_from(gens)) if gens else ()
@@ -421,8 +422,9 @@ class TestCountsDuringFold:
             assert (g.n_vertices, g.n_edges, g.rank()) == counts
 
     def test_one_identify_cascades_through_several_merges(self):
-        # a1^4 reads all the way along the a1^6 loop, and closing it at the
-        # base cascades 0~4, 1~5, 2~0, 3~1: four merges from one call
+        # a1^4 reads four letters along the a1^6 loop; identifying its end
+        # with the base cascades until the six vertices form the two
+        # classes {0, 2, 4} and {1, 3, 5}: four merges from one call
         g = SubgroupGraph.wedge(words(A1, "a1^6", "a1^4"), A1)
         assert g.fold() is g
         assert (g.n_vertices, g.n_edges, g.rank()) == (2, 2, 1)
