@@ -403,11 +403,13 @@ class VerificationReport:
 
     def to_json_dict(self, include_timings: bool = True) -> dict:
         # the two classes are equal on every instance checked; render once
+        t0 = time.perf_counter()
         boundary = render_word(self.boundary_class.to_word())
         if self.boundary_class_oriented == self.boundary_class:
             oriented = boundary
         else:
             oriented = render_word(self.boundary_class_oriented.to_word())
+        render = time.perf_counter() - t0
         data = {
             "schema": REPORT_SCHEMA,
             "params": {"g": self.params.g, "l": self.params.l},
@@ -427,7 +429,7 @@ class VerificationReport:
             "warnings": list(self.warnings),
         }
         if include_timings:
-            data["timings"] = dict(self.timings)
+            data["timings"] = {**self.timings, "render": render}
         return data
 
 

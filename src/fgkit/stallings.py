@@ -18,16 +18,19 @@ merges the smaller adjacency dict into the larger.
 
 Each read starts with a jump along the loops already attached.  The codes
 of the attached generators and of their inverses are kept in one sorted
-list, each with the vertex ids its loop passes through.  Merges only
-identify vertices, so ``find`` of those ids still spells the loop, and the
-longest prefix that a read shares with any known code is shared with a
-neighbour of its insertion point in the sorted list.  That prefix is found
-by comparing slices of doubling, then halving, length, and the read goes
-on letter by letter from ``find`` of the id it ends at; the backward read
-jumps no further than the forward one left to read.  So only letters that
-no earlier loop spells cost a Python step each, and the rest cost O(log n)
-Python steps and O(n) characters of C work per generator, plus the merges
-it causes.  See
+list, each with the vertex ids its loop passes through, held in an
+``array('q')`` of machine ints so that slicing, reversing and joining a
+path is a copy in C.  Merges only identify vertices, so ``find`` of those
+ids still spells the loop, and the longest prefix that a read shares with
+any known code is shared with a neighbour of its insertion point in the
+sorted list.  Its length is found by bisection: a read of at most m
+letters that already shares p letters with the neighbour takes
+ceil(log2(m - p + 1)) slice compares.  The read goes on letter by letter
+from ``find`` of the id it ends at; the backward read jumps no further
+than the forward one left to read.  So only letters that no earlier loop
+spells cost a Python step each, and the rest cost O(log n) Python steps
+and O(n) characters and ids of C work per generator, plus the merges it
+causes.  See
 N. Touikan, *A fast algorithm for Stallings' folding process*, IJAC 16(6)
 (2006), and I. Kapovich and A. Myasnikov, *Stallings foldings and
 subgroups of free groups*, J. Algebra 248 (2002), §§3–5.
@@ -67,12 +70,13 @@ which is the letter order.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect, insort
 from collections import namedtuple
 from collections.abc import Iterable
 
 from .homs import Homomorphism
-from .words import Alphabet, AlphabetMismatch, Word, _common_prefix, _inverse, _letter
+from .words import Alphabet, AlphabetMismatch, Word, _inverse, _letter
 
 __all__ = [
     "SubgroupGraph",
@@ -158,26 +162,34 @@ class SubgroupGraph:
 
         # every attached code and inverse code, sorted, and the ids of the
         # vertices it reads through: loops[c] = (path, step) with path the
-        # ids along its generator w, positions 0..len(w), and step -1 when
-        # c is the inverse code, which reads them backwards.  Merges only
-        # identify vertices, so find of those ids still spells c.
+        # ids along its generator w, positions 0..len(w), in an array of
+        # machine ints, and step -1 when c is the inverse code, which reads
+        # them backwards.  Merges only identify vertices, so find of those
+        # ids still spells c.
         codes: list[str] = []
-        loops: dict[str, tuple[list[int], int]] = {}
+        loops: dict[str, tuple[array, int]] = {}
+        start = array("q", (self.base,))
 
-        def known_prefix(code: str, limit: int) -> list[int]:
+        def known_prefix(code: str, limit: int) -> array:
             # ids along the longest prefix of `code`, at most `limit`
             # letters, that a known loop spells; over a sorted list the
             # longest common prefix is with a neighbour of the insertion point
             k = bisect(codes, code)
-            best, ids = 0, [self.base]
+            best, ids = 0, start
             for c in codes[k - 1 : k + 1] if k else codes[:1]:
                 # one slice compare says whether c beats the best so far
-                p, m = best + 1, min(limit, len(c))
-                if p <= m and code[:p] == c[:p]:
-                    p += _common_prefix(code, p, c, p, m - p)
+                lo, hi = best + 1, min(limit, len(c))
+                if lo <= hi and code[:lo] == c[:lo]:
+                    # code[:lo] == c[:lo], and the common prefix is at most hi
+                    while lo < hi:
+                        mid = (lo + hi + 1) // 2
+                        if code[lo:mid] == c[lo:mid]:
+                            lo = mid
+                        else:
+                            hi = mid - 1
                     path, step = loops[c]
-                    best, ids = p, path[: p + 1] if step > 0 else path[-1 - p :][::-1]
-            return ids
+                    best, ids = lo, path[: lo + 1] if step > 0 else path[-1 - lo :][::-1]
+            return ids if best else start[:]
 
         # the reads below inline find's fast path for a representative t;
         # inv[n - 1 - k] is the code of the inverse of the letter w[k];
@@ -195,7 +207,7 @@ class SubgroupGraph:
                 fwd.append(v)
             if i == n:
                 identify(v, self.base)
-                bwd = []
+                bwd = array("q")
             else:
                 bwd = known_prefix(inv, n - i)
                 j = n + 1 - len(bwd)

@@ -477,6 +477,13 @@ class TestVerify:
         assert "timings" not in stripped
         json.dumps(data)  # must be serializable
 
+    def test_render_timed_only_with_timings(self, report):
+        timings = report.to_json_dict()["timings"]
+        assert set(timings) == set(report.timings) | {"render"}
+        assert timings["render"] >= 0
+        assert "render" not in report.timings
+        assert "timings" not in report.to_json_dict(include_timings=False)
+
     def test_boundary_class_round_trips_through_grammar(self, report):
         text = report.to_json_dict()["boundary_class"]
         parsed = parse_word(text, Y)

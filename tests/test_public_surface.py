@@ -121,7 +121,7 @@ SLOW_IMPORTS = {"dataclasses", "inspect", "ast"}
 # every standard library module fgkit imports at import time; importing
 # fgkit.cli after these must add no other top-level module (typing, say)
 FGKIT_STDLIB_IMPORTS = [
-    "__future__", "argparse", "bisect", "collections.abc", "csv", "io",
+    "__future__", "argparse", "array", "bisect", "collections.abc", "csv", "io",
     "itertools", "json", "math", "os", "re", "sys", "time",
 ]
 

@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -379,6 +381,135 @@ class TestAgainstTextbookFold:
         textbook = oracles.folded_dump([w.letters for w in h.images], h.codomain.names)
         assert (graph.dump(), graph.rank()) == textbook
         assert textbook[1] == 2 * g
+
+
+def _letter_reads(gens, rank):
+    """The fold's one-letter-at-a-time reads: its ``dict.get`` calls, one
+    per letter read past a jump and one per read that stops at a missing
+    edge.  Step counts, never a time."""
+    alphabet = Alphabet.numbered(rank, "a")
+    wedge = SubgroupGraph.wedge([Word(alphabet, w) for w in gens], alphabet)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "c_call" and frame.f_code.co_name == "fold" and arg.__name__ == "get":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        wedge.fold()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _common_prefix_length(a, b):
+    k = 0
+    while k < min(len(a), len(b)) and a[k] == b[k]:
+        k += 1
+    return k
+
+
+def _jump_model(earlier, w, rank):
+    """What attaching ``w`` after ``earlier`` should read, by the textbook
+    fold of ``earlier``: each read jumps the longest prefix it shares with an
+    earlier generator or inverse, at most its limit, then reads letters one
+    at a time as far as the folded graph spells it.  Returns the forward
+    (jump, limit), the backward (jump, cap) or None when the forward read
+    closes the loop, and the number of letters read one at a time, counting
+    a read that stops at a missing edge as one."""
+    names = Alphabet.numbered(rank, "a").names
+    adj = {}
+    for line in oracles.folded_dump(earlier, names)[0].splitlines()[1:]:
+        u, name, v = line.split()
+        s = names.index(name) + 1
+        adj[int(u), s], adj[int(v), -s] = int(v), int(u)
+    known = [c for e in earlier if e for c in (e, oracles.t_inv(e))]
+
+    def read(word, limit):
+        jump = min(limit, max((_common_prefix_length(word, c) for c in known), default=0))
+        v, spelled = 0, 0
+        while spelled < limit and (v, word[spelled]) in adj:
+            v, spelled = adj[v, word[spelled]], spelled + 1
+        return jump, spelled, spelled - jump + (spelled < limit)
+
+    n = len(w)
+    jump, i, reads = read(w, n)
+    if i == n:
+        return (jump, n), None, reads
+    back, _, back_reads = read(oracles.t_inv(w), n - i)
+    return (jump, n), (back, n - i), reads + back_reads
+
+
+# one known loop K, then a generator whose shared prefix with K or K^-1,
+# the neighbours of its insertion point, is 0, 1, limit - 1 or the limit:
+# (w, forward (jump, limit n), backward (jump, cap n - i) or None)
+_K = (1, 2, 1, 2, 3)
+_JUMP_BOUNDS = {
+    "forward 0": ((2, 1, 3), (0, 3), (1, 3)),
+    "forward 1": ((1, 3, 2), (1, 3), (0, 2)),
+    "forward n - 1": ((1, 2, 1, 3), (3, 4), (1, 1)),
+    "forward n": ((1, 2, 1), (3, 3), None),
+    "forward past all of K": ((1, 2, 1, 2, 3, 1), (5, 6), None),
+    "backward 0": ((1, 2, 2, 1), (2, 4), (0, 2)),
+    "backward 1": ((1, 2, 2, 1, 3), (2, 5), (1, 3)),
+    "backward cap - 1": ((1, 2, 2, 2, 1, 2, 3), (2, 7), (4, 5)),
+    "backward cap": ((1, 2, 2, 3), (2, 4), (2, 2)),
+    "backward past the cap": ((1, 2, 3), (2, 3), (1, 1)),
+}
+
+
+class TestJumpBounds:
+    @pytest.mark.parametrize("label", list(_JUMP_BOUNDS))
+    def test_jump_reaches_its_bound_and_no_further(self, label):
+        w, forward, backward = _JUMP_BOUNDS[label]
+        *jumps, reads = _jump_model([_K], w, 3)
+        assert jumps == [forward, backward]
+        for gens in ([_K, w], [oracles.t_inv(_K), w]):
+            mine, textbook = _fold_both_ways(gens, 3)
+            assert mine == textbook
+            assert _letter_reads(gens, 3) - _letter_reads(gens[:1], 3) == reads
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_only_letters_no_known_loop_spells_are_read_one_at_a_time(self, data):
+        rank = data.draw(st.integers(1, 3))
+        signed = st.sampled_from([s for g in range(1, rank + 1) for s in (g, -g)])
+        reduced = st.lists(signed, max_size=8).map(oracles.naive_reduce)
+        earlier = data.draw(st.lists(reduced, min_size=1, max_size=4))
+        base = data.draw(st.sampled_from(earlier))
+        k = data.draw(st.integers(0, len(base)))
+        # a prefix of an earlier loop with a random tail, a suffix with a
+        # random head, or a random word
+        other = data.draw(reduced)
+        build = data.draw(st.sampled_from(["prefix", "suffix", "random"]))
+        if build == "prefix":
+            w = oracles.t_mul(base[:k], other)
+        elif build == "suffix":
+            w = oracles.t_mul(other, base[k:])
+        else:
+            w = other
+        *_, reads = _jump_model(earlier, w, rank)
+        gens = [*earlier, w]
+        assert _letter_reads(gens, rank) - _letter_reads(earlier, rank) == reads, gens
+
+
+# sha256 of dump() of the family's folded graph at l = 12, frozen from the
+# fold before its paths were arrays and its jumps bisected
+_FAMILY_DUMP_SHA256 = {
+    8: "29cf0b1aa8bebeac1e86458bf46fea219d496d32e7f8cb38531aa17e5a8baa71",
+    32: "2c429b335b34df9f62ab54d558fb88e5fd10f29a1b3b32aadd19313492928ff5",
+    64: "1cfeee27e180d12aa8add22c6351f8465c8ac89587f9e30c6afff4a979f5f3ee",
+}
+
+
+@pytest.mark.parametrize("g", list(_FAMILY_DUMP_SHA256))
+def test_family_dump_digest(g):
+    h = embedding(FamilyParams(g, 12))
+    graph = build_subgroup_graph(h.images, h.codomain)
+    assert hashlib.sha256(graph.dump().encode()).hexdigest() == _FAMILY_DUMP_SHA256[g]
+    assert graph.rank() == 2 * g
 
 
 def _dump_counts(dump):
