@@ -210,9 +210,15 @@ def _run_grid(jobs: list[FamilyParams], parallel: int) -> list[VerificationRepor
 
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(verify, jobs))
+                results = pool.map(verify, jobs)  # starts the workers, submits every job
         except (OSError, BrokenProcessPool) as exc:  # no subprocesses, or one died
-            print(f"note: falling back to serial execution ({exc})", file=sys.stderr)
+            failure = exc
+        else:
+            try:
+                return list(results)  # a job's own error, OSError or not, surfaces once
+            except BrokenProcessPool as exc:  # a worker died
+                failure = exc
+        print(f"note: falling back to serial execution ({failure})", file=sys.stderr)
     return [verify(params) for params in jobs]
 
 

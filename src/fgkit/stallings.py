@@ -8,7 +8,8 @@ the subgroup.
 
 :meth:`SubgroupGraph.wedge` records only the reduced generator words; the
 wedge of loops is never built, and its vertex and edge counts
-(``1 + sum(len - 1)`` and ``sum(len)``) are computed from the word lengths.
+(``1 + sum(len - 1)`` and ``sum(len)``) are computed from the word lengths
+when it is built.
 :meth:`SubgroupGraph.fold` attaches the generators one at a time to a graph
 that is kept folded (attach-and-fold): it reads the longest prefix of the
 generator forward from the base, the longest remaining suffix backward from
@@ -25,29 +26,28 @@ ids still spells the loop, and the longest prefix that a read shares with
 any known code is shared with a neighbour of its insertion point in the
 sorted list.  Its length is found by bisection: a read of at most m
 letters that already shares p letters with the neighbour takes
-ceil(log2(m - p + 1)) slice compares.  The read goes on letter by letter
-from ``find`` of the id it ends at; the backward read jumps no further
-than the forward one left to read.  So only letters that no earlier loop
-spells cost a Python step each, and the rest cost O(log n) Python steps
-and O(n) characters and ids of C work per generator, plus the merges it
-causes.  See
+ceil(log2(m - p + 1)) slice compares.  One read serves both directions:
+it goes on letter by letter from ``find`` of the id the jump ends at, and
+the backward read is capped at the letters the forward one left.  So
+only letters that no earlier loop spells cost a Python step each, and the
+rest cost O(log n) Python steps and O(n) characters and ids of C work per
+generator, plus the merges it causes.  See
 N. Touikan, *A fast algorithm for Stallings' folding process*, IJAC 16(6)
 (2006), and I. Kapovich and A. Myasnikov, *Stallings foldings and
 subgroups of free groups*, J. Algebra 248 (2002), §§3–5.
 
 Folding is a single-owner mutation.  :meth:`SubgroupGraph.fold` keeps the
-fold's own union-find state: each representative's adjacency dict, whose
-targets may be stale, and the parent list they are resolved through.  It
-counts the merges as it goes, so V is the vertices created less the
+fold's own adjacency dicts, one per vertex it created, and counts the
+union-find merges as it goes, so V is the vertices created less the
 merges, and E is half the entries of the dicts, since a merged vertex's
-dict is emptied.  Membership and base labels walk that state and resolve
-each target through ``parent`` without writing to it, so a folded graph is
-safe to query from any thread.  The canonical relabel (breadth-first from
-the base, edges in letter order) is built on the first call of
-:meth:`~SubgroupGraph.edges`, :meth:`~SubgroupGraph.dump` or ``==`` and
-cached.  Because the folded core is unique, any two attach orders produce
-identical canonical graphs.  Every query except the two size counts needs
-a folded graph.
+dict is emptied.  A fold that merged anything rewrites each stale target
+to its representative before it returns, so membership and base labels
+walk the dicts alone and a folded graph is safe to query from any thread.
+The canonical relabel (breadth-first from the base, edges in letter
+order) is built on the first call of :meth:`~SubgroupGraph.edges`,
+:meth:`~SubgroupGraph.dump` or ``==`` and cached.  Because the folded
+core is unique, any two attach orders produce identical canonical graphs.
+Every query except the two size counts needs a folded graph.
 
 The rank of the subgroup is E - V + 1 of its folded graph, counted during
 the fold: the graph is connected, and a hanging tree adds as many edges as
@@ -94,11 +94,10 @@ class SubgroupGraph:
         self.base = 0
         # unfolded: the codes of the nontrivial generator words, one loop each
         self._gens: tuple[str, ...] = ()
-        # folded: the fold's union-find state (see fold) and its (V, E)
+        # folded: the fold's adjacency dicts (see fold), the base's representative
         self._adj: list[dict[str, int]] | None = None
-        self._parent: list[int] = []
-        self._root = 0  # the base's representative
-        self._counts = (1, 0)
+        self._root = 0
+        self._counts = (1, 0)  # (V, E): of the wedge, then of the folded graph
         # the canonical relabel, built on first use
         self._out: list[dict[str, int]] | None = None
 
@@ -113,6 +112,8 @@ class SubgroupGraph:
             if w.code:
                 gens.append(w.code)
         g._gens = tuple(gens)
+        letters = sum(map(len, gens))
+        g._counts = (1 + letters - len(gens), letters)  # 1 + sum(len - 1), sum(len)
         return g
 
     @property
@@ -124,13 +125,13 @@ class SubgroupGraph:
     def fold(self) -> "SubgroupGraph":
         """Attach the generator loops one at a time, folding as they go.
 
-        Keeps the union-find state and counts V and E, so the rank needs
-        no further pass.
+        Counts V and E, so the rank needs no further pass, and keeps the
+        representatives' adjacency dicts with every target resolved.
         """
         if self.folded:
             return self
-        # adj[v] is current only for representatives v; targets may be stale
-        # and are resolved through find
+        # adj[v] is current only for representatives v; until the fold
+        # ends, targets may be stale and are resolved through find
         adj: list[dict[str, int]] = [{}]
         parent = [0]
         merges = 0
@@ -170,13 +171,14 @@ class SubgroupGraph:
         loops: dict[str, tuple[array, int]] = {}
         start = array("q", (self.base,))
 
-        def known_prefix(code: str, limit: int) -> array:
-            # ids along the longest prefix of `code`, at most `limit`
-            # letters, that a known loop spells; over a sorted list the
-            # longest common prefix is with a neighbour of the insertion point
-            k = bisect(codes, code)
+        def read(code: str, limit: int) -> tuple[array, int, int]:
+            # the ids along the longest prefix of `code`, at most `limit`
+            # letters, that the graph spells, its end vertex and its length.
+            # It jumps the longest prefix a known loop spells, which over a
+            # sorted list is shared with a neighbour of the insertion point
+            at = bisect(codes, code)
             best, ids = 0, start
-            for c in codes[k - 1 : k + 1] if k else codes[:1]:
+            for c in codes[at - 1 : at + 1] if at else codes[:1]:
                 # one slice compare says whether c beats the best so far
                 lo, hi = best + 1, min(limit, len(c))
                 if lo <= hi and code[:lo] == c[:lo]:
@@ -189,35 +191,29 @@ class SubgroupGraph:
                             hi = mid - 1
                     path, step = loops[c]
                     best, ids = lo, path[: lo + 1] if step > 0 else path[-1 - lo :][::-1]
-            return ids if best else start[:]
+            if not best:
+                ids = start[:]
+            # then reads on letter by letter, with find's fast path inlined
+            k, v = best, find(ids[-1])
+            while k < limit:
+                t = adj[v].get(code[k])
+                if t is None:
+                    break
+                v, k = (t if parent[t] == t else find(t)), k + 1
+                ids.append(v)
+            return ids, v, k
 
-        # the reads below inline find's fast path for a representative t;
         # inv[n - 1 - k] is the code of the inverse of the letter w[k];
         # fwd[k] is an id at position k of w, and bwd[q] at position n - q
         for w in self._gens:
             n, inv = len(w), _inverse(w)
-            fwd = known_prefix(w, n)
-            i = len(fwd) - 1
-            v = find(fwd[-1])
-            while i < n:
-                t = adj[v].get(w[i])
-                if t is None:
-                    break
-                v, i = (t if parent[t] == t else find(t)), i + 1
-                fwd.append(v)
+            fwd, v, i = read(w, n)
             if i == n:
                 identify(v, self.base)
                 bwd = array("q")
             else:
-                bwd = known_prefix(inv, n - i)
-                j = n + 1 - len(bwd)
-                u = find(bwd[-1])
-                while j > i:
-                    t = adj[u].get(inv[n - j])
-                    if t is None:
-                        break
-                    u, j = (t if parent[t] == t else find(t)), j - 1
-                    bwd.append(u)
+                bwd, u, q = read(inv, n - i)
+                j = n - q
                 if j == i:
                     identify(v, u)
                     fwd.pop()  # position i is bwd's last
@@ -241,7 +237,11 @@ class SubgroupGraph:
                     insort(codes, c)
                     loops[c] = (path, step)
 
-        self._adj, self._parent, self._root = adj, parent, find(self.base)
+        if merges:  # queries read adj alone, so no target may stay stale
+            for d in adj:
+                for s, t in d.items():
+                    d[s] = find(t)
+        self._adj, self._root = adj, find(self.base)
         # the vertices are the representatives; a merged vertex's dict is
         # emptied, and each edge is held once in each direction, a loop too
         self._counts = (len(parent) - merges, sum(map(len, adj)) // 2)
@@ -250,20 +250,19 @@ class SubgroupGraph:
 
     # -- queries ---------------------------------------------------------
 
-    def _folded(self, what: str) -> tuple[list[dict[str, int]], list[int], int]:
+    def _folded(self, what: str) -> tuple[list[dict[str, int]], int]:
         if self._adj is None:
             raise ValueError(f"graph must be folded before {what}")
-        return self._adj, self._parent, self._root
+        return self._adj, self._root
 
     def _canonical(self, what: str) -> list[dict[str, int]]:
         """Adjacency relabeled canonically, built on first use and cached.
 
         Breadth-first from the base, neighbors in letter order, which is
         code point order; iterating ``order`` while it grows is the queue.
-        Targets are resolved through ``parent`` without writing to it.
         """
         if self._out is None:
-            adj, parent, root = self._folded(what)
+            adj, root = self._folded(what)
             mapping = {root: 0}
             order = [root]
             out: list[dict[str, int]] = []
@@ -272,8 +271,6 @@ class SubgroupGraph:
                 row = {}
                 for s in sorted(d):
                     t = d[s]
-                    while parent[t] != t:
-                        t = parent[t]
                     idx = mapping.get(t)
                     if idx is None:
                         idx = mapping[t] = len(order)
@@ -285,16 +282,12 @@ class SubgroupGraph:
 
     @property
     def n_vertices(self) -> int:
-        if self.folded:
-            return self._counts[0]
-        return 1 + sum(len(w) - 1 for w in self._gens)
+        return self._counts[0]
 
     @property
     def n_edges(self) -> int:
         """Undirected edge count (each labeled edge counted once)."""
-        if self.folded:
-            return self._counts[1]
-        return sum(len(w) for w in self._gens)
+        return self._counts[1]
 
     def edges(self) -> list[tuple[int, str, int]]:
         """Positively-oriented edges as (from, label name, to), sorted."""
@@ -311,14 +304,12 @@ class SubgroupGraph:
         """True iff ``w`` is readable as a base-to-base path: subgroup membership."""
         if w.alphabet != self.alphabet:
             raise AlphabetMismatch("query word not over the graph's alphabet")
-        adj, parent, root = self._folded("reading paths")
+        adj, root = self._folded("reading paths")
         v = root
         for s in w.code:
             v = adj[v].get(s)
             if v is None:
                 return False
-            while parent[v] != v:
-                v = parent[v]
         return v == root
 
     def base_labels(self, w: Word) -> set[int]:
@@ -329,7 +320,7 @@ class SubgroupGraph:
         each time it arrives along ``s`` it gains ``-s``.  One pass over
         the code of ``w``.
         """
-        adj, parent, base = self._folded("reading base labels")
+        adj, base = self._folded("reading base labels")
         labels: set[int] = set()
         v = base
         for s in w.code:
@@ -339,8 +330,6 @@ class SubgroupGraph:
                 v = adj[v][s]
             except KeyError:
                 raise ValueError("letters do not spell a path in the graph") from None
-            while parent[v] != v:
-                v = parent[v]
             if v == base:
                 labels.add(-_letter(s))
         if v != base:

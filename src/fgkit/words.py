@@ -207,35 +207,28 @@ def _cancelled(left: str, end: int, right: str, start: int, limit: int) -> int:
     return k
 
 
-class Word:
-    """A freely reduced word.  Construction reduces its argument.
-
-    >>> ab = Alphabet.numbered(2, "a")
-    >>> str(Word(ab, (1, 2, -2, 1)))
-    'a1^2'
-    >>> Word(ab, (1, -1)).is_identity()
-    True
-    """
+class _Coded:
+    """A value held as an alphabet and a letter code: immutable, equal when
+    both are, rendered in the text grammar.  A subclass says what the code
+    is; ``_wrap`` trusts its caller to pass such a code."""
 
     __slots__ = ("alphabet", "code")
 
-    def __init__(self, alphabet: Alphabet, letters: Iterable[int] = ()) -> None:
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "code", _free_reduce(letters, alphabet.rank))
-
     @classmethod
-    def _wrap(cls, alphabet: Alphabet, code: str) -> "Word":
-        # trusted constructor: `code` must be the code of a reduced word
-        w = object.__new__(cls)
-        object.__setattr__(w, "alphabet", alphabet)
-        object.__setattr__(w, "code", code)
-        return w
+    def _wrap(cls, alphabet: Alphabet, code: str):
+        value = object.__new__(cls)
+        object.__setattr__(value, "alphabet", alphabet)
+        object.__setattr__(value, "code", code)
+        return value
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Word is immutable")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return (Word._wrap, (self.alphabet, self.code))
+        return (type(self)._wrap, (self.alphabet, self.code))
 
     @property
     def letters(self) -> tuple[int, ...]:
@@ -245,11 +238,8 @@ class Word:
     def __len__(self) -> int:
         return len(self.code)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
-
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Word):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.alphabet == other.alphabet and self.code == other.code
 
@@ -257,13 +247,33 @@ class Word:
         return hash((self.alphabet, self.code))
 
     def __repr__(self) -> str:
-        return f"Word({render_word(self)!r})"
+        return f"{type(self).__name__}({render_word(self)!r})"
 
     def __str__(self) -> str:
         return render_word(self)
 
     def is_identity(self) -> bool:
         return not self.code
+
+
+class Word(_Coded):
+    """A freely reduced word.  Construction reduces its argument.
+
+    >>> ab = Alphabet.numbered(2, "a")
+    >>> str(Word(ab, (1, 2, -2, 1)))
+    'a1^2'
+    >>> Word(ab, (1, -1)).is_identity()
+    True
+    """
+
+    __slots__ = ()
+
+    def __init__(self, alphabet: Alphabet, letters: Iterable[int] = ()) -> None:
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "code", _free_reduce(letters, alphabet.rank))
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
@@ -312,21 +322,22 @@ class Word:
         )
 
 
-class CyclicWord:
+class CyclicWord(_Coded):
     """The conjugacy class of a cyclically reduced word.
 
     Two cyclically reduced words are conjugate exactly when one is a
     rotation of the other, so a class is held as the code of the least
     rotation of its words, and equality and hashing compare those codes.
     Orientation is respected: a class and its inverse class compare
-    unequal unless they happen to coincide.
+    unequal unless they happen to coincide.  ``letters`` are those of the
+    least rotation, and ``_wrap`` must be given a least rotation.
 
     >>> ab = Alphabet.numbered(2, "a")
     >>> CyclicWord(ab, (2, 2, 1)).letters
     (1, 2, 2)
     """
 
-    __slots__ = ("alphabet", "code")
+    __slots__ = ()
 
     def __init__(self, alphabet: Alphabet, letters: Iterable[int] = ()) -> None:
         letters = tuple(letters)
@@ -337,46 +348,6 @@ class CyclicWord:
             raise ValueError("word is not cyclically reduced")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "code", _least_rotation(code))
-
-    @classmethod
-    def _wrap(cls, alphabet: Alphabet, least: str) -> "CyclicWord":
-        # trusted constructor: `least` must already be the least rotation
-        # of the code of a cyclically reduced word
-        c = object.__new__(cls)
-        object.__setattr__(c, "alphabet", alphabet)
-        object.__setattr__(c, "code", least)
-        return c
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("CyclicWord is immutable")
-
-    def __reduce__(self):
-        return (CyclicWord._wrap, (self.alphabet, self.code))
-
-    @property
-    def letters(self) -> tuple[int, ...]:
-        """The signed letters of the least rotation, decoded on every access."""
-        return _decode(self.code)
-
-    def __len__(self) -> int:
-        return len(self.code)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CyclicWord):
-            return NotImplemented
-        return self.alphabet == other.alphabet and self.code == other.code
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.code))
-
-    def __repr__(self) -> str:
-        return f"CyclicWord({render_word(self.to_word())!r})"
-
-    def __str__(self) -> str:
-        return render_word(self.to_word())
-
-    def is_identity(self) -> bool:
-        return not self.code
 
     def to_word(self) -> Word:
         return Word._wrap(self.alphabet, self.code)
@@ -578,8 +549,9 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     return Word(alphabet, letters)
 
 
-def render_word(w: Word) -> str:
+def render_word(w: Word | CyclicWord) -> str:
     """Render ``w`` in the text grammar; the empty word renders as ``1``.
+    A class renders as its least rotation.
 
     >>> y = Alphabet.numbered(3, "y")
     >>> render_word(parse_word("y3 y3 y3 y2^-1", y))

@@ -277,6 +277,41 @@ class TestSweepCommand:
         assert "note: falling back to serial execution" in err
         assert "Traceback" not in err
 
+    def test_pool_that_cannot_start_falls_back_to_serial(self, capsys, monkeypatch):
+        argv = ("sweep", "--g-list", "2", "--l-list", "3,4", "--no-timings")
+        code, serial_out, serial_err = run(capsys, *argv)
+        assert code == 0
+
+        def refuse(max_workers):
+            raise PermissionError("no semaphores")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        code, out, err = run(capsys, *argv, "--parallel", "2")
+        assert code == 0
+        assert out == serial_out
+        assert err == "note: falling back to serial execution (no semaphores)\n" + serial_err
+
+    def test_a_jobs_os_error_surfaces_once(self, capsys, monkeypatch):
+        # TimeoutError is an OSError, but the job raised it, not the pool
+        verified = []
+
+        def timing_out(params):
+            verified.append((params.g, params.l))
+            raise TimeoutError(f"g={params.g} l={params.l} timed out")
+
+        started = []
+        monkeypatch.setattr(cli, "verify", timing_out)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool(started))
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        argv = ("sweep", "--g-list", "2", "--l-list", "3,4", "--no-timings", "--parallel", "2")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert started == [2]
+        assert out == ""
+        assert err == "error: g=2 l=3 timed out\n"
+        assert len(verified) == len(set(verified)) == 1
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_default_grid_matches_golden(self, capsys, tmp_path, fmt):
         path = tmp_path / f"sweep.{fmt}"

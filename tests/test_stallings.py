@@ -384,16 +384,17 @@ class TestAgainstTextbookFold:
 
 
 def _letter_reads(gens, rank):
-    """The fold's one-letter-at-a-time reads: its ``dict.get`` calls, one
-    per letter read past a jump and one per read that stops at a missing
-    edge.  Step counts, never a time."""
+    """The fold's one-letter-at-a-time reads: the ``dict.get`` calls of the
+    fold and its ``read``, one per letter read past a jump and one per read
+    that stops at a missing edge.  Step counts, never a time."""
     alphabet = Alphabet.numbered(rank, "a")
     wedge = SubgroupGraph.wedge([Word(alphabet, w) for w in gens], alphabet)
     calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
-        if event == "c_call" and frame.f_code.co_name == "fold" and arg.__name__ == "get":
+        name = frame.f_code.co_name
+        if event == "c_call" and name in ("fold", "read") and arg.__name__ == "get":
             calls += 1
 
     sys.setprofile(count)
@@ -559,7 +560,7 @@ class TestCountsDuringFold:
         g = SubgroupGraph.wedge(words(A1, "a1^6", "a1^4"), A1)
         assert g.fold() is g
         assert (g.n_vertices, g.n_edges, g.rank()) == (2, 2, 1)
-        assert len(g._parent) - g.n_vertices == 4
+        assert len(g._adj) - g.n_vertices == 4
         assert g.dump() == "0\n0 a1 1\n1 a1 0\n"
 
 
@@ -581,18 +582,18 @@ class TestFoldedQueries:
         [(A1, ("a1^6", "a1^4"), "a1^3"), (AB, ("a2^-1 a1^-1 a2^2", "a2^-2"), "a2")],
     )
     def test_queries_leave_the_union_find_state_unchanged(self, alphabet, texts, outsider):
-        # both folds leave stale targets and move the base's representative
+        # both folds merge and move the base's representative; every target
+        # left behind is a representative, whose dict a merge never empties
         gens = words(alphabet, *texts)
         g = build_subgroup_graph(gens, alphabet)
-        parent = g._parent
         assert g._root != 0
-        assert any(parent[t] != t for d in g._adj for t in d.values())
-        before = copy.deepcopy((g._adj, g._parent, g._root, g._counts))
+        assert all(g._adj[t] for d in g._adj for t in d.values())
+        before = copy.deepcopy((g._adj, g._root, g._counts))
         for w in gens:
             assert g.contains(w)
             assert g.base_labels(w)
         assert not g.contains(parse_word(outsider, alphabet))
-        assert (g._adj, g._parent, g._root, g._counts) == before
+        assert (g._adj, g._root, g._counts) == before
         assert g._out is None
 
 

@@ -677,6 +677,19 @@ class TestCyclicWord:
         w = CyclicWord(AB, (1, 2))
         assert w != w.inverse_class()
 
+    def test_word_and_class_are_distinct_immutable_values(self):
+        # one code, two kinds of value: neither comparison may accept the other
+        w, c = Word(Y, (1,)), CyclicWord(Y, (1,))
+        assert w.code == c.code
+        assert w != c and c != w
+        assert not w == c and not c == w
+        for value, name in ((w, "Word"), (c, "CyclicWord")):
+            with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+                value.code = ""
+            with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+                del value.code
+        assert w.code == c.code == "\x02"
+
     # powers of a cyclically reduced word are cyclically reduced and periodic
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(st.lists(_LETTERS, max_size=16), st.integers(1, 4))
@@ -786,3 +799,16 @@ class TestPickle:
         assert pickle.loads(pickle.dumps(w)) == w
         c = canonical_class(w)
         assert pickle.loads(pickle.dumps(c)) == c
+
+    def test_loads_a_frozen_pickle(self):
+        # (Word("y1 y2^-2"), its class) at protocol 2: both load through
+        # the class's _wrap, so pickles keep loading while that resolves
+        frozen = (
+            b"\x80\x02c__builtin__\ngetattr\nq\x00cfgkit.words\nWord\nq\x01X\x05\x00\x00"
+            b"\x00_wrapq\x02\x86q\x03Rq\x04cfgkit.words\nAlphabet\nq\x05X\x02\x00\x00\x00"
+            b"y1q\x06X\x02\x00\x00\x00y2q\x07X\x02\x00\x00\x00y3q\x08\x87q\t\x85q\nRq"
+            b"\x0bX\x03\x00\x00\x00\x02\x05\x05q\x0c\x86q\rRq\x0eh\x00cfgkit.words\n"
+            b"CyclicWord\nq\x0fh\x02\x86q\x10Rq\x11h\x0bh\x0c\x86q\x12Rq\x13\x86q\x14."
+        )
+        w = parse_word("y1 y2^-2", Y)
+        assert pickle.loads(frozen) == (w, canonical_class(w))
