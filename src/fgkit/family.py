@@ -59,9 +59,14 @@ DEFAULT_L_VALUES = tuple(range(3, 13))
 REPORT_SCHEMA = "fgkit-report/1"
 
 
+_TARGET = Alphabet(("y1", "y2", "y3"))
+
+
 def target_alphabet() -> Alphabet:
-    """The rank-3 codomain alphabet y1, y2, y3."""
-    return Alphabet(("y1", "y2", "y3"))
+    """The rank-3 codomain alphabet y1, y2, y3: one object on every call,
+    so the family's words share it and the alphabet checks of products,
+    homomorphisms and folds succeed on identity, without comparing names."""
+    return _TARGET
 
 
 def domain_alphabet(g: int) -> Alphabet:

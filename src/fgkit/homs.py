@@ -30,7 +30,7 @@ class Homomorphism:
                 f"expected {domain.rank} images, got {len(images)}"
             )
         for img in images:
-            if img.alphabet != codomain:
+            if img.alphabet is not codomain and img.alphabet != codomain:
                 raise AlphabetMismatch("image word not over the codomain alphabet")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
@@ -82,7 +82,7 @@ class Homomorphism:
         each code that cancels whole, and C work linear in its image, so
         the total work is O(letters in + letters out).
         """
-        if w.alphabet != self.domain:
+        if w.alphabet is not self.domain and w.alphabet != self.domain:
             raise AlphabetMismatch("word is not over the domain alphabet")
         codes = self._codes
         # the output so far is parts[0][:ends[0]] + parts[1][:ends[1]] + ...
@@ -90,10 +90,13 @@ class Homomorphism:
         ends: list[int] = []
         for c in w.code:
             img, start = codes[c], 0
-            # the junction may cancel several parts whole
+            # the junction may cancel several parts whole, and cancels
+            # nothing unless its pair of letters does
             while parts and start < len(img):
-                n = ends[-1]
-                k = _cancelled(parts[-1], n, img, start, min(n, len(img) - start))
+                last, n = parts[-1], ends[-1]
+                if ord(last[n - 1]) ^ 1 != ord(img[start]):
+                    break
+                k = _cancelled(last, n, img, start, min(n, len(img) - start))
                 start += k
                 if k < n:
                     ends[-1] = n - k

@@ -107,7 +107,7 @@ class SubgroupGraph:
         g = cls(alphabet)
         gens = []
         for w in generators:
-            if w.alphabet != alphabet:
+            if w.alphabet is not alphabet and w.alphabet != alphabet:
                 raise AlphabetMismatch("generator word not over the given alphabet")
             if w.code:
                 gens.append(w.code)

@@ -79,7 +79,10 @@ class Alphabet:
     # _index maps name -> 1-based generator index, so that index() is one lookup
     __slots__ = ("names", "_index")
 
-    def __init__(self, names: tuple[str, ...]) -> None:
+    def __init__(self, names: Iterable[str]) -> None:
+        # a tuple of its own, so equal names compare, hash and multiply alike
+        # however they were passed, and no caller can change them
+        names = tuple(names)
         if len(names) < 1:
             raise ValueError("alphabet needs at least one generator")
         _check_rank(len(names))
@@ -184,9 +187,13 @@ def _cancelled(left: str, end: int, right: str, start: int, limit: int) -> int:
     longest suffix of the one that is the inverse code of a prefix of the
     other.
 
-    Blocks of doubling size are compared while they cancel, then halving
-    ones, so k cancelled letters cost O(log k) Python steps and O(k)
-    characters of C work, and nothing else is copied."""
+    Nothing cancels unless the junction pair ``left[end - 1]``,
+    ``right[start]`` does, and that is rare in a product, so
+    ``Word.__mul__`` and ``Homomorphism.apply`` test the pair themselves
+    and call this only when it cancels.  Blocks of doubling size are
+    compared while they cancel, then halving ones, so k cancelled letters
+    cost O(log k) Python steps and O(k) characters of C work, and nothing
+    else is copied."""
     if not limit or ord(left[end - 1]) ^ 1 != ord(right[start]):
         return 0
     k, step = 1, 2
@@ -278,12 +285,16 @@ class Word(_Coded):
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        if self.alphabet != other.alphabet:
+        alphabet = self.alphabet
+        if other.alphabet is not alphabet and other.alphabet != alphabet:
             raise AlphabetMismatch("cannot concatenate words over different alphabets")
         left, right = self.code, other.code
-        # both factors are reduced, so cancellation stops at the junction
-        k = _cancelled(left, len(left), right, 0, min(len(left), len(right)))
-        return Word._wrap(self.alphabet, left[: len(left) - k] + right[k:])
+        # both factors are reduced, so cancellation stops at the junction,
+        # and none happens unless its pair of letters cancels
+        if left and right and ord(left[-1]) ^ 1 == ord(right[0]):
+            k = _cancelled(left, len(left), right, 0, min(len(left), len(right)))
+            left, right = left[: len(left) - k], right[k:]
+        return Word._wrap(alphabet, left + right)
 
     def inverse(self) -> "Word":
         return Word._wrap(self.alphabet, _inverse(self.code))
@@ -376,7 +387,10 @@ def _least_start(code: str, least: str) -> int:
     """Start of the least rotation of the cyclic word ``code`` whose least
     letter has code ``least``.
 
-    The candidate starts are the occurrences of m^r (see
+    The longest cyclic run of m has length r: one pass over ``code``
+    finds its longest run, and a run that wraps round the end is the
+    leading run of m plus the trailing one, when ``code`` starts and ends
+    with m.  The candidate starts are the occurrences of m^r (see
     :func:`_least_rotation`), which ``str.find`` lists.  A two-pointer
     scan runs over them (cf. Y. Shiloach, *Fast canonization of circular
     strings*, J. Algorithms 2 (1981)): ``i`` and ``j`` are the two best
@@ -388,10 +402,13 @@ def _least_start(code: str, least: str) -> int:
     candidate, each of O(log n) Python steps and O(k) characters of C work.
     """
     size = len(code)
-    doubled = code + code
-    r = _longest_run(doubled, least)
-    if r >= size:
+    r = _longest_run(code, least)
+    if r == size:
         return 0  # one letter repeated
+    if code[0] == least == code[-1]:
+        # the run that wraps: the leading run of m and the trailing one
+        r = max(r, 2 * size - len(code.lstrip(least)) - len(code.rstrip(least)))
+    doubled = code + code
     head = least * r
 
     def candidate(p: int) -> int:
@@ -415,7 +432,8 @@ def _least_start(code: str, least: str) -> int:
 
 
 def _longest_run(data: str, unit: str) -> int:
-    """Length of the longest run of the character ``unit`` in ``data``.
+    """Length of the longest run of the character ``unit`` in ``data``,
+    read as a string: a run does not wrap round the end.
 
     Each search for a run one longer starts past the last run found, so
     the characters are read O(1) times."""

@@ -5,7 +5,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fgkit.words as words
@@ -22,6 +22,7 @@ from fgkit import (
     render_word,
 )
 from fgkit.family import FamilyParams, boundary_word, embedding, shuffle_words, verify
+from fgkit.stallings import SubgroupGraph
 
 from oracles import (
     least_rotation,
@@ -36,6 +37,7 @@ from oracles import (
 
 Y = Alphabet.numbered(3, "y")
 AB = Alphabet.numbered(2, "a")
+_LETTERS = st.sampled_from([1, -1, 2, -2, 3, -3])
 
 
 def _code(letters):
@@ -77,6 +79,14 @@ class TestAlphabet:
             del a.names
         back = pickle.loads(pickle.dumps(Y))
         assert back == Y and repr(back) == repr(Y) and back.index("y3") == 3
+
+    def test_names_are_held_as_a_tuple(self):
+        names = ["y1", "y2"]
+        listed, tupled = Alphabet(names), Alphabet(("y1", "y2"))
+        names.append("y3")
+        assert listed.names == ("y1", "y2") and listed.rank == 2
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert (Word(listed, (1,)) * Word(tupled, (-2,))).letters == (1, -2)
 
     def test_index_is_one_lookup(self):
         # name comparisons, never a time: finding each name by a scan of
@@ -211,6 +221,28 @@ class TestConcat:
         with pytest.raises(AlphabetMismatch):
             parse_word("a1", AB) * parse_word("y1", Y)
 
+    # junctions that cancel no letter, one, several or all of them, and
+    # empty operands: the product tests the junction pair before it
+    # compares blocks, so each kind must agree with the naive reduction
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        st.lists(_LETTERS, max_size=6),
+        st.lists(_LETTERS, max_size=12),
+        st.lists(_LETTERS, max_size=6),
+    )
+    @example([], [], [])
+    @example([1], [], [])
+    @example([], [], [2])
+    @example([], [1, 2, 3], [])
+    @example([1], [2], [-1])
+    @example([2, 3], [1, -2, 3, 3], [2, 1])
+    def test_matches_naive_oracle_at_every_junction(self, head, shared, tail):
+        left = Word(Y, head + shared)
+        right = Word(Y, t_inv(shared) + tuple(tail))
+        product = left * right
+        assert product.letters == naive_reduce(left.letters + right.letters)
+        assert product.code == _code(product.letters)
+
     def test_length_parity(self):
         rng = random.Random(5)
         for _ in range(100):
@@ -219,6 +251,34 @@ class TestConcat:
             c = a * b
             assert len(c) <= len(a) + len(b)
             assert (len(c) - len(a) - len(b)) % 2 == 0
+
+
+class TestAlphabetChecks:
+    # each per-word check tries `is` before `==`: an equal alphabet held in
+    # another object must pass it, and an unequal one must not
+    X = Alphabet.numbered(2, "x")
+
+    def _hom(self, codomain):
+        return Homomorphism(self.X, Y, [Word(codomain, (1, 2)), Word(codomain, (3,))])
+
+    def test_equal_alphabets_pass(self):
+        y, x = Alphabet(["y1", "y2", "y3"]), Alphabet(["x1", "x2"])
+        assert y is not Y and x is not self.X
+        assert (Word(Y, (1, 2)) * Word(y, (-2, 3))).letters == (1, 3)
+        hom = self._hom(y)
+        assert hom.apply(Word(x, (1, 2, 1))).letters == (1, 2, 3, 1, 2)
+        assert SubgroupGraph.wedge([Word(y, (1,)), Word(Y, (2,))], Y).n_edges == 2
+
+    def test_unequal_alphabets_raise(self):
+        hom = self._hom(Y)
+        with pytest.raises(AlphabetMismatch):
+            Word(Y, (1,)) * Word(Alphabet.numbered(3, "z"), (1,))
+        with pytest.raises(AlphabetMismatch):
+            self._hom(Alphabet.numbered(4, "y"))
+        with pytest.raises(AlphabetMismatch):
+            hom.apply(Word(AB, (1,)))
+        with pytest.raises(AlphabetMismatch):
+            SubgroupGraph.wedge([Word(Y, (1,)), Word(AB, (2,))], Y)
 
 
 class TestInvert:
@@ -412,9 +472,6 @@ def _brute_least_rotation(letters):
     return letters[k:] + letters[:k]
 
 
-_LETTERS = st.sampled_from([1, -1, 2, -2, 3, -3])
-
-
 class TestLeastRotation:
     # ties are where a two-pointer scan can go wrong: periodic words w^k,
     # w^k followed by a short tail, and runs of one letter
@@ -472,7 +529,24 @@ class TestLeastRotation:
         assert _letters(words._least_rotation(_code(letters))) == _brute_least_rotation(letters)
         _assert_classes_match_brute_force(Alphabet.numbered(6000), letters)
 
-    @pytest.mark.parametrize("label", ["periodic", "one long tie", "boundary g=64"])
+    # the run of m that wraps round the end may be the longest, tie with a
+    # run inside the word, or be shorter; the scan must find the same
+    # classes as brute force in each case
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.sampled_from([2, -2, 3, -3]),
+        st.lists(_LETTERS, max_size=12),
+        st.sampled_from([2, -2, 3, -3]),
+    )
+    def test_wrapping_runs_match_brute_force(self, lead, trail, first, inner, last):
+        letters = (1,) * lead + (first, *inner, last) + (1,) * trail
+        _assert_classes_match_brute_force(Y, letters)
+
+    @pytest.mark.parametrize(
+        "label", ["periodic", "one long tie", "wrapping run", "boundary g=64"]
+    )
     def test_scan_steps_are_bounded(self, label, monkeypatch):
         # step counts, never a time.  Each round of a scan makes one
         # common-prefix call and moves a pointer past a candidate start, and
@@ -484,6 +558,10 @@ class TestLeastRotation:
         elif label == "one long tie":
             # 2^19 candidates; the first round compares almost all letters
             letters = (1, 2) * (2**19 - 1) + (1, 3)
+        elif label == "wrapping run":
+            # the only y1^4 wraps round the end; 1000 runs y1^3 inside
+            blocks = ((2,) * (1 + t % 5) + (3, 1, 1, 1) for t in range(1000))
+            letters = (1, 1) + tuple(itertools.chain(*blocks)) + (2, 3, 1, 1)
         else:
             image = embedding(FamilyParams(64, 12)).apply(boundary_word(64))
             letters = image.cyclic_reduce()[0].letters
@@ -521,6 +599,10 @@ class TestLeastRotation:
             assert len(candidates) == len(inverse_candidates) == 2**19
             assert forward == inverse == 1
             assert best == letters
+        elif label == "wrapping run":
+            assert len(candidates) == len(inverse_candidates) == 1
+            assert best[:5] == (1, 1, 1, 1, 2)
+            assert best == least_rotation(letters)
         else:
             assert len(candidates) == 63
             assert best == least_rotation(letters)
