@@ -57,16 +57,23 @@ def exponent_vector(w: Word) -> tuple[int, ...]:
     >>> exponent_vector(parse_word("y3^3", y))
     (0, 0, 3)
     """
-    code = w.code
-    return tuple(
-        code.count(chr(_letter_key(k))) - code.count(chr(_letter_key(-k)))
-        for k in range(1, w.alphabet.rank + 1)
-    )
+    return tuple(_exponent_sums(w.code, _code_pairs(w.alphabet.rank)))
+
+
+def _code_pairs(rank: int) -> list[tuple[str, str]]:
+    """The codes of generator k and of its inverse, for k = 1 .. rank."""
+    return [(chr(_letter_key(k)), chr(_letter_key(-k))) for k in range(1, rank + 1)]
+
+
+def _exponent_sums(code: str, pairs: list[tuple[str, str]]) -> list[int]:
+    return [code.count(gen) - code.count(inv) for gen, inv in pairs]
 
 
 def image_matrix(h: Homomorphism) -> IntMatrix:
-    """One row per domain generator: the exponent vector of its image."""
-    return [list(exponent_vector(img)) for img in h.images]
+    """One row per domain generator: the exponent vector of its image.
+    The generator codes are built once for all the rows."""
+    pairs = _code_pairs(h.codomain.rank)
+    return [_exponent_sums(img.code, pairs) for img in h.images]
 
 
 def _validated(matrix: Sequence[Sequence[int]]) -> IntMatrix:

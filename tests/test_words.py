@@ -544,6 +544,67 @@ class TestLeastRotation:
         letters = (1,) * lead + (first, *inner, last) + (1,) * trail
         _assert_classes_match_brute_force(Y, letters)
 
+    # words with at most one run y1^r per 512 letters, whose runs the window
+    # tournament thins: the continuations of the runs share a prefix of up
+    # to 700 letters, longer than some windows, and then differ in one
+    # letter; the least one is planted at the first, last or a middle run
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        st.integers(1, 4),
+        st.lists(st.sampled_from([2, -2, 3, -3]), min_size=1, max_size=8).map(
+            lambda unit: unit * 88
+        ),
+        st.integers(0, 700),
+        st.lists(st.sampled_from([-2, 3, -3]), min_size=1, max_size=4),
+        st.sampled_from(["first", "middle", "last"]),
+        st.lists(_LETTERS, max_size=6),
+    )
+    def test_planted_runs_match_brute_force(self, r, shared, cut, others, where, filler):
+        shared = shared[:cut]
+        at = {"first": 0, "middle": len(others) // 2, "last": len(others)}[where]
+        ends = others[:at] + [2] + others[at:]
+        # no y1 outside the planted runs, so each block holds one run y1^r
+        pad = [s for s in filler if s != 1] + [3] * 512
+        blocks = [[1] * r + shared + [end] + pad for end in ends]
+        letters = tuple(s for block in blocks for s in block)
+        assert len(blocks) <= len(letters) >> 9
+        assert _letters(words._least_rotation(_code(letters))) == _brute_least_rotation(letters)
+
+    @pytest.mark.parametrize(
+        "block,copies,last,rounds",
+        [
+            # periodic: the rounds keep every run, and one round of the scan
+            # finds the period
+            (1024, 3, 3, 1),
+            # the runs differ in the last letter of their block only, so
+            # the last round, whose windows are whole blocks, keeps one
+            (512, 3, 2, 0),
+            (1024, 2, 2, 0),
+            # past the longest window: the scan breaks the tie
+            (768, 2, 2, 1),
+            (768, 3, 2, 2),
+        ],
+    )
+    def test_tournament_ties(self, block, copies, last, rounds, monkeypatch):
+        # `copies` blocks y1 y3^(block - 1), the last of them ending in
+        # `last` instead of y3; with y2 there it starts the least rotation
+        counted = []
+        real = words._common_prefix
+
+        def counted_prefix(a, i, b, j, limit):
+            counted.append(limit)
+            return real(a, i, b, j, limit)
+
+        monkeypatch.setattr(words, "_common_prefix", counted_prefix)
+        unit = (1,) + (3,) * (block - 1)
+        letters = unit * (copies - 1) + unit[:-1] + (last,)
+        assert copies <= len(letters) >> 9
+        best = _letters(words._least_rotation(_code(letters)))
+        assert best == _brute_least_rotation(letters)
+        if last == 2:
+            assert best[: len(unit)] == unit[:-1] + (2,)
+        assert len(counted) == rounds
+
     @pytest.mark.parametrize(
         "label", ["periodic", "one long tie", "wrapping run", "boundary g=64"]
     )
@@ -593,6 +654,7 @@ class TestLeastRotation:
             assert len(letters) == 2**20
             assert forward <= 2 * len(_longest_run_starts(period)) + 2
             assert inverse <= 2 * len(_longest_run_starts(t_inv(period))) + 2
+            assert (forward, inverse) == (2, 3)
             assert best == letters
         elif label == "one long tie":
             assert len(letters) == 2**20
@@ -601,10 +663,14 @@ class TestLeastRotation:
             assert best == letters
         elif label == "wrapping run":
             assert len(candidates) == len(inverse_candidates) == 1
+            assert forward == inverse == 0
             assert best[:5] == (1, 1, 1, 1, 2)
             assert best == least_rotation(letters)
         else:
-            assert len(candidates) == 63
+            # 63 runs in 170,360 letters: sparse, and the window tournament
+            # keeps one start in each orientation, so the scan compares none
+            assert len(candidates) == len(inverse_candidates) == 63
+            assert forward == inverse == 0
             assert best == least_rotation(letters)
 
 
