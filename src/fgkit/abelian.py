@@ -9,8 +9,9 @@ with each entry dividing the next.
 
 from __future__ import annotations
 
-from math import prod
 from collections.abc import Sequence
+from functools import lru_cache
+from math import prod
 
 from .homs import Homomorphism
 from .words import Word, _letter_key
@@ -44,6 +45,12 @@ class _InfiniteType:
 INFINITE = _InfiniteType()
 
 IntMatrix = list[list[int]]
+
+# quotient_order keeps the order of up to _KEPT_ORDERS deduplicated
+# matrices of at most _KEPT_ENTRIES entries; verify's are four rows of
+# three at each l, the same rows for every g
+_KEPT_ORDERS = 4096
+_KEPT_ENTRIES = 64
 
 
 def exponent_vector(w: Word) -> tuple[int, ...]:
@@ -200,7 +207,8 @@ def quotient_order(
     than ``ambient_rank``; otherwise the index, the product of the nonzero
     Smith diagonal entries.  Duplicate rows span the same lattice, so only
     the first copy of each row goes to the Smith form: the family's 2g
-    exponent rows repeat with period 4.
+    exponent rows repeat with period 4.  The order of a small deduplicated
+    matrix is kept, so a matrix seen before costs no Smith form.
 
     >>> quotient_order([[2, 0], [0, 3]], 2)
     6
@@ -213,7 +221,16 @@ def quotient_order(
             raise ValueError("matrix width does not match the ambient rank")
     if not rows:
         return INFINITE if ambient_rank > 0 else 1
-    rows = list(dict.fromkeys(map(tuple, rows)))
+    rows = tuple(dict.fromkeys(map(tuple, rows)))
+    if len(rows) * ambient_rank > _KEPT_ENTRIES:
+        return _lattice_index.__wrapped__(rows, ambient_rank)
+    return _lattice_index(rows, ambient_rank)
+
+
+@lru_cache(maxsize=_KEPT_ORDERS)
+def _lattice_index(
+    rows: tuple[tuple[int, ...], ...], ambient_rank: int
+) -> int | _InfiniteType:
     _, d, _ = smith_normal_form(rows)
     diag = [d[i][i] for i in range(min(len(rows), ambient_rank))]
     nonzero = [x for x in diag if x]

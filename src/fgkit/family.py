@@ -9,18 +9,19 @@ terms of a pair of shuffle words and are re-derived here as checked claims,
 never assumed.
 
 :func:`verify` runs the full battery for one parameter pair: closed-form
-agreement, the telescoping shuffle identities (for all exponents, from
-three equalities), first/last-letter structure of images of
-single-parity words, an injectivity certificate via Stallings
-folding, the order of the abelianized cokernel, and the canonical conjugacy
-class of the image of the surface boundary word.  Mathematical failures are
-recorded in the report, never raised.
+agreement (for every g, from seven equalities), the telescoping shuffle
+identities (for all exponents, from three equalities), first/last-letter
+structure of images of single-parity words, an injectivity certificate
+via Stallings folding, the order of the abelianized cokernel, and the
+canonical conjugacy class of the image of the surface boundary word.
+Mathematical failures are recorded in the report, never raised.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Sequence
+from functools import lru_cache
 
 from .abelian import INFINITE, _InfiniteType, image_matrix, quotient_order
 from .homs import Homomorphism
@@ -61,6 +62,12 @@ REPORT_SCHEMA = "fgkit-report/1"
 
 _TARGET = Alphabet(("y1", "y2", "y3"))
 
+# lru_cache sizes.  A sweep's --l-list names at most 4,096 values, so a
+# per-l value is computed once per sweep; its jobs run genus by genus, so
+# a per-g value is needed only while its genus runs.
+_PER_L = 4096
+_PER_G = 2
+
 
 def target_alphabet() -> Alphabet:
     """The rank-3 codomain alphabet y1, y2, y3: one object on every call,
@@ -70,7 +77,14 @@ def target_alphabet() -> Alphabet:
 
 
 def domain_alphabet(g: int) -> Alphabet:
-    """The rank-2g domain alphabet x1 .. x_{2g}."""
+    """The rank-2g domain alphabet x1 .. x_{2g}.  Calls for one g in a row
+    return one object, so :func:`embedding` and :func:`boundary_word`
+    share it and ``apply``'s alphabet check succeeds on identity."""
+    return _domain_alphabet(g)
+
+
+@lru_cache(maxsize=_PER_G)
+def _domain_alphabet(g: int) -> Alphabet:
     return Alphabet.numbered(2 * g, "x")
 
 
@@ -166,45 +180,86 @@ def shuffle_words(l: int) -> tuple[Word, Word]:
     return u, v
 
 
-def generator_images_recursive(params: FamilyParams) -> list[Word]:
-    """Images of x1 .. x_{2g} by the defining four-step recursion: x1 ->
-    y3^3, and x_k -> left * x_(k-1) * right with the pair chosen by k % 4."""
+def _recursion(l: int) -> tuple[Word, tuple[tuple[Word, Word], ...]]:
+    """The recursion's seed x1 -> y3^3 and its (left, right) sides for
+    k % 4 == 0, 1, 2, 3: the one table that
+    :func:`generator_images_recursive` builds from and
+    :func:`_closed_form_certificate` checks."""
     y = target_alphabet()
-    l = params.l
-    # (left, right) for k % 4 == 0, 1, 2, 3
-    sides = (
+    return Word(y, (3, 3, 3)), (
         (Word(y, (-1,)), Word(y, (-1, -1, -1))),
         (Word(y, (-3, -2)), Word(y, (2,) * l + (3, 3, 3))),
         (Word(y, (1, 1, 1)), Word(y, (1,))),
         (Word(y, (-3, -3, -3) + (-2,) * l), Word(y, (2, 3))),
     )
-    images = [Word(y, (3, 3, 3))]
+
+
+def generator_images_recursive(params: FamilyParams) -> list[Word]:
+    """Images of x1 .. x_{2g} by the defining four-step recursion: x1 ->
+    y3^3, and x_k -> left * x_(k-1) * right with the pair chosen by k % 4."""
+    seed, sides = _recursion(params.l)
+    images = [seed]
     for k in range(2, 2 * params.g + 1):
         left, right = sides[k % 4]
         images.append(left * images[-1] * right)
     return images
 
 
-def generator_images_closed(params: FamilyParams) -> list[Word]:
-    """Images of x1 .. x_{2g} built directly from the closed forms.
-
-    Must agree with :func:`generator_images_recursive` entrywise; the
-    agreement is one of the verified claims, not an assumption.
-    """
+def _closed_form_words(l: int) -> tuple:
+    """The words the closed forms are built from: u, v, a = u^-1 v,
+    b = u v^-1, mid_0 = y3^3, and the (left, right) pairs (y1^3, y1) and
+    (y1^-1, y1^-3) of the steps k % 4 == 2 and k % 4 == 0."""
     y = target_alphabet()
-    u, v = shuffle_words(params.l)
-    a = u.inverse() * v
-    b = u * v.inverse()
+    u, v = shuffle_words(l)
     y1_3, y1 = Word(y, (1, 1, 1)), Word(y, (1,))
-    y1_inv, y1_inv3 = y1.inverse(), y1_3.inverse()
-    y3_3 = Word(y, (3, 3, 3))
+    return (
+        u, v, u.inverse() * v, u * v.inverse(), Word(y, (3, 3, 3)),
+        (y1_3, y1), (y1.inverse(), y1_3.inverse()),
+    )
+
+
+def generator_images_closed(params: FamilyParams) -> list[Word]:
+    """Images of x1 .. x_{2g} built directly from the closed forms:
+    x_(4i+1) = mid_i = a^i y3^3 b^i, x_(4i+2) = y1^3 mid_i y1,
+    x_(4i+3) = v mid_i u and x_(4i+4) = y1^-1 v mid_i u y1^-3.
+
+    Agrees with :func:`generator_images_recursive` entrywise for every
+    even g when :func:`_closed_form_certificate` holds at l, which
+    ``verify`` checks.
+    """
+    u, v, a, b, mid0, (l2, r2), (l0, r0) = _closed_form_words(params.l)
     images = []
     # g is even, so x_(4i+1) .. x_(4i+4) for i < g/2 are all 2g images
     for i in range(params.g // 2):
-        mid = a ** i * y3_3 * b ** i
+        mid = a ** i * mid0 * b ** i
         vmu = v * mid * u
-        images += (mid, y1_3 * mid * y1, vmu, y1_inv * vmu * y1_inv3)
+        images += (mid, l2 * mid * r2, vmu, l0 * vmu * r0)
     return images
+
+
+@lru_cache(maxsize=_PER_L)
+def _closed_form_certificate(l: int) -> bool:
+    """A proof that the recursive and the closed-form images agree at l
+    for every even g (README, "What `closed_form_ok` proves").
+
+    With x_k = L_r x_(k-1) R_r for k % 4 == r, seven equalities on the
+    recursion's table and the closed forms' words carry the induction on
+    i: x1 = y3^3 = mid_0; the steps r = 2 and r = 0 are y1^3 _ y1 and
+    y1^-1 _ y1^-3 in both; L3 L2 = v and R2 R3 = u, so x_(4i+3) =
+    v mid_i u; and L1 L0 v = a and u R0 R1 = b, so x_(4i+5) = a mid_i b =
+    mid_(i+1).
+    """
+    seed, ((L0, R0), (L1, R1), (L2, R2), (L3, R3)) = _recursion(l)
+    u, v, a, b, mid0, step2, step0 = _closed_form_words(l)
+    return (
+        seed == mid0
+        and (L2, R2) == step2
+        and (L0, R0) == step0
+        and L3 * L2 == v
+        and R2 * R3 == u
+        and L1 * L0 * v == a
+        and u * R0 * R1 == b
+    )
 
 
 def embedding(params: FamilyParams) -> Homomorphism:
@@ -242,9 +297,7 @@ def first_shuffle_failure(
     """
     if i_max < 0 or j_max < 0:
         raise ValueError("bounds must be >= 0")
-    u, v = shuffle_words(l)
-    a = u.inverse() * v
-    b = u * v.inverse()
+    u, v, a, b = _closed_form_words(l)[:4]
     if j_max >= 1 and b * v != u:
         return ("second:i<j", 0, 1)
     if i_max >= 1 and u * a != v:
@@ -264,6 +317,13 @@ def check_shuffle_identities(i_max: int, j_max: int, l: int) -> bool:
     return first_shuffle_failure(i_max, j_max, l) is None
 
 
+@lru_cache(maxsize=_PER_L)
+def _shuffle_identities_hold(l: int) -> bool:
+    """``check_shuffle_identities(g, g, l)`` for every g >= 1: with both
+    bounds at least 1 the check, and so the verdict, is the same."""
+    return check_shuffle_identities(1, 1, l)
+
+
 def boundary_word(g: int) -> Word:
     """The length-4g word spelling the surface boundary circle.
 
@@ -271,8 +331,14 @@ def boundary_word(g: int) -> Word:
     starting +, the same with all signs flipped, even indices descending
     with alternating signs starting -, the same flipped.  Every generator
     occurs exactly once with each sign, so the word abelianizes to zero.
+    Words are immutable, and calls for one g in a row return one word.
     """
     _check_genus(g)
+    return _boundary_word(g)
+
+
+@lru_cache(maxsize=_PER_G)
+def _boundary_word(g: int) -> Word:
     letters: list[int] = []
     odd = list(range(1, 2 * g, 2))
     letters.extend(idx if t % 2 == 0 else -idx for t, idx in enumerate(odd))
@@ -442,7 +508,10 @@ def verify(params: FamilyParams) -> VerificationReport:
     """Run every check for one parameter pair and return the report.
 
     Mathematical failures are recorded in the report fields; only invalid
-    parameters raise.
+    parameters raise.  The closed-form and shuffle verdicts and the
+    quotient order depend on l alone and are computed once per l; the
+    domain alphabet and boundary word once per g (README, "What `verify`
+    keeps between calls").
     """
     timings: dict[str, float] = {}
 
@@ -453,14 +522,9 @@ def verify(params: FamilyParams) -> VerificationReport:
         return result
 
     images_rec = timed("images_recursive", lambda: generator_images_recursive(params))
-    images_closed = timed("images_closed", lambda: generator_images_closed(params))
-    closed_form_ok = images_rec == images_closed
-
+    closed_form_ok = timed("images_closed", lambda: _closed_form_certificate(params.l))
     hom = Homomorphism(domain_alphabet(params.g), target_alphabet(), images_rec)
-    shuffle_ok = timed(
-        "shuffle_identities",
-        lambda: check_shuffle_identities(params.g, params.g, params.l),
-    )
+    shuffle_ok = timed("shuffle_identities", lambda: _shuffle_identities_hold(params.l))
 
     def injectivity() -> tuple[SubgroupGraph, InjectivityResult]:
         graph = build_subgroup_graph(hom.images, hom.codomain)

@@ -399,6 +399,95 @@ class TestSweepCommand:
         assert lines[1].startswith("report,2,3")
         assert lines[-1].startswith("distinctness,2,3;4")
 
+    def test_grid_over_budget_is_refused_before_any_job(self, capsys, monkeypatch):
+        def refuse(params):
+            raise AssertionError("verify reached")
+
+        monkeypatch.setattr(cli, "verify", refuse)
+        evens = ",".join(str(g) for g in range(2, 317, 2))
+        code, out, err = run(capsys, "sweep", "--g-list", evens, "--l-list", "3..12")
+        assert code == 2
+        assert out == ""
+        assert err == "error: the grid's boundary images may have more than 16777216 letters\n"
+        # checked before the points, so an odd g does not hide the size
+        code, _, err = run(capsys, "sweep", "--g-list", "2..316", "--l-list", "3..12")
+        assert code == 2
+        assert err.startswith("error: the grid's boundary images")
+
+    def test_grid_budget_stops_early_on_any_values(self, capsys, monkeypatch):
+        # every point of this grid is invalid and its bound is negative, so
+        # a plain sum would walk all 4096 x 4096 points
+        calls = []
+        real = cli._boundary_letters_bound
+
+        def counting(g, l):
+            calls.append((g, l))
+            return real(g, l)
+
+        monkeypatch.setattr(cli, "_boundary_letters_bound", counting)
+        code, _, err = run(capsys, "sweep", "--g-list", "2..4097", "--l-list=-5000..-905")
+        assert code == 2
+        assert err == "error: the grid's boundary images may have more than 16777216 letters\n"
+        assert len(calls) <= (1 << 24) // 88 + 2
+
+    def test_grid_budget_is_inclusive(self, capsys, monkeypatch):
+        # g = 2 at l = 3, 4: 88 + 92 letters
+        monkeypatch.setattr(cli, "_MAX_GRID_LETTERS", 180)
+        argv = ("sweep", "--g-list", "2", "--l-list", "3,4", "--no-timings")
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setattr(cli, "_MAX_GRID_LETTERS", 179)
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err == "error: the grid's boundary images may have more than 179 letters\n"
+
+    def test_budget_admits_the_default_grid_and_a_genus_ladder(self):
+        from fgkit.family import _boundary_letters_bound
+
+        default = sum(_boundary_letters_bound(g, l) for g in (2, 4, 6, 8) for l in range(3, 13))
+        ladder = sum(_boundary_letters_bound(g, 12) for g in range(2, 129, 2))
+        assert (default, ladder) == (37000, 14934400)
+        assert ladder <= cli._MAX_GRID_LETTERS
+
+    def test_order_mismatch_is_one_warning_line(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--g-list", "2,4", "--l-list", "3,4", "--no-timings"
+        )
+        assert code == 0
+        assert err == (
+            "WARNING: quotient order != reference closed form at 4 points, "
+            "first g=2 l=3 (24 != 16); each is 12(l-1) != 4l+4, equal only at l = 2\n"
+        )
+        # the report bodies still carry each point's own warning
+        warnings = [r["warnings"] for r in json.loads(out)["reports"]]
+        assert warnings == [
+            [f"quotient order {12 * (l - 1)} != reference closed form {4 * l + 4}"]
+            for _ in (2, 4) for l in (3, 4)
+        ]
+
+    def test_other_warnings_stay_per_point(self, capsys, monkeypatch):
+        real = cli.verify
+
+        def changed(params):
+            report = real(params)
+            if params.l == 4:
+                report.reference_order_match = True
+                report.warnings = ["something else"]
+            if params.l == 5:
+                report.quotient_order = 7
+            return report
+
+        monkeypatch.setattr(cli, "verify", changed)
+        code, _, err = run(
+            capsys, "sweep", "--g-list", "2", "--l-list", "3,4,5", "--no-timings"
+        )
+        assert code == 0
+        # not every mismatch is 12(l - 1), so no derivation is claimed
+        assert err.splitlines() == [
+            "WARNING: g=2 l=4: something else",
+            "WARNING: quotient order != reference closed form at 2 points, "
+            "first g=2 l=3 (24 != 16)",
+        ]
+
     def test_failure_still_emits_report(self, capsys, monkeypatch):
         real = cli.verify
 

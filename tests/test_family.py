@@ -28,11 +28,15 @@ from fgkit import (
     verify,
 )
 import oracles
+from conftest import fgkit_caches
+import fgkit.abelian as abelian_module
+import fgkit.family as family_module
 from fgkit.words import _MAX_PARSED_LETTERS, _cancelled
 from fgkit.family import (
     VerificationReport,
     _block_letters_hold,
     _boundary_letters_bound,
+    _closed_form_certificate,
     boundary_word,
     class_distinctness,
     first_shuffle_failure,
@@ -185,6 +189,145 @@ class TestGeneratorImages:
             for img in generator_images_recursive(FamilyParams(g, l)):
                 assert not img.is_identity()
                 assert Word(Y, img.letters) == img
+
+
+ONE = Word(Y, ())
+C = Word(Y, (2,))
+
+# Edits (step r, side i, before, after) of the recursion's table, each
+# making side i of step r (r None: the seed) into before * side * after.
+# Each breaks exactly one equality of the certificate; a step change is
+# undone in the next step's side, so the concatenation checks still hold.
+CERTIFICATE_MUTANTS = {
+    "x1 = y3^3": [(None, 0, ONE, C)],
+    "step 2 left is y1^3": [(2, 0, C, ONE), (3, 0, ONE, C.inverse())],
+    "step 2 right is y1": [(2, 1, ONE, C), (3, 1, C.inverse(), ONE)],
+    "step 0 left is y1^-1": [(0, 0, C, ONE), (1, 0, ONE, C.inverse())],
+    "step 0 right is y1^-3": [(0, 1, ONE, C), (1, 1, C.inverse(), ONE)],
+    "L3 L2 = v": [(3, 0, ONE, C)],
+    "R2 R3 = u": [(3, 1, C, ONE)],
+    "L1 L0 v = a": [(1, 0, ONE, C)],
+    "u R0 R1 = b": [(1, 1, C, ONE)],
+}
+
+
+def edited_recursion(edits):
+    """``family._recursion`` with ``edits`` applied to its table."""
+    real = family_module._recursion
+
+    def table(l):
+        seed, sides = real(l)
+        sides = [list(pair) for pair in sides]
+        for r, i, before, after in edits:
+            if r is None:
+                seed = before * seed * after
+            else:
+                sides[r][i] = before * sides[r][i] * after
+        return seed, tuple(map(tuple, sides))
+
+    return table
+
+
+class TestClosedFormCertificate:
+    @pytest.mark.parametrize("l", [3, 4, 12, 1000])
+    def test_agrees_with_the_image_comparison(self, l):
+        assert _closed_form_certificate(l)
+        for g in (2, 4, 6):
+            p = FamilyParams(g, l)
+            assert generator_images_closed(p) == generator_images_recursive(p)
+
+    @pytest.mark.parametrize("mutant", sorted(CERTIFICATE_MUTANTS))
+    def test_each_equality_is_checked(self, monkeypatch, mutant):
+        monkeypatch.setattr(
+            family_module, "_recursion", edited_recursion(CERTIFICATE_MUTANTS[mutant])
+        )
+        # the edited recursion really builds other images by g = 4 ...
+        p = FamilyParams(4, 3)
+        assert generator_images_recursive(p) != generator_images_closed(p)
+        # ... and the certificate, reading the same table, refuses it
+        assert not _closed_form_certificate(3)
+        assert not verify(p).closed_form_ok
+
+    def test_recursion_and_certificate_read_one_table(self, monkeypatch):
+        calls = []
+        real = family_module._recursion
+
+        def spy(l):
+            calls.append(l)
+            return real(l)
+
+        monkeypatch.setattr(family_module, "_recursion", spy)
+        generator_images_recursive(FamilyParams(2, 5))
+        assert _closed_form_certificate(5)
+        assert calls == [5, 5]
+
+    def test_verify_builds_no_closed_images(self, monkeypatch):
+        def refuse(params):
+            raise AssertionError("verify called generator_images_closed")
+
+        monkeypatch.setattr(family_module, "generator_images_closed", refuse)
+        assert verify(FamilyParams(4, 3)).closed_form_ok
+
+
+# the lru_caches of fgkit, each kept per l, per g or per matrix
+CACHES = {
+    "fgkit.abelian._lattice_index",
+    "fgkit.family._boundary_word",
+    "fgkit.family._closed_form_certificate",
+    "fgkit.family._domain_alphabet",
+    "fgkit.family._shuffle_identities_hold",
+}
+
+
+class TestCaches:
+    def test_every_cache_is_bounded(self):
+        caches = fgkit_caches()
+        assert set(caches) == CACHES
+        for name, cache in caches.items():
+            assert cache.cache_parameters()["maxsize"] is not None, name
+
+    def test_reports_equal_cold_and_warm(self):
+        points = [FamilyParams(g, l) for g in (2, 4) for l in (3, 5)]
+
+        def report(p):
+            r = verify(p)
+            r.timings = {}
+            return r
+
+        cold = []
+        for p in points:
+            for cache in fgkit_caches().values():
+                cache.cache_clear()
+            cold.append(report(p))
+        warm = [report(p) for p in points]
+        assert warm == cold
+        assert family_module._closed_form_certificate.cache_info().currsize == 2
+
+    def test_one_smith_form_per_l(self, monkeypatch):
+        calls = []
+        real = abelian_module.smith_normal_form
+
+        def counting(matrix):
+            calls.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(abelian_module, "smith_normal_form", counting)
+        orders = {(g, l): verify(FamilyParams(g, l)).quotient_order
+                  for g in (2, 4, 6) for l in (3, 4)}
+        assert orders == {(g, l): 12 * (l - 1) for g, l in orders}
+        assert len(calls) == 2
+
+    def test_large_matrix_is_not_kept(self):
+        matrix = [[2 if i == j else 0 for j in range(9)] for i in range(9)]
+        assert abelian_module.quotient_order(matrix, 9) == 2 ** 9
+        assert abelian_module._lattice_index.cache_info().currsize == 0
+        assert abelian_module.quotient_order([[2, 0], [0, 3]], 2) == 6
+        assert abelian_module._lattice_index.cache_info().currsize == 1
+
+    def test_one_alphabet_per_genus(self):
+        assert domain_alphabet(4) is domain_alphabet(4)
+        assert boundary_word(4) is boundary_word(4)
+        assert boundary_word(4).alphabet is embedding(FamilyParams(4, 3)).domain
 
 
 def _blind_eq(limit):

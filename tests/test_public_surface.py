@@ -9,6 +9,7 @@ deliberate edit of this file.
 import importlib
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,18 @@ def test_perfbench_method_exists(module, cls, method):
     assert method in vars(getattr(importlib.import_module(module), cls))
 
 
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_public_functions_are_plain_functions(name):
+    # a cache wrapper is no plain function, so doctest discovery may skip
+    # it; fgkit's caches sit on private helpers, each with a fixed size
+    module = importlib.import_module(f"fgkit.{name}")
+    for attr in module.__all__:
+        value = getattr(module, attr)
+        if callable(value) and not isinstance(value, type):
+            assert isinstance(value, types.FunctionType), (name, attr)
+            assert not hasattr(value, "cache_clear"), (name, attr)
+
+
 def test_wedge_is_a_classmethod():
     assert isinstance(vars(fgkit.SubgroupGraph)["wedge"], classmethod)
 
@@ -119,9 +132,10 @@ def test_wedge_is_a_classmethod():
 SLOW_IMPORTS = {"dataclasses", "inspect", "ast"}
 
 # every standard library module fgkit imports at import time; importing
-# fgkit.cli after these must add no other top-level module (typing, say)
+# fgkit.cli after these must add no other top-level module (typing, say,
+# or csv, which only --format csv imports)
 FGKIT_STDLIB_IMPORTS = [
-    "__future__", "argparse", "array", "bisect", "collections.abc", "csv", "io",
+    "__future__", "argparse", "array", "bisect", "collections.abc", "functools", "io",
     "itertools", "json", "math", "os", "re", "sys", "time",
 ]
 
