@@ -22,6 +22,7 @@ from .family import (
     FamilyParams,
     VerificationReport,
     _boundary_letters_bound,
+    _derived_quotient_order,
     class_distinctness,
     first_shuffle_failure,
     verify,
@@ -207,7 +208,7 @@ def _print_sweep_warnings(reports: list[VerificationReport]) -> None:
             f"points, first g={first.params.g} l={first.params.l} "
             f"({first.quotient_order} != {first.reference_order})"
         )
-        if all(r.quotient_order == 12 * (r.params.l - 1) for r in mismatched):
+        if all(r.quotient_order == _derived_quotient_order(r.params.l) for r in mismatched):
             line += "; each is 12(l-1) != 4l+4, equal only at l = 2"
         print(line, file=sys.stderr)
 

@@ -32,6 +32,7 @@ from .words import (
     CyclicWord,
     Word,
     _canonical_classes,
+    _Value,
     render_word,
 )
 
@@ -88,7 +89,7 @@ def _domain_alphabet(g: int) -> Alphabet:
     return Alphabet.numbered(2 * g, "x")
 
 
-class FamilyParams:
+class FamilyParams(_Value):
     """One instance of the family: genus g (even, >= 2), winding l (>= 3).
 
     Immutable; equal when g and l are.  An instance whose boundary image
@@ -97,6 +98,7 @@ class FamilyParams:
     """
 
     __slots__ = ("g", "l")
+    _fields = ("g", "l")
 
     def __init__(self, g: int, l: int) -> None:
         _check_genus(g)
@@ -109,26 +111,6 @@ class FamilyParams:
             )
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "l", l)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FamilyParams is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("FamilyParams is immutable")
-
-    def __reduce__(self):
-        return (FamilyParams, (self.g, self.l))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.g, self.l) == (other.g, other.l)
-
-    def __hash__(self) -> int:
-        return hash((self.g, self.l))
-
-    def __repr__(self) -> str:
-        return f"FamilyParams(g={self.g!r}, l={self.l!r})"
 
 
 def _boundary_letters_bound(g: int, l: int) -> int:
@@ -148,6 +130,8 @@ def _boundary_letters_bound(g: int, l: int) -> int:
 def _check_genus(g: int) -> None:
     """The family's genus rule, shared by :class:`FamilyParams` and
     :func:`boundary_word`."""
+    if not isinstance(g, int):
+        raise TypeError(f"g must be an int, not {type(g).__name__}")
     if g < 2 or g % 2 != 0:
         raise ValueError("g must be even and >= 2")
 
@@ -155,6 +139,8 @@ def _check_genus(g: int) -> None:
 def _check_winding(l: int) -> None:
     """The family's winding rule, shared by :class:`FamilyParams` and
     :func:`shuffle_words`."""
+    if not isinstance(l, int):
+        raise TypeError(f"l must be an int, not {type(l).__name__}")
     if l < 3:
         raise ValueError("l must be >= 3")
 
@@ -180,17 +166,25 @@ def shuffle_words(l: int) -> tuple[Word, Word]:
     return u, v
 
 
+# the l-free words of the recursion and the closed forms, built once
+_Y1, _Y2, _Y3 = (Word(_TARGET, (k,)) for k in (1, 2, 3))
+_Y1_3, _Y3_3 = _Y1 ** 3, _Y3 ** 3
+_Y1_INV, _Y1_3_INV, _Y3_3_INV = _Y1.inverse(), _Y1_3.inverse(), _Y3_3.inverse()
+_Y2_Y3 = _Y2 * _Y3
+_Y2_Y3_INV = _Y2_Y3.inverse()
+
+
 def _recursion(l: int) -> tuple[Word, tuple[tuple[Word, Word], ...]]:
     """The recursion's seed x1 -> y3^3 and its (left, right) sides for
     k % 4 == 0, 1, 2, 3: the one table that
     :func:`generator_images_recursive` builds from and
     :func:`_closed_form_certificate` checks."""
-    y = target_alphabet()
-    return Word(y, (3, 3, 3)), (
-        (Word(y, (-1,)), Word(y, (-1, -1, -1))),
-        (Word(y, (-3, -2)), Word(y, (2,) * l + (3, 3, 3))),
-        (Word(y, (1, 1, 1)), Word(y, (1,))),
-        (Word(y, (-3, -3, -3) + (-2,) * l), Word(y, (2, 3))),
+    y2_l = _Y2 ** l
+    return _Y3_3, (
+        (_Y1_INV, _Y1_3_INV),
+        (_Y2_Y3_INV, y2_l * _Y3_3),
+        (_Y1_3, _Y1),
+        (_Y3_3_INV * y2_l.inverse(), _Y2_Y3),
     )
 
 
@@ -209,12 +203,10 @@ def _closed_form_words(l: int) -> tuple:
     """The words the closed forms are built from: u, v, a = u^-1 v,
     b = u v^-1, mid_0 = y3^3, and the (left, right) pairs (y1^3, y1) and
     (y1^-1, y1^-3) of the steps k % 4 == 2 and k % 4 == 0."""
-    y = target_alphabet()
     u, v = shuffle_words(l)
-    y1_3, y1 = Word(y, (1, 1, 1)), Word(y, (1,))
     return (
-        u, v, u.inverse() * v, u * v.inverse(), Word(y, (3, 3, 3)),
-        (y1_3, y1), (y1.inverse(), y1_3.inverse()),
+        u, v, u.inverse() * v, u * v.inverse(), _Y3_3,
+        (_Y1_3, _Y1), (_Y1_INV, _Y1_3_INV),
     )
 
 
@@ -367,6 +359,13 @@ def reference_quotient_order(l: int) -> int:
     finiteness is load-bearing.
     """
     return 4 * l + 4
+
+
+def _derived_quotient_order(l: int) -> int:
+    """The abelianized cokernel order derived for every g, 12(l - 1)
+    (README, "Quick start (CLI)"); it equals
+    :func:`reference_quotient_order` only at l = 2."""
+    return 12 * (l - 1)
 
 
 # -- first/last-letter structure ------------------------------------------

@@ -11,15 +11,18 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .words import Alphabet, AlphabetMismatch, Word, render_word
-from .words import _cancelled, _inverse, _letter_key
+from .words import _cancelled, _inverse, _letter_key, _Value
 
 __all__ = ["Homomorphism"]
 
 
-class Homomorphism:
-    """A map between free groups, one reduced image word per generator."""
+class Homomorphism(_Value):
+    """A map between free groups, one reduced image word per generator.
+
+    Immutable; equal when the domains, codomains and images are."""
 
     __slots__ = ("domain", "codomain", "images", "_codes")
+    _fields = ("domain", "codomain", "images")
 
     def __init__(
         self, domain: Alphabet, codomain: Alphabet, images: Iterable[Word]
@@ -42,24 +45,6 @@ class Homomorphism:
             codes[chr(_letter_key(k))] = img.code
             codes[chr(_letter_key(-k))] = _inverse(img.code)
         object.__setattr__(self, "_codes", codes)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Homomorphism is immutable")
-
-    def __reduce__(self):
-        return (Homomorphism, (self.domain, self.codomain, self.images))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Homomorphism):
-            return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.images == other.images
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.domain, self.codomain, self.images))
 
     def __repr__(self) -> str:
         imgs = ", ".join(

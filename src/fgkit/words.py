@@ -26,6 +26,7 @@ import re
 import sys
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
+from operator import attrgetter
 
 __all__ = [
     "Alphabet",
@@ -68,7 +69,44 @@ def _check_rank(rank: int) -> None:
         raise ValueError(f"alphabet has {rank} generators; the limit is {_MAX_RANK}")
 
 
-class Alphabet:
+class _Value:
+    """An immutable value given by the fields that ``_fields`` names, in
+    the order its constructor takes them: equal to a value of the same
+    class with equal fields, hashed, pickled and shown as those fields.
+    Its constructor sets every slot with ``object.__setattr__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # ``_key(value)`` reads the fields in C, as a tuple even when there is one
+        get = attrgetter(*cls._fields)
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda value: (get(value),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return (type(self), self._key(self))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Alphabet(_Value):
     """An ordered set of free generators, identified by name.
 
     Immutable; equal when the names are.
@@ -79,6 +117,7 @@ class Alphabet:
 
     # _index maps name -> 1-based generator index, so that index() is one lookup
     __slots__ = ("names", "_index")
+    _fields = ("names",)
 
     def __init__(self, names: Iterable[str]) -> None:
         # a tuple of its own, so equal names compare, hash and multiply alike
@@ -95,26 +134,6 @@ class Alphabet:
                 raise ValueError(f"invalid generator name {name!r}")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_index", index)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Alphabet is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Alphabet is immutable")
-
-    def __reduce__(self):
-        return (Alphabet, (self.names,))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.names == other.names
-
-    def __hash__(self) -> int:
-        return hash((self.names,))
-
-    def __repr__(self) -> str:
-        return f"Alphabet(names={self.names!r})"
 
     @classmethod
     def numbered(cls, rank: int, prefix: str = "y") -> "Alphabet":
@@ -215,12 +234,13 @@ def _cancelled(left: str, end: int, right: str, start: int, limit: int) -> int:
     return k
 
 
-class _Coded:
-    """A value held as an alphabet and a letter code: immutable, equal when
-    both are, rendered in the text grammar.  A subclass says what the code
-    is; ``_wrap`` trusts its caller to pass such a code."""
+class _Coded(_Value):
+    """A value held as an alphabet and a letter code, rendered in the text
+    grammar.  A subclass says what the code is; ``_wrap`` trusts its
+    caller to pass such a code."""
 
     __slots__ = ("alphabet", "code")
+    _fields = ("alphabet", "code")
 
     @classmethod
     def _wrap(cls, alphabet: Alphabet, code: str):
@@ -228,12 +248,6 @@ class _Coded:
         object.__setattr__(value, "alphabet", alphabet)
         object.__setattr__(value, "code", code)
         return value
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         return (type(self)._wrap, (self.alphabet, self.code))
@@ -245,14 +259,6 @@ class _Coded:
 
     def __len__(self) -> int:
         return len(self.code)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.alphabet == other.alphabet and self.code == other.code
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.code))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({render_word(self)!r})"

@@ -77,6 +77,22 @@ class TestParams:
         with pytest.raises(ValueError, match=msg):
             FamilyParams(g, l)
 
+    @pytest.mark.parametrize(
+        "build,name",
+        [
+            (lambda: FamilyParams(2.0, 3), "g"),
+            (lambda: FamilyParams(2, 3.0), "l"),
+            (lambda: shuffle_words(3.0), "l"),
+            (lambda: boundary_word(2.0), "g"),
+        ],
+        ids=["params-g", "params-l", "shuffle_words", "boundary_word"],
+    )
+    def test_float_refused(self, build, name):
+        # a float equal to a valid int would pass the value rules and then
+        # crash verify with an unrelated message
+        with pytest.raises(TypeError, match=f"^{name} must be an int, not float$"):
+            build()
+
     def test_value_class(self):
         p = FamilyParams(g=4, l=7)
         assert repr(p) == "FamilyParams(g=4, l=7)"

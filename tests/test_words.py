@@ -960,3 +960,74 @@ class TestPickle:
         )
         w = parse_word("y1 y2^-2", Y)
         assert pickle.loads(frozen) == (w, canonical_class(w))
+
+
+def _hom() -> Homomorphism:
+    ab = Alphabet(("a", "b"))
+    return Homomorphism(Alphabet(("x1", "x2")), ab, (Word(ab, (1,)), Word(ab, (1, 2))))
+
+
+# (build, fields, protocol-2 pickle); build makes a new equal value on each
+# call, and the pickles are those the classes wrote before they shared one
+# value protocol
+_VALUES = {
+    "Alphabet": (
+        lambda: Alphabet(("a", "b")),
+        ("names",),
+        b"\x80\x02cfgkit.words\nAlphabet\nq\x00X\x01\x00\x00\x00aq\x01X\x01\x00\x00\x00"
+        b"bq\x02\x86q\x03\x85q\x04Rq\x05.",
+    ),
+    "Word": (
+        lambda: Word(Alphabet(("a", "b")), (1, -2, -2)),
+        ("alphabet", "code"),
+        b"\x80\x02c__builtin__\ngetattr\nq\x00cfgkit.words\nWord\nq\x01X\x05\x00\x00\x00"
+        b"_wrapq\x02\x86q\x03Rq\x04cfgkit.words\nAlphabet\nq\x05X\x01\x00\x00\x00aq\x06"
+        b"X\x01\x00\x00\x00bq\x07\x86q\x08\x85q\tRq\nX\x03\x00\x00\x00\x02\x05\x05q\x0b"
+        b"\x86q\x0cRq\r.",
+    ),
+    "CyclicWord": (
+        lambda: CyclicWord(Alphabet(("a", "b")), (2, 1, 1)),
+        ("alphabet", "code"),
+        b"\x80\x02c__builtin__\ngetattr\nq\x00cfgkit.words\nCyclicWord\nq\x01X\x05\x00"
+        b"\x00\x00_wrapq\x02\x86q\x03Rq\x04cfgkit.words\nAlphabet\nq\x05X\x01\x00\x00\x00"
+        b"aq\x06X\x01\x00\x00\x00bq\x07\x86q\x08\x85q\tRq\nX\x03\x00\x00\x00\x02\x02\x04"
+        b"q\x0b\x86q\x0cRq\r.",
+    ),
+    "FamilyParams": (
+        lambda: FamilyParams(2, 3),
+        ("g", "l"),
+        b"\x80\x02cfgkit.family\nFamilyParams\nq\x00K\x02K\x03\x86q\x01Rq\x02.",
+    ),
+    "Homomorphism": (
+        _hom,
+        ("domain", "codomain", "images"),
+        b"\x80\x02cfgkit.homs\nHomomorphism\nq\x00cfgkit.words\nAlphabet\nq\x01X\x02\x00"
+        b"\x00\x00x1q\x02X\x02\x00\x00\x00x2q\x03\x86q\x04\x85q\x05Rq\x06h\x01X\x01\x00"
+        b"\x00\x00aq\x07X\x01\x00\x00\x00bq\x08\x86q\t\x85q\nRq\x0bc__builtin__\ngetattr"
+        b"\nq\x0ccfgkit.words\nWord\nq\rX\x05\x00\x00\x00_wrapq\x0e\x86q\x0fRq\x10h\x0bX"
+        b"\x01\x00\x00\x00\x02q\x11\x86q\x12Rq\x13h\x0ch\rh\x0e\x86q\x14Rq\x15h\x0bX\x02"
+        b"\x00\x00\x00\x02\x04q\x16\x86q\x17Rq\x18\x86q\x19\x87q\x1aRq\x1b.",
+    ),
+}
+
+
+class TestValueProtocol:
+    """The five value classes share one protocol: immutable, equal only to
+    a value of the same class with equal fields, hashed alike when equal,
+    and pickled as before."""
+
+    @pytest.mark.parametrize("name", list(_VALUES))
+    def test_value_protocol(self, name):
+        build, fields, frozen = _VALUES[name]
+        value = build()
+        for field in fields:
+            with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+                setattr(value, field, None)
+            with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+                delattr(value, field)
+        assert value != tuple(getattr(value, field) for field in fields)
+        assert value == build() and hash(value) == hash(build())
+        back = pickle.loads(pickle.dumps(value))
+        assert back == value and repr(back) == repr(value)
+        assert pickle.dumps(value, 2) == frozen
+        assert pickle.loads(frozen) == value
