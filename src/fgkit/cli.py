@@ -230,7 +230,12 @@ def _cmd_verify(args) -> int:
 def _run_grid(jobs: list[FamilyParams], parallel: int) -> list[VerificationReport]:
     """One report per job, in the order of ``jobs`` whatever ``parallel`` is."""
     # the pool starts all its workers up front; never more than can be busy
-    workers = min(parallel, len(jobs), os.cpu_count() or 1)
+    # on the CPUs this process may use (its affinity mask, where there is one)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(parallel, len(jobs), cpus)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool

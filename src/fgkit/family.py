@@ -78,9 +78,11 @@ def target_alphabet() -> Alphabet:
 
 
 def domain_alphabet(g: int) -> Alphabet:
-    """The rank-2g domain alphabet x1 .. x_{2g}.  Calls for one g in a row
-    return one object, so :func:`embedding` and :func:`boundary_word`
-    share it and ``apply``'s alphabet check succeeds on identity."""
+    """The rank-2g domain alphabet x1 .. x_{2g}, for a genus the family
+    admits.  Calls for one g in a row return one object, so
+    :func:`embedding` and :func:`boundary_word` share it and ``apply``'s
+    alphabet check succeeds on identity."""
+    _check_genus(g)
     return _domain_alphabet(g)
 
 
@@ -128,8 +130,8 @@ def _boundary_letters_bound(g: int, l: int) -> int:
 
 
 def _check_genus(g: int) -> None:
-    """The family's genus rule, shared by :class:`FamilyParams` and
-    :func:`boundary_word`."""
+    """The family's genus rule, shared by :class:`FamilyParams`,
+    :func:`domain_alphabet` and :func:`boundary_word`."""
     if not isinstance(g, int):
         raise TypeError(f"g must be an int, not {type(g).__name__}")
     if g < 2 or g % 2 != 0:
@@ -378,16 +380,17 @@ def _block_letters_hold(hom: Homomorphism, graph: SubgroupGraph) -> bool:
     """Exact first/last-letter certificate for single-parity words.
 
     ``graph`` must be the folded graph of the subgroup H generated by all
-    images of ``hom``.  Each even-index image is walked as a base loop of
-    ``graph``; every base edge the walk uses must carry y1^±1.  Odd-index
-    images must likewise use only y2^±1 and y3^±1 edges at the base.
+    images of ``hom``.  Each even-index image is a base loop of ``graph``,
+    whose base labels the fold's kept path gives; every base edge the loop
+    uses must carry y1^±1.  Odd-index images must likewise use only y2^±1
+    and y3^±1 edges at the base.
 
     For an injective ``hom`` this holds exactly when every nontrivial word
     in the even-index generators alone maps to a word starting and ending
     in y1^±1, and every nontrivial word in the odd-index generators alone
     maps to one starting and ending in y2^±1 or y3^±1.  Sound: the folded
     graph of the even images immerses into ``graph`` base to base, so its
-    base edges are among the ones the walks use, and a nontrivial reduced
+    base edges are among the ones the loops use, and a nontrivial reduced
     element of a subgroup starts and ends on base edges of its folded
     graph.  Exact: when both properties hold, the two parity graphs have
     disjoint base labels, so their wedge is already folded and, by

@@ -17,6 +17,14 @@ the base, and adds fresh vertices only for the letters in between.  Folds
 happen only where the new arc closes up, through a union-find worklist that
 merges the smaller adjacency dict into the larger.
 
+A fresh arc's inner vertices get no adjacency dict: the fold records the
+arc as (first id, start, end, code), and each inner vertex's two edges
+follow from its place on the arc.  A vertex gets its dict only when the
+fold reads on from it letter by letter, attaches an arc at it or merges
+it, and a fold that merged anything gives every vertex its dict.  So a
+generator whose middle no earlier loop spells costs O(1) Python steps for
+its arc, not one dict per letter.
+
 Each read starts with a jump along the loops already attached.  The codes
 of the attached generators and of their inverses are kept in one sorted
 list, each with the vertex ids its loop passes through, held in an
@@ -37,16 +45,18 @@ N. Touikan, *A fast algorithm for Stallings' folding process*, IJAC 16(6)
 subgroups of free groups*, J. Algebra 248 (2002), §§3–5.
 
 Folding is a single-owner mutation.  :meth:`SubgroupGraph.fold` keeps the
-fold's own adjacency dicts, one per vertex it created, and counts the
-union-find merges as it goes, so V is the vertices created less the
-merges, and E is half the entries of the dicts, since a merged vertex's
-dict is emptied.  A fold that merged anything rewrites each stale target
-to its representative before it returns, so membership and base labels
-walk the dicts alone and a folded graph is safe to query from any thread.
-The canonical relabel (breadth-first from the base, edges in letter
-order) is built on the first call of :meth:`~SubgroupGraph.edges`,
-:meth:`~SubgroupGraph.dump` or ``==`` and cached.  Because the folded
-core is unique, any two attach orders produce identical canonical graphs.
+fold's own adjacency dicts, its arcs and each attached loop's id path, and
+counts the union-find merges as it goes, so V is the vertices created less
+the merges, and E is half the entries of the dicts, with two for each
+implicit vertex, since a merged vertex's dict is emptied.  A fold that
+merged anything rewrites each stale target and path id to its
+representative before it returns.  Every query reads and never writes the
+fold's state, so a folded graph is safe to query from any thread.  The
+canonical relabel (breadth-first from the base, edges in letter order) is
+the one place that expands the arcs; it is built on the first call of
+:meth:`~SubgroupGraph.contains`, :meth:`~SubgroupGraph.edges`,
+:meth:`~SubgroupGraph.dump` or ``==`` and cached.  Because the folded core
+is unique, any two attach orders produce identical canonical graphs.
 Every query except the two size counts needs a folded graph.
 
 The rank of the subgroup is E - V + 1 of its folded graph, counted during
@@ -61,7 +71,9 @@ the same finite rank is an isomorphism (free groups are Hopfian).
 The edges at the base vertex of a folded graph are exactly the first
 letters of the subgroup's nontrivial reduced elements (and, inverted, the
 last letters); :meth:`SubgroupGraph.base_labels` reads which of them a
-given base loop uses.
+given base loop uses.  For an attached generator or its inverse it reads
+the base visits off the loop's id path with C scans, so no letter costs a
+Python step; any other loop is walked through the canonical relabel.
 
 Edges are labeled by letter codes (see :mod:`fgkit.words`): folding walks
 the generators' codes, and a vertex's edges are ordered by code point,
@@ -94,9 +106,13 @@ class SubgroupGraph:
         self.base = 0
         # unfolded: the codes of the nontrivial generator words, one loop each
         self._gens: tuple[str, ...] = ()
-        # folded: the fold's adjacency dicts (see fold), the base's representative
-        self._adj: list[dict[str, int]] | None = None
+        # folded: the fold's adjacency dicts, None for an implicit vertex,
+        # the base's representative, the fresh arcs (firsts, arcs) and each
+        # attached code's (path, step) (see fold)
+        self._adj: list[dict[str, int] | None] | None = None
         self._root = 0
+        self._arcs: tuple[list[int], list[tuple[int, int, str]]] = ([], [])
+        self._loops: dict[str, tuple[array, int]] = {}
         self._counts = (1, 0)  # (V, E): of the wedge, then of the folded graph
         # the canonical relabel, built on first use
         self._out: list[dict[str, int]] | None = None
@@ -126,15 +142,31 @@ class SubgroupGraph:
         """Attach the generator loops one at a time, folding as they go.
 
         Counts V and E, so the rank needs no further pass, and keeps the
-        representatives' adjacency dicts with every target resolved.
+        adjacency dicts, the fresh arcs and each attached loop's id path,
+        with every target and id resolved.
         """
         if self.folded:
             return self
-        # adj[v] is current only for representatives v; until the fold
-        # ends, targets may be stale and are resolved through find
-        adj: list[dict[str, int]] = [{}]
+        # adj[v] is v's adjacency dict, or None while v is an inner vertex
+        # of a fresh arc that the fold has not touched since; its two edges
+        # are then read off the arc (_arc_row).  adj[v] is current only for
+        # representatives v; until the fold ends, targets may be stale and
+        # are resolved through find
+        adj: list[dict[str, int] | None] = [{}]
         parent = [0]
         merges = 0
+        # the fresh arcs with inner vertices: arcs[a] = (start, end, code),
+        # whose inner vertices are firsts[a], firsts[a] + 1, ..., one after
+        # each letter of code but the last
+        firsts: list[int] = []
+        arcs: list[tuple[int, int, str]] = []
+
+        def row(v: int) -> dict[str, int]:
+            # v's dict, built from its arc when the fold first needs it
+            d = adj[v]
+            if d is None:
+                d = adj[v] = _arc_row(firsts, arcs, v)
+            return d
 
         def find(v: int) -> int:
             while parent[v] != v:
@@ -150,12 +182,12 @@ class SubgroupGraph:
                 a, b = find(a), find(b)
                 if a == b:
                     continue
-                if len(adj[a]) < len(adj[b]):
-                    a, b = b, a
+                into, other = row(a), row(b)
+                if len(into) < len(other):
+                    a, b, into, other = b, a, other, into
                 parent[b] = a
                 merges += 1
-                into = adj[a]
-                for s, t in adj[b].items():
+                for s, t in other.items():
                     u = into.setdefault(s, t)
                     if u != t:
                         pending.append((u, t))
@@ -196,7 +228,10 @@ class SubgroupGraph:
             # then reads on letter by letter, with find's fast path inlined
             k, v = best, find(ids[-1])
             while k < limit:
-                t = adj[v].get(code[k])
+                d = adj[v]
+                if d is None:
+                    d = row(v)
+                t = d.get(code[k])
                 if t is None:
                     break
                 v, k = (t if parent[t] == t else find(t)), k + 1
@@ -218,39 +253,55 @@ class SubgroupGraph:
                     identify(v, u)
                     fwd.pop()  # position i is bwd's last
                 else:
-                    # fresh arc v -> ... -> u spelling w[i:j]; only its closing
-                    # edge can collide, when v == u and w[i] is the inverse of w[j-1]
-                    for s, r in zip(w[i : j - 1], reversed(inv[n - j + 1 : n - i])):
-                        x = len(adj)
-                        adj[v][s] = x
-                        adj.append({r: v})
-                        parent.append(x)
-                        fwd.append(x)
-                        v = x
-                    adj[v][w[j - 1]] = u
-                    t = adj[u].setdefault(inv[n - j], v)
-                    if t != v:
-                        identify(t, v)
+                    # fresh arc v -> x .. y -> u spelling w[i:j], its m inner
+                    # vertices x .. y left implicit; only its closing edge can
+                    # collide, when v == u and w[i] is the inverse of w[j-1]
+                    x, m = len(adj), j - i - 1
+                    if m:
+                        firsts.append(x)
+                        arcs.append((v, u, w[i:j]))
+                        adj += [None] * m
+                        parent.extend(range(x, x + m))
+                        fwd.extend(range(x, x + m))
+                        y = x + m - 1
+                    else:  # the one edge v -> u
+                        x, y = u, v
+                    row(v)[w[i]] = x
+                    t = row(u).setdefault(inv[n - j], y)
+                    if t != y:
+                        identify(t, y)
             if w not in loops:  # else a repeat, or an earlier inverse
                 path = fwd + bwd[::-1]
                 for c, step in ((w, 1), (inv, -1)):
                     insort(codes, c)
                     loops[c] = (path, step)
 
-        if merges:  # queries read adj alone, so no target may stay stale
+        if merges:
+            # queries read adj and the paths alone, so every vertex gets its
+            # dict and no target or path id may stay stale
+            for v, d in enumerate(adj):
+                if d is None:
+                    adj[v] = _arc_row(firsts, arcs, v)
             for d in adj:
                 for s, t in d.items():
                     d[s] = find(t)
+            for path, step in loops.values():
+                if step > 0:
+                    path[:] = array("q", map(find, path))
+            firsts, arcs = [], []
         self._adj, self._root = adj, find(self.base)
+        self._arcs, self._loops = (firsts, arcs), loops
         # the vertices are the representatives; a merged vertex's dict is
-        # emptied, and each edge is held once in each direction, a loop too
-        self._counts = (len(parent) - merges, sum(map(len, adj)) // 2)
+        # emptied, each edge is held once in each direction, a loop too, and
+        # an implicit vertex holds two
+        half_edges = sum(map(len, filter(None, adj))) + 2 * adj.count(None)
+        self._counts = (len(parent) - merges, half_edges // 2)
         self._gens = ()
         return self
 
     # -- queries ---------------------------------------------------------
 
-    def _folded(self, what: str) -> tuple[list[dict[str, int]], int]:
+    def _folded(self, what: str) -> tuple[list[dict[str, int] | None], int]:
         if self._adj is None:
             raise ValueError(f"graph must be folded before {what}")
         return self._adj, self._root
@@ -260,14 +311,19 @@ class SubgroupGraph:
 
         Breadth-first from the base, neighbors in letter order, which is
         code point order; iterating ``order`` while it grows is the queue.
+        The one place that expands the fresh arcs, and it reads them
+        without storing a dict in the fold's state.
         """
         if self._out is None:
             adj, root = self._folded(what)
+            firsts, arcs = self._arcs
             mapping = {root: 0}
             order = [root]
             out: list[dict[str, int]] = []
             for v in order:
                 d = adj[v]
+                if d is None:
+                    d = _arc_row(firsts, arcs, v)
                 row = {}
                 for s in sorted(d):
                     t = d[s]
@@ -304,36 +360,55 @@ class SubgroupGraph:
         """True iff ``w`` is readable as a base-to-base path: subgroup membership."""
         if w.alphabet != self.alphabet:
             raise AlphabetMismatch("query word not over the graph's alphabet")
-        adj, root = self._folded("reading paths")
-        v = root
+        out = self._canonical("reading paths")
+        v = 0
         for s in w.code:
-            v = adj[v].get(s)
+            v = out[v].get(s)
             if v is None:
                 return False
-        return v == root
+        return v == 0
 
     def base_labels(self, w: Word) -> set[int]:
         """Labels, read outward from the base, of the base edges a loop uses.
 
         ``w`` must spell a base-to-base path in the folded graph.  Each
         time the path leaves the base along ``s`` the result gains ``s``;
-        each time it arrives along ``s`` it gains ``-s``.  One pass over
-        the code of ``w``.
+        each time it arrives along ``s`` it gains ``-s``.  For an attached
+        generator or its inverse the base visits are read off the loop's
+        id path by array scans; any other word is walked through the
+        canonical relabel, one step per letter.
         """
-        adj, base = self._folded("reading base labels")
+        _, root = self._folded("reading base labels")
+        code = w.code
+        loop = self._loops.get(code)
+        if loop is None:
+            out = self._canonical("reading base labels")
+            visits = []
+            v = 0
+            for k, s in enumerate(code):
+                if v == 0:
+                    visits.append(k)
+                v = out[v].get(s)
+                if v is None:
+                    raise ValueError("letters do not spell a path in the graph")
+            if v != 0:
+                raise ValueError("letters do not spell a base-to-base loop")
+            visits.append(len(code))
+        else:
+            # the path starts and ends at the root, so each C scan for the
+            # next visit finds one
+            path, step = loop
+            visits = [0]
+            while visits[-1] < len(code):
+                visits.append(path.index(root, visits[-1] + 1))
+            if step < 0:
+                visits = [len(code) - p for p in visits]
         labels: set[int] = set()
-        v = base
-        for s in w.code:
-            if v == base:
-                labels.add(_letter(s))
-            try:
-                v = adj[v][s]
-            except KeyError:
-                raise ValueError("letters do not spell a path in the graph") from None
-            if v == base:
-                labels.add(-_letter(s))
-        if v != base:
-            raise ValueError("letters do not spell a base-to-base loop")
+        for p in visits:
+            if p < len(code):
+                labels.add(_letter(code[p]))
+            if p:
+                labels.add(-_letter(code[p - 1]))
         return labels
 
     def rank(self) -> int:
@@ -357,6 +432,18 @@ class SubgroupGraph:
             return NotImplemented
         mine, theirs = self._canonical("comparison"), other._canonical("comparison")
         return self.alphabet == other.alphabet and mine == theirs
+
+
+def _arc_row(firsts: list[int], arcs: list[tuple[int, int, str]], v: int) -> dict[str, int]:
+    """The two edges of the implicit inner vertex ``v`` of a fresh arc:
+    back along the inverse of the letter before it, on along the one after."""
+    a = bisect(firsts, v) - 1
+    k = v - firsts[a]
+    start, end, code = arcs[a]
+    return {
+        chr(ord(code[k]) ^ 1): v - 1 if k else start,
+        code[k + 1]: v + 1 if k + 2 < len(code) else end,
+    }
 
 
 def build_subgroup_graph(generators: Iterable[Word], codomain: Alphabet) -> SubgroupGraph:

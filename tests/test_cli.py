@@ -51,6 +51,17 @@ def recording_pool(started, broken=False):
     return RecordingPool
 
 
+def usable_cpus(monkeypatch, n):
+    """Let the process use ``n`` CPUs: its affinity mask where the platform
+    has one, else the machine's count; ``None`` is an unknown count on a
+    platform with no mask."""
+    if n is None:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 class TestWordCommand:
     def test_reduce_to_identity(self, capsys):
         code, out, _ = run(capsys, "word", "reduce", "y1 y1^-1")
@@ -250,15 +261,32 @@ class TestSweepCommand:
         monkeypatch.setattr(
             concurrent.futures, "ProcessPoolExecutor", recording_pool(started)
         )
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        usable_cpus(monkeypatch, 8)
         argv = ("sweep", "--g-list", "2", "--l-list", "3,4", "--no-timings", "--parallel", "64")
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert started == [2]
         # one CPU (or an unknown count) means serial: no pool at all
         for cpus in (1, None):
-            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+            usable_cpus(monkeypatch, cpus)
             assert run(capsys, *argv)[0] == 0
+        assert started == [2]
+
+    def test_pool_counts_only_the_cpus_the_process_may_use(self, capsys, monkeypatch):
+        # pinned to one CPU of eight (taskset -c 0): no pool, however many
+        # workers are asked for
+        started = []
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", recording_pool(started)
+        )
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        usable_cpus(monkeypatch, 1)
+        argv = ("sweep", "--g-list", "2", "--l-list", "3,4", "--no-timings", "--parallel", "2")
+        assert run(capsys, *argv)[0] == 0
+        assert started == []
+        # where the platform has no affinity mask, the machine's count
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        assert run(capsys, *argv)[0] == 0
         assert started == [2]
 
     def test_worker_crash_falls_back_to_serial(self, capsys, monkeypatch):
@@ -269,7 +297,7 @@ class TestSweepCommand:
         monkeypatch.setattr(
             concurrent.futures, "ProcessPoolExecutor", recording_pool(started, broken=True)
         )
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        usable_cpus(monkeypatch, 8)
         code, out, err = run(capsys, *argv, "--parallel", "2")
         assert code == 0
         assert started == [2]
@@ -286,7 +314,7 @@ class TestSweepCommand:
             raise PermissionError("no semaphores")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        usable_cpus(monkeypatch, 8)
         code, out, err = run(capsys, *argv, "--parallel", "2")
         assert code == 0
         assert out == serial_out
@@ -303,7 +331,7 @@ class TestSweepCommand:
         started = []
         monkeypatch.setattr(cli, "verify", timing_out)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool(started))
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        usable_cpus(monkeypatch, 8)
         argv = ("sweep", "--g-list", "2", "--l-list", "3,4", "--no-timings", "--parallel", "2")
         code, out, err = run(capsys, *argv)
         assert code == 2

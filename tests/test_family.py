@@ -84,8 +84,9 @@ class TestParams:
             (lambda: FamilyParams(2, 3.0), "l"),
             (lambda: shuffle_words(3.0), "l"),
             (lambda: boundary_word(2.0), "g"),
+            (lambda: domain_alphabet(2.0), "g"),
         ],
-        ids=["params-g", "params-l", "shuffle_words", "boundary_word"],
+        ids=["params-g", "params-l", "shuffle_words", "boundary_word", "domain_alphabet"],
     )
     def test_float_refused(self, build, name):
         # a float equal to a valid int would pass the value rules and then
@@ -451,6 +452,16 @@ class TestBoundaryWord:
         with pytest.raises(ValueError) as from_params:
             FamilyParams(g, 3)
         assert str(from_word.value) == str(from_params.value)
+
+    @pytest.mark.parametrize("g", [0, 1, 3, -2])
+    def test_domain_alphabet_has_the_genus_rule(self, g):
+        # no rank-2g alphabet for a genus the family does not admit, and
+        # the family's message, not the alphabet's or range's
+        with pytest.raises(ValueError) as from_alphabet:
+            domain_alphabet(g)
+        with pytest.raises(ValueError) as from_params:
+            FamilyParams(g, 3)
+        assert str(from_alphabet.value) == str(from_params.value) == "g must be even and >= 2"
 
     def test_genus_four_block_pattern(self):
         w = boundary_word(4)

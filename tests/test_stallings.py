@@ -134,6 +134,10 @@ class TestFold:
             assert not g.contains(parse_word("a2", AB))
         alone = build_subgroup_graph(gens[:1], AB)
         assert (alone.n_vertices, alone.n_edges, alone.rank()) == (6, 6, 1)
+        # the fold merges the arc's first and last inner vertices, so every
+        # vertex gets its dict and no arc is left implicit
+        assert None not in alone._adj and alone._arcs == ([], [])
+        assert alone.base_labels(gens[0]) == {1}
 
     def test_merge_moving_the_base_representative(self):
         gens = words(ABC, "a3 a2", "a2^-1", "a1^-1")
@@ -405,6 +409,18 @@ def _letter_reads(gens, rank):
     return calls
 
 
+def _textbook_adjacency(gens, rank):
+    """The textbook fold's graph as {(vertex, signed letter): vertex},
+    read off ``oracles.folded_dump``; the base is 0."""
+    names = Alphabet.numbered(rank, "a").names
+    adj = {}
+    for line in oracles.folded_dump(gens, names)[0].splitlines()[1:]:
+        u, name, v = line.split()
+        s = names.index(name) + 1
+        adj[int(u), s], adj[int(v), -s] = int(v), int(u)
+    return adj
+
+
 def _common_prefix_length(a, b):
     k = 0
     while k < min(len(a), len(b)) and a[k] == b[k]:
@@ -420,12 +436,7 @@ def _jump_model(earlier, w, rank):
     (jump, limit), the backward (jump, cap) or None when the forward read
     closes the loop, and the number of letters read one at a time, counting
     a read that stops at a missing edge as one."""
-    names = Alphabet.numbered(rank, "a").names
-    adj = {}
-    for line in oracles.folded_dump(earlier, names)[0].splitlines()[1:]:
-        u, name, v = line.split()
-        s = names.index(name) + 1
-        adj[int(u), s], adj[int(v), -s] = int(v), int(u)
+    adj = _textbook_adjacency(earlier, rank)
     known = [c for e in earlier if e for c in (e, oracles.t_inv(e))]
 
     def read(word, limit):
@@ -557,11 +568,127 @@ class TestCountsDuringFold:
         # a1^4 reads four letters along the a1^6 loop; identifying its end
         # with the base cascades until the six vertices form the two
         # classes {0, 2, 4} and {1, 3, 5}: four merges from one call
-        g = SubgroupGraph.wedge(words(A1, "a1^6", "a1^4"), A1)
+        gens = words(A1, "a1^6", "a1^4")
+        g = SubgroupGraph.wedge(gens, A1)
         assert g.fold() is g
         assert (g.n_vertices, g.n_edges, g.rank()) == (2, 2, 1)
         assert len(g._adj) - g.n_vertices == 4
         assert g.dump() == "0\n0 a1 1\n1 a1 0\n"
+        # the merges reach the arc's implicit vertices; the fold then gives
+        # every vertex its dict and rewrites the kept paths to representatives
+        assert None not in g._adj
+        representatives = {v for v, d in enumerate(g._adj) if d}
+        for w in gens:
+            assert set(g._loops[w.code][0]) <= representatives
+            assert g.base_labels(w) == g.base_labels(w.inverse()) == {1, -1}
+
+
+def _walked_base_labels(adj, w):
+    """Base labels of the base loop ``w``, by a naive walk over ``adj``."""
+    labels, v = set(), 0
+    for s in w:
+        if v == 0:
+            labels.add(s)
+        v = adj[v, s]
+        if v == 0:
+            labels.add(-s)
+    assert v == 0, w
+    return labels
+
+
+def _explicit(g):
+    """The vertices of a folded graph that hold their own adjacency dict."""
+    return [v for v, d in enumerate(g._adj) if d is not None]
+
+
+class TestImplicitArcs:
+    """A fresh arc's inner vertices get a dict only when the fold reads on
+    from one, attaches an arc at it or merges it."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_loop_base_labels_match_a_walk_of_the_textbook_fold(self, data):
+        rank = data.draw(st.integers(1, 3))
+        signed = st.sampled_from([s for g in range(1, rank + 1) for s in (g, -g)])
+        reduced = st.lists(signed, max_size=8).map(oracles.naive_reduce)
+        gens = [data.draw(reduced)]
+        # later loops that jump along, branch off and close up on earlier
+        # arcs, repeats, inverses, powers (merge-heavy) and trivial words
+        builds = ["random", "prefix", "suffix", "repeat", "inverse", "power", "trivial"]
+        for _ in range(data.draw(st.integers(0, 5))):
+            build = data.draw(st.sampled_from(builds))
+            earlier = data.draw(st.sampled_from(gens))
+            k = data.draw(st.integers(0, len(earlier)))
+            if build == "random":
+                new = data.draw(reduced)
+            elif build == "prefix":
+                new = oracles.t_mul(earlier[:k], data.draw(reduced))
+            elif build == "suffix":
+                new = oracles.t_mul(data.draw(reduced), earlier[k:])
+            elif build == "repeat":
+                new = earlier
+            elif build == "inverse":
+                new = oracles.t_inv(earlier)
+            elif build == "power":
+                new = oracles.t_pow(earlier, data.draw(st.integers(2, 4)))
+            else:
+                new = ()
+            gens.append(new)
+        alphabet = Alphabet.numbered(rank, "a")
+        graph = build_subgroup_graph([Word(alphabet, w) for w in gens], alphabet)
+        adj = _textbook_adjacency(gens, rank)
+        loops = [w for w in gens if w]
+        for w in loops:
+            for word in (w, oracles.t_inv(w)):
+                assert graph.base_labels(Word(alphabet, word)) == _walked_base_labels(adj, word), gens
+        assert graph._out is None  # the loops were read off their paths
+        assert graph.base_labels(Word(alphabet)) == set()
+
+    def test_later_loop_branches_at_an_inner_arc_vertex(self):
+        # a1 a2 a1 leaves vertices 1 and 2 implicit; a1 a3 a2 a3 reads a1 to
+        # vertex 1, so vertex 1 gets its dict, and its arc a3 a2 a3 back to
+        # the base starts there, with inner vertices 3 and 4 left implicit
+        gens = [(1, 2, 1), (1, 3, 2, 3)]
+        g = build_subgroup_graph([Word(ABC, w) for w in gens], ABC)
+        assert _explicit(g) == [0, 1]
+        arcs = [(0, 0, Word(ABC, (1, 2, 1)).code), (1, 0, Word(ABC, (3, 2, 3)).code)]
+        assert g._arcs == ([1, 3], arcs)
+        assert (g.dump(), g.rank()) == oracles.folded_dump(gens, ABC.names)
+        assert g.base_labels(Word(ABC, gens[1])) == {1, -3}
+        assert g.base_labels(Word(ABC, oracles.t_inv(gens[1]))) == {1, -3}
+        assert g.contains(parse_word("a1^-1 a2^-1 a3 a2 a3", ABC))
+        assert not g.contains(parse_word("a2^-1 a3 a2 a3", ABC))
+
+    def test_repeated_inverse_and_empty_generators(self):
+        # a repeat and an inverse share the first loop's path; the trivial
+        # word is no loop, so it alone takes the walk
+        gens = words(ABC, "a1 a2 a3", "a1 a2 a3", "a3^-1 a2^-1 a1^-1", "1", "a2 a1 a2^-1")
+        g = build_subgroup_graph(gens, ABC)
+        assert len(g._loops) == 4  # two codes and their inverses
+        labels = [g.base_labels(w) for w in gens if w.code]
+        assert labels == [{1, -3}, {1, -3}, {1, -3}, {2}]
+        assert g._out is None
+        assert g.base_labels(gens[3]) == set()
+        assert g._out is not None
+        textbook = oracles.folded_dump([w.letters for w in gens], ABC.names)
+        assert (g.dump(), g.rank()) == textbook
+
+    def test_inverse_loop_reads_its_path_backwards(self):
+        # a1 a2 a3 passes the base after one letter, its inverse after two
+        gens = words(ABC, "a1", "a1 a2 a3")
+        g = build_subgroup_graph(gens, ABC)
+        assert g.base_labels(gens[1]) == {1, -1, 2, -3}
+        assert g.base_labels(gens[1].inverse()) == {1, -1, 2, -3}
+        assert g.base_labels(parse_word("a1^-1 a3^-1 a2^-1", ABC)) == {1, -1, -3, 2}
+        assert g._out is not None
+
+    @pytest.mark.parametrize("genus", [8, 32])
+    def test_family_arcs_stay_implicit(self, genus):
+        # each generator gives at most its two read ends a dict, so at most
+        # two explicit vertices per generator and the base
+        h = embedding(FamilyParams(genus, 12))
+        g = build_subgroup_graph(h.images, h.codomain)
+        assert len(_explicit(g)) <= 1 + 2 * len(h.images)
 
 
 class TestFoldedQueries:
@@ -588,13 +715,36 @@ class TestFoldedQueries:
         g = build_subgroup_graph(gens, alphabet)
         assert g._root != 0
         assert all(g._adj[t] for d in g._adj for t in d.values())
-        before = copy.deepcopy((g._adj, g._root, g._counts))
-        for w in gens:
-            assert g.contains(w)
-            assert g.base_labels(w)
-        assert not g.contains(parse_word(outsider, alphabet))
-        assert (g._adj, g._root, g._counts) == before
-        assert g._out is None
+        _query_everything(g, gens, parse_word(outsider, alphabet))
+
+    @pytest.mark.parametrize("genus", [2, 8])
+    def test_queries_leave_implicit_arcs_implicit(self, genus):
+        # the family's folds merge nothing, and most inner vertices keep no
+        # dict; no query gives them one
+        h = embedding(FamilyParams(genus, 5))
+        g = build_subgroup_graph(h.images, h.codomain)
+        assert None in g._adj
+        _query_everything(g, h.images, parse_word("y1", h.codomain))
+
+
+def _query_everything(g, gens, outsider):
+    """Every query of a folded graph, with a snapshot of the fold's state
+    taken before and compared after.  The loops' base labels are read off
+    their paths, before anything builds the canonical relabel."""
+    state = ("_adj", "_root", "_counts", "_arcs", "_loops")
+    before = copy.deepcopy([getattr(g, name) for name in state])
+    for w in gens:
+        assert g.base_labels(w)
+        assert g.base_labels(w.inverse())
+    assert g._out is None
+    for w in gens:
+        assert g.contains(w)
+    assert not g.contains(outsider)
+    assert g.base_labels(Word(g.alphabet)) == set()
+    assert g.dump() and g == g
+    assert (g.n_vertices, g.n_edges) == g._counts
+    assert g.rank() == g.n_edges - g.n_vertices + 1
+    assert [getattr(g, name) for name in state] == before
 
 
 class TestInjectivity:
