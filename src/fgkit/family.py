@@ -32,6 +32,7 @@ from .words import (
     CyclicWord,
     Word,
     _canonical_classes,
+    _join,
     _Value,
     render_word,
 )
@@ -192,13 +193,15 @@ def _recursion(l: int) -> tuple[Word, tuple[tuple[Word, Word], ...]]:
 
 def generator_images_recursive(params: FamilyParams) -> list[Word]:
     """Images of x1 .. x_{2g} by the defining four-step recursion: x1 ->
-    y3^3, and x_k -> left * x_(k-1) * right with the pair chosen by k % 4."""
+    y3^3, and x_k -> left * x_(k-1) * right with the pair chosen by k % 4,
+    each product one reduced join of the three codes."""
     seed, sides = _recursion(params.l)
-    images = [seed]
+    sides = [(left.code, right.code) for left, right in sides]
+    codes = [seed.code]
     for k in range(2, 2 * params.g + 1):
         left, right = sides[k % 4]
-        images.append(left * images[-1] * right)
-    return images
+        codes.append(_join((left, codes[-1], right)))
+    return [Word._wrap(_TARGET, code) for code in codes]
 
 
 def _closed_form_words(l: int) -> tuple:
@@ -222,13 +225,14 @@ def generator_images_closed(params: FamilyParams) -> list[Word]:
     ``verify`` checks.
     """
     u, v, a, b, mid0, (l2, r2), (l0, r0) = _closed_form_words(params.l)
-    images = []
-    # g is even, so x_(4i+1) .. x_(4i+4) for i < g/2 are all 2g images
+    codes = []
+    # g is even, so x_(4i+1) .. x_(4i+4) for i < g/2 are all 2g images;
+    # each is one reduced join of codes
     for i in range(params.g // 2):
-        mid = a ** i * mid0 * b ** i
-        vmu = v * mid * u
-        images += (mid, l2 * mid * r2, vmu, l0 * vmu * r0)
-    return images
+        mid = _join(((a ** i).code, mid0.code, (b ** i).code))
+        vmu = _join((v.code, mid, u.code))
+        codes += (mid, _join((l2.code, mid, r2.code)), vmu, _join((l0.code, vmu, r0.code)))
+    return [Word._wrap(_TARGET, code) for code in codes]
 
 
 @lru_cache(maxsize=_PER_L)
@@ -333,14 +337,26 @@ def boundary_word(g: int) -> Word:
 
 @lru_cache(maxsize=_PER_G)
 def _boundary_word(g: int) -> Word:
-    letters: list[int] = []
-    odd = list(range(1, 2 * g, 2))
-    letters.extend(idx if t % 2 == 0 else -idx for t, idx in enumerate(odd))
-    letters.extend(-idx if t % 2 == 0 else idx for t, idx in enumerate(odd))
-    even_desc = list(range(2 * g, 0, -2))
-    letters.extend(-idx if t % 2 == 0 else idx for t, idx in enumerate(even_desc))
-    letters.extend(idx if t % 2 == 0 else -idx for t, idx in enumerate(even_desc))
-    return Word(domain_alphabet(g), letters)
+    """The boundary word's code, written directly (README, "Letter codes").
+
+    Each block of g letters alternates between two progressions of code
+    points, step 8 since its indices step by 4 between letters of one
+    sign: x_k is 2k and x_k^-1 is 2k + 1.  The blocks are x1 x3^-1 x5
+    x7^-1 ..., then x1^-1 x3 ..., then x_2g^-1 x_(2g-2) ..., then x_2g
+    x_(2g-2)^-1 ....  The code is reduced as it stands.
+    """
+    n = 4 * g
+    blocks = (
+        (range(2, n, 8), range(7, n, 8)),
+        (range(3, n, 8), range(6, n, 8)),
+        (range(n + 1, 8, -8), range(n - 4, 0, -8)),
+        (range(n, 0, -8), range(n - 3, 0, -8)),
+    )
+    points = [0] * n
+    for b, (even, odd) in enumerate(blocks):
+        points[b * g : (b + 1) * g : 2] = even
+        points[b * g + 1 : (b + 1) * g : 2] = odd
+    return Word._wrap(domain_alphabet(g), "".join(map(chr, points)))
 
 
 def class_distinctness(classes: Sequence[CyclicWord]) -> tuple[bool, bool]:

@@ -88,7 +88,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 
 from .homs import Homomorphism
-from .words import Alphabet, AlphabetMismatch, Word, _inverse, _letter
+from .words import Alphabet, AlphabetMismatch, Word, _letter
 
 __all__ = [
     "SubgroupGraph",
@@ -104,8 +104,8 @@ class SubgroupGraph:
     def __init__(self, alphabet: Alphabet) -> None:
         self.alphabet = alphabet
         self.base = 0
-        # unfolded: the codes of the nontrivial generator words, one loop each
-        self._gens: tuple[str, ...] = ()
+        # unfolded: the nontrivial generator words, one loop each
+        self._gens: tuple[Word, ...] = ()
         # folded: the fold's adjacency dicts, None for an implicit vertex,
         # the base's representative, the fresh arcs (firsts, arcs) and each
         # attached code's (path, step) (see fold)
@@ -126,7 +126,7 @@ class SubgroupGraph:
             if w.alphabet is not alphabet and w.alphabet != alphabet:
                 raise AlphabetMismatch("generator word not over the given alphabet")
             if w.code:
-                gens.append(w.code)
+                gens.append(w)
         g._gens = tuple(gens)
         letters = sum(map(len, gens))
         g._counts = (1 + letters - len(gens), letters)  # 1 + sum(len - 1), sum(len)
@@ -239,9 +239,12 @@ class SubgroupGraph:
             return ids, v, k
 
         # inv[n - 1 - k] is the code of the inverse of the letter w[k];
-        # fwd[k] is an id at position k of w, and bwd[q] at position n - q
-        for w in self._gens:
-            n, inv = len(w), _inverse(w)
+        # fwd[k] is an id at position k of w, and bwd[q] at position n - q.
+        # The words keep their inverse codes, so a homomorphism's images
+        # are not inverted again
+        for word in self._gens:
+            w, inv = word.code, word._inverse_code()
+            n = len(w)
             fwd, v, i = read(w, n)
             if i == n:
                 identify(v, self.base)
@@ -378,6 +381,8 @@ class SubgroupGraph:
         id path by array scans; any other word is walked through the
         canonical relabel, one step per letter.
         """
+        if w.alphabet is not self.alphabet and w.alphabet != self.alphabet:
+            raise AlphabetMismatch("query word not over the graph's alphabet")
         _, root = self._folded("reading base labels")
         code = w.code
         loop = self._loops.get(code)

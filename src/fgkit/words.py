@@ -73,7 +73,10 @@ class _Value:
     """An immutable value given by the fields that ``_fields`` names, in
     the order its constructor takes them: equal to a value of the same
     class with equal fields, hashed, pickled and shown as those fields.
-    Its constructor sets every slot with ``object.__setattr__``."""
+    Its constructor sets every slot with ``object.__setattr__``, except a
+    memo slot that no field names, such as a word's inverse code: that is
+    set on first need, from the fields alone, so no value's behaviour
+    depends on it."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -129,9 +132,11 @@ class Alphabet(_Value):
         index = {name: k for k, name in enumerate(names, 1)}
         if len(index) != len(names):
             raise ValueError("generator names must be distinct")
-        for name in names:
-            if not _NAME_RE.match(name):
-                raise ValueError(f"invalid generator name {name!r}")
+        if not _valid_names(names):
+            # find the name to report
+            for name in names:
+                if not _NAME_RE.match(name):
+                    raise ValueError(f"invalid generator name {name!r}")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_index", index)
 
@@ -151,6 +156,17 @@ class Alphabet(_Value):
 
     def name(self, gen: int) -> str:
         return self.names[gen - 1]
+
+
+def _valid_names(names: tuple[str, ...]) -> bool:
+    """Whether every name matches ``_NAME_RE``, checked by C string
+    methods on all the names at once: an ASCII letter first, then ASCII
+    letters, digits and underscores.  ``isalpha`` and ``isalnum`` also
+    accept other letters and digits, hence ``isascii``; a regex of its own
+    would cost its compile at every import."""
+    firsts = "".join([name[:1] for name in names])
+    rest = "".join(names).replace("_", "a")
+    return len(firsts) == len(names) and rest.isascii() and firsts.isalpha() and rest.isalnum()
 
 
 def _letter_key(letter: int) -> int:
@@ -234,12 +250,57 @@ def _cancelled(left: str, end: int, right: str, start: int, limit: int) -> int:
     return k
 
 
+def _join(codes: Iterable[str]) -> str:
+    """Code of the reduced product of the reduced ``codes``, in order.
+
+    The product of reduced codes so far is reduced, so cancellation can
+    only happen at the junction with the next code: the same fact
+    ``Word.__mul__`` uses.  The output is a list of the codes, each cut
+    short by the letters that cancel at a later junction, and one ``join``
+    at the end, so each letter is copied once.  A junction costs O(log k)
+    Python steps for the k letters that cancel at it, one more for each
+    code that cancels whole, and C work linear in the next code.
+    """
+    # the product so far is parts[0][:ends[0]] + parts[1][:ends[1]] + ...,
+    # and each end is its part's length until a junction cuts one
+    parts: list[str] = []
+    ends: list[int] = []
+    cut = False
+    for code in codes:
+        start = 0
+        # the junction may cancel several parts whole, and cancels
+        # nothing unless its pair of letters does
+        while parts and start < len(code):
+            last, n = parts[-1], ends[-1]
+            if ord(last[n - 1]) ^ 1 != ord(code[start]):
+                break
+            cut = True
+            k = _cancelled(last, n, code, start, min(n, len(code) - start))
+            start += k
+            if k < n:
+                ends[-1] = n - k
+                break
+            parts.pop()
+            ends.pop()
+        if start < len(code):
+            parts.append(code[start:])
+            ends.append(len(code) - start)
+    if cut:
+        return "".join(p[:n] for p, n in zip(parts, ends))
+    return "".join(parts)
+
+
 class _Coded(_Value):
     """A value held as an alphabet and a letter code, rendered in the text
     grammar.  A subclass says what the code is; ``_wrap`` trusts its
-    caller to pass such a code."""
+    caller to pass such a code.
 
-    __slots__ = ("alphabet", "code")
+    ``_inv``, the inverse of the code, is a memo: unset until
+    ``_inverse_code`` first needs it, and then kept, so a value's inverse
+    code is computed at most once.  No field names it, so equality,
+    hashing, pickling and ``repr`` never see it."""
+
+    __slots__ = ("alphabet", "code", "_inv")
     _fields = ("alphabet", "code")
 
     @classmethod
@@ -268,6 +329,14 @@ class _Coded(_Value):
 
     def is_identity(self) -> bool:
         return not self.code
+
+    def _inverse_code(self) -> str:
+        """The inverse of the code, computed on the first call."""
+        inv = getattr(self, "_inv", None)
+        if inv is None:
+            inv = _inverse(self.code)
+            object.__setattr__(self, "_inv", inv)
+        return inv
 
 
 class Word(_Coded):
@@ -304,7 +373,10 @@ class Word(_Coded):
         return Word._wrap(alphabet, left + right)
 
     def inverse(self) -> "Word":
-        return Word._wrap(self.alphabet, _inverse(self.code))
+        """The inverse word, whose inverse code is this word's code."""
+        inv = Word._wrap(self.alphabet, self._inverse_code())
+        object.__setattr__(inv, "_inv", self.code)
+        return inv
 
     def __pow__(self, n: int) -> "Word":
         """n-fold reduced product; negative n inverts.
@@ -315,12 +387,13 @@ class Word(_Coded):
         """
         if n == 0:
             return Word._wrap(self.alphabet, "")
-        if n < 0:
-            return (self ** (-n)).inverse()
-        # w = c u c^-1 with u cyclically reduced, so w^n = c u^n c^-1 and
-        # the n copies of u concatenate with no cancellation.
-        core, conj = self.cyclic_reduce()
-        return Word._wrap(self.alphabet, conj.code + core.code * n + _inverse(conj.code))
+        # w^n for n < 0 is (w^-1)^-n
+        code = self.code if n > 0 else self._inverse_code()
+        n, size = abs(n), len(code)
+        # the code is c u c^-1 with u cyclically reduced, so w^n = c u^n c^-1
+        # and the n copies of u concatenate with no cancellation
+        i = _cancelled(code, size, code, 0, size // 2)
+        return Word._wrap(self.alphabet, code[:i] + code[i : size - i] * n + code[size - i :])
 
     def cyclic_reduce(self) -> tuple["Word", "Word"]:
         """Split ``w`` as ``conj * core * conj^-1`` with ``core`` cyclically reduced.
@@ -371,7 +444,7 @@ class CyclicWord(_Coded):
         return Word._wrap(self.alphabet, self.code)
 
     def inverse_class(self) -> "CyclicWord":
-        return CyclicWord._wrap(self.alphabet, _least_rotation(_inverse(self.code)))
+        return CyclicWord._wrap(self.alphabet, _least_rotation(self._inverse_code()))
 
 
 # min() compares one character object per letter, while `in` scans in C;
@@ -390,9 +463,11 @@ def _least_letter(code: str) -> str:
     return min(code)
 
 
-def _least_start(code: str, least: str) -> int:
+def _least_start(code: str, least: str) -> tuple[int, str]:
     """Start of the least rotation of the cyclic word ``code`` whose least
-    letter has code ``least``.
+    letter has code ``least``, and a string in which the rotation is the
+    ``len(code)`` letters from that start: ``code`` itself when the start
+    is 0 because one letter repeats, else ``code + code``.
 
     The longest cyclic run of m has length r: one pass over ``code``
     finds its longest run, and a run that wraps round the end is the
@@ -427,7 +502,7 @@ def _least_start(code: str, least: str) -> int:
     size = len(code)
     r = _longest_run(code, least)
     if r == size:
-        return 0  # one letter repeated
+        return 0, code  # one letter repeated
     if code[0] == least == code[-1]:
         # the run that wraps: the leading run of m and the trailing one
         r = max(r, 2 * size - len(code.lstrip(least)) - len(code.rstrip(least)))
@@ -474,7 +549,7 @@ def _least_start(code: str, least: str) -> int:
         j = candidate(j + k + 1)
         if j == i:
             j = candidate(i + 1)
-    return i
+    return i, doubled
 
 
 def _longest_run(data: str, unit: str) -> int:
@@ -482,11 +557,11 @@ def _longest_run(data: str, unit: str) -> int:
     read as a string: a run does not wrap round the end.
 
     Each search for a run one longer starts past the last run found, so
-    the characters are read O(1) times."""
-    run = re.compile(re.escape(unit) + "+")
+    the characters are read O(1) times.  The run found at p ends at the
+    first run end after p (``_RUN_END_RE``, whose lookbehind sees p)."""
     r, p = 0, data.find(unit)
     while p >= 0:
-        end = run.match(data, p).end()
+        end = _RUN_END_RE.search(data, p + 1).end()
         r = end - p
         p = data.find(unit * (r + 1), end)
     return r
@@ -517,12 +592,13 @@ def _least_rotation(code: str) -> str:
     letters is at least m^r, and at the start of a maximal run of m, since
     inside a run fewer than r letters m follow.  So only the starts of the
     longest runs of m are candidates, and :func:`_least_start` scans them,
-    comparing in C.
+    comparing in C.  The rotation is one slice of the doubled code that
+    the scan builds.
     """
     if not code:
         return code
-    i = _least_start(code, _least_letter(code))
-    return code[i:] + code[:i]
+    i, doubled = _least_start(code, _least_letter(code))
+    return doubled[i : i + len(code)]
 
 
 def canonical_class(w: Word, oriented: bool = True) -> CyclicWord:

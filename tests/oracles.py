@@ -58,6 +58,40 @@ def t_apply(images, word) -> tuple[int, ...]:
     return naive_reduce(seq)
 
 
+def t_product(factors) -> tuple[int, ...]:
+    """Reduced product of ``factors``, in order: the left fold of
+    :func:`t_mul`."""
+    out: tuple[int, ...] = ()
+    for factor in factors:
+        out = t_mul(out, factor)
+    return out
+
+
+def boundary_letters(g: int) -> tuple[int, ...]:
+    """The surface boundary word of genus ``g``, letter by letter: odd
+    indices ascending with signs +, -, +, ..., the same flipped, even
+    indices descending with signs -, +, -, ..., the same flipped."""
+    odd, even_desc = range(1, 2 * g, 2), range(2 * g, 0, -2)
+    blocks = (
+        [k if t % 2 == 0 else -k for t, k in enumerate(odd)],
+        [-k if t % 2 == 0 else k for t, k in enumerate(odd)],
+        [-k if t % 2 == 0 else k for t, k in enumerate(even_desc)],
+        [k if t % 2 == 0 else -k for t, k in enumerate(even_desc)],
+    )
+    return tuple(s for block in blocks for s in block)
+
+
+def is_generator_name(name: str) -> bool:
+    """A generator name: an ASCII letter, then ASCII letters, digits and
+    underscores, checked one character at a time."""
+    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    return (
+        name != ""
+        and name[0] in letters
+        and all(c in letters or c in "0123456789_" for c in name[1:])
+    )
+
+
 def runs(letters) -> list[tuple[int, int]]:
     """Maximal runs of ``letters`` as (generator, signed exponent) pairs,
     by ``itertools.groupby``."""

@@ -463,6 +463,13 @@ class TestBoundaryWord:
             FamilyParams(g, 3)
         assert str(from_alphabet.value) == str(from_params.value) == "g must be even and >= 2"
 
+    def test_code_matches_the_letters_spelled_out(self):
+        # the code is written directly, reduced as it stands
+        for g in range(2, 65, 2):
+            letters = oracles.boundary_letters(g)
+            assert oracles.naive_reduce(letters) == letters
+            assert boundary_word(g) == Word(domain_alphabet(g), letters)
+
     def test_genus_four_block_pattern(self):
         w = boundary_word(4)
         assert w.letters[:4] == (1, -3, 5, -7)

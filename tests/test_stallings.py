@@ -284,6 +284,14 @@ class TestBaseLabels:
         assert g.base_labels(Word(AB, (1, -2))) == {1, -1, 2, -2}
         assert g.base_labels(Word(AB)) == set()
 
+    def test_alphabet_check(self):
+        # the is-then-== test of wedge and contains: an equal alphabet held
+        # in another object passes, an unequal one with the same codes not
+        g = build_subgroup_graph(words(AB, "a1 a2"), AB)
+        with pytest.raises(AlphabetMismatch):
+            g.base_labels(Word(Alphabet.numbered(2, "x"), (1, 2)))
+        assert g.base_labels(Word(Alphabet(("a1", "a2")), (1, 2))) == {1, -2}
+
     def test_rejects_non_loops(self):
         g = build_subgroup_graph(words(AB, "a1^2"), AB)
         with pytest.raises(ValueError, match="path"):
