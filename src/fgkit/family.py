@@ -32,7 +32,6 @@ from .words import (
     CyclicWord,
     Word,
     _canonical_classes,
-    _join,
     _Value,
     render_word,
 )
@@ -193,15 +192,13 @@ def _recursion(l: int) -> tuple[Word, tuple[tuple[Word, Word], ...]]:
 
 def generator_images_recursive(params: FamilyParams) -> list[Word]:
     """Images of x1 .. x_{2g} by the defining four-step recursion: x1 ->
-    y3^3, and x_k -> left * x_(k-1) * right with the pair chosen by k % 4,
-    each product one reduced join of the three codes."""
+    y3^3, and x_k -> left * x_(k-1) * right with the pair chosen by k % 4."""
     seed, sides = _recursion(params.l)
-    sides = [(left.code, right.code) for left, right in sides]
-    codes = [seed.code]
+    images = [seed]
     for k in range(2, 2 * params.g + 1):
         left, right = sides[k % 4]
-        codes.append(_join((left, codes[-1], right)))
-    return [Word._wrap(_TARGET, code) for code in codes]
+        images.append(left * images[-1] * right)
+    return images
 
 
 def _closed_form_words(l: int) -> tuple:
@@ -225,14 +222,13 @@ def generator_images_closed(params: FamilyParams) -> list[Word]:
     ``verify`` checks.
     """
     u, v, a, b, mid0, (l2, r2), (l0, r0) = _closed_form_words(params.l)
-    codes = []
-    # g is even, so x_(4i+1) .. x_(4i+4) for i < g/2 are all 2g images;
-    # each is one reduced join of codes
+    images = []
+    # g is even, so x_(4i+1) .. x_(4i+4) for i < g/2 are all 2g images
     for i in range(params.g // 2):
-        mid = _join(((a ** i).code, mid0.code, (b ** i).code))
-        vmu = _join((v.code, mid, u.code))
-        codes += (mid, _join((l2.code, mid, r2.code)), vmu, _join((l0.code, vmu, r0.code)))
-    return [Word._wrap(_TARGET, code) for code in codes]
+        mid = a ** i * mid0 * b ** i
+        vmu = v * mid * u
+        images += (mid, l2 * mid * r2, vmu, l0 * vmu * r0)
+    return images
 
 
 @lru_cache(maxsize=_PER_L)

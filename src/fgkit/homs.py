@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .words import Alphabet, AlphabetMismatch, Word, render_word
-from .words import _join, _letter_key, _Value
+from .words import _cancelled, _inverse, _letter_key, _Value
 
 __all__ = ["Homomorphism"]
 
@@ -39,11 +39,11 @@ class Homomorphism(_Value):
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "images", images)
         # letter code -> code of its image; an inverse letter's is the
-        # inverse image's code, which the image word keeps for the fold
+        # inverse image's code, built here once
         codes = {}
         for k, img in enumerate(images, 1):
             codes[chr(_letter_key(k))] = img.code
-            codes[chr(_letter_key(-k))] = img._inverse_code()
+            codes[chr(_letter_key(-k))] = _inverse(img.code)
         object.__setattr__(self, "_codes", codes)
 
     def __repr__(self) -> str:
@@ -56,14 +56,39 @@ class Homomorphism(_Value):
     def apply(self, w: Word) -> Word:
         """Reduced image of ``w``; a group homomorphism by construction.
 
-        Every image is reduced, so the image is the reduced join
-        (``words._join``) of the image code of each letter of ``w``, or
-        the inverse image code, built once per homomorphism.  Each letter
-        of ``w`` costs O(log k) Python steps for the k letters that cancel
-        at its junction, one more for each code that cancels whole, and C
-        work linear in its image, so the total work is O(letters in +
-        letters out).
+        Every image is reduced, and so is the image of each prefix of
+        ``w``, so cancellation can only happen at the junction between
+        the output so far and the next image code (or the inverse image
+        code, built once per homomorphism): the same fact
+        ``Word.__mul__`` uses.  The output is a list of image codes, each
+        cut short by the letters that cancel at a later junction, and one
+        ``join`` at the end.  Each letter of ``w`` costs O(log k) Python
+        steps for the k letters that cancel at its junction, one more for
+        each code that cancels whole, and C work linear in its image, so
+        the total work is O(letters in + letters out).
         """
         if w.alphabet is not self.domain and w.alphabet != self.domain:
             raise AlphabetMismatch("word is not over the domain alphabet")
-        return Word._wrap(self.codomain, _join(map(self._codes.__getitem__, w.code)))
+        codes = self._codes
+        # the output so far is parts[0][:ends[0]] + parts[1][:ends[1]] + ...
+        parts: list[str] = []
+        ends: list[int] = []
+        for c in w.code:
+            img, start = codes[c], 0
+            # the junction may cancel several parts whole, and cancels
+            # nothing unless its pair of letters does
+            while parts and start < len(img):
+                last, n = parts[-1], ends[-1]
+                if ord(last[n - 1]) ^ 1 != ord(img[start]):
+                    break
+                k = _cancelled(last, n, img, start, min(n, len(img) - start))
+                start += k
+                if k < n:
+                    ends[-1] = n - k
+                    break
+                parts.pop()
+                ends.pop()
+            if start < len(img):
+                parts.append(img[start:])
+                ends.append(len(img) - start)
+        return Word._wrap(self.codomain, "".join(p[:n] for p, n in zip(parts, ends)))

@@ -88,7 +88,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 
 from .homs import Homomorphism
-from .words import Alphabet, AlphabetMismatch, Word, _letter
+from .words import Alphabet, AlphabetMismatch, Word, _inverse, _letter
 
 __all__ = [
     "SubgroupGraph",
@@ -104,8 +104,8 @@ class SubgroupGraph:
     def __init__(self, alphabet: Alphabet) -> None:
         self.alphabet = alphabet
         self.base = 0
-        # unfolded: the nontrivial generator words, one loop each
-        self._gens: tuple[Word, ...] = ()
+        # unfolded: the codes of the nontrivial generator words, one loop each
+        self._gens: tuple[str, ...] = ()
         # folded: the fold's adjacency dicts, None for an implicit vertex,
         # the base's representative, the fresh arcs (firsts, arcs) and each
         # attached code's (path, step) (see fold)
@@ -126,7 +126,7 @@ class SubgroupGraph:
             if w.alphabet is not alphabet and w.alphabet != alphabet:
                 raise AlphabetMismatch("generator word not over the given alphabet")
             if w.code:
-                gens.append(w)
+                gens.append(w.code)
         g._gens = tuple(gens)
         letters = sum(map(len, gens))
         g._counts = (1 + letters - len(gens), letters)  # 1 + sum(len - 1), sum(len)
@@ -239,12 +239,9 @@ class SubgroupGraph:
             return ids, v, k
 
         # inv[n - 1 - k] is the code of the inverse of the letter w[k];
-        # fwd[k] is an id at position k of w, and bwd[q] at position n - q.
-        # The words keep their inverse codes, so a homomorphism's images
-        # are not inverted again
-        for word in self._gens:
-            w, inv = word.code, word._inverse_code()
-            n = len(w)
+        # fwd[k] is an id at position k of w, and bwd[q] at position n - q
+        for w in self._gens:
+            n, inv = len(w), _inverse(w)
             fwd, v, i = read(w, n)
             if i == n:
                 identify(v, self.base)

@@ -48,7 +48,6 @@ class AlphabetMismatch(ValueError):
     """Raised when combining values that live over different alphabets."""
 
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 # the end of each maximal run of one letter code: splitting at it puts the
 # runs at even indices, each followed by its code, and scans without the
 # per-letter backtracking state a match of the whole run keeps; DOTALL,
@@ -73,10 +72,8 @@ class _Value:
     """An immutable value given by the fields that ``_fields`` names, in
     the order its constructor takes them: equal to a value of the same
     class with equal fields, hashed, pickled and shown as those fields.
-    Its constructor sets every slot with ``object.__setattr__``, except a
-    memo slot that no field names, such as a word's inverse code: that is
-    set on first need, from the fields alone, so no value's behaviour
-    depends on it."""
+    Its constructor sets every slot with ``object.__setattr__``, or, in
+    ``_Coded._wrap``, with the slot's own descriptor."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -135,7 +132,7 @@ class Alphabet(_Value):
         if not _valid_names(names):
             # find the name to report
             for name in names:
-                if not _NAME_RE.match(name):
+                if not _valid_names((name,)):
                     raise ValueError(f"invalid generator name {name!r}")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_index", index)
@@ -159,11 +156,11 @@ class Alphabet(_Value):
 
 
 def _valid_names(names: tuple[str, ...]) -> bool:
-    """Whether every name matches ``_NAME_RE``, checked by C string
-    methods on all the names at once: an ASCII letter first, then ASCII
-    letters, digits and underscores.  ``isalpha`` and ``isalnum`` also
-    accept other letters and digits, hence ``isascii``; a regex of its own
-    would cost its compile at every import."""
+    """Whether every name is a generator name: an ASCII letter first, then
+    ASCII letters, digits and underscores.  C string methods check all the
+    names at once.  ``isalpha`` and ``isalnum`` also accept other letters
+    and digits, hence ``isascii``; a regex would cost its compile at every
+    import."""
     firsts = "".join([name[:1] for name in names])
     rest = "".join(names).replace("_", "a")
     return len(firsts) == len(names) and rest.isascii() and firsts.isalpha() and rest.isalnum()
@@ -250,64 +247,30 @@ def _cancelled(left: str, end: int, right: str, start: int, limit: int) -> int:
     return k
 
 
-def _join(codes: Iterable[str]) -> str:
-    """Code of the reduced product of the reduced ``codes``, in order.
-
-    The product of reduced codes so far is reduced, so cancellation can
-    only happen at the junction with the next code: the same fact
-    ``Word.__mul__`` uses.  The output is a list of the codes, each cut
-    short by the letters that cancel at a later junction, and one ``join``
-    at the end, so each letter is copied once.  A junction costs O(log k)
-    Python steps for the k letters that cancel at it, one more for each
-    code that cancels whole, and C work linear in the next code.
-    """
-    # the product so far is parts[0][:ends[0]] + parts[1][:ends[1]] + ...,
-    # and each end is its part's length until a junction cuts one
-    parts: list[str] = []
-    ends: list[int] = []
-    cut = False
-    for code in codes:
-        start = 0
-        # the junction may cancel several parts whole, and cancels
-        # nothing unless its pair of letters does
-        while parts and start < len(code):
-            last, n = parts[-1], ends[-1]
-            if ord(last[n - 1]) ^ 1 != ord(code[start]):
-                break
-            cut = True
-            k = _cancelled(last, n, code, start, min(n, len(code) - start))
-            start += k
-            if k < n:
-                ends[-1] = n - k
-                break
-            parts.pop()
-            ends.pop()
-        if start < len(code):
-            parts.append(code[start:])
-            ends.append(len(code) - start)
-    if cut:
-        return "".join(p[:n] for p, n in zip(parts, ends))
-    return "".join(parts)
+def _conj_len(code: str) -> int:
+    """Length of c in the reduced ``code`` = c u c^-1 with u cyclically
+    reduced: the letters that cancel between the code and itself.  The
+    code is reduced, so at least one letter of an odd-length code and two
+    of an even-length one stay in u."""
+    return _cancelled(code, len(code), code, 0, len(code) // 2)
 
 
 class _Coded(_Value):
     """A value held as an alphabet and a letter code, rendered in the text
     grammar.  A subclass says what the code is; ``_wrap`` trusts its
-    caller to pass such a code.
+    caller to pass such a code."""
 
-    ``_inv``, the inverse of the code, is a memo: unset until
-    ``_inverse_code`` first needs it, and then kept, so a value's inverse
-    code is computed at most once.  No field names it, so equality,
-    hashing, pickling and ``repr`` never see it."""
-
-    __slots__ = ("alphabet", "code", "_inv")
+    __slots__ = ("alphabet", "code")
     _fields = ("alphabet", "code")
 
     @classmethod
     def _wrap(cls, alphabet: Alphabet, code: str):
+        # every product, power, image and class is made here, so the slots
+        # are set through their descriptors, skipping object.__setattr__'s
+        # attribute lookup
         value = object.__new__(cls)
-        object.__setattr__(value, "alphabet", alphabet)
-        object.__setattr__(value, "code", code)
+        _set_alphabet(value, alphabet)
+        _set_code(value, code)
         return value
 
     def __reduce__(self):
@@ -330,13 +293,8 @@ class _Coded(_Value):
     def is_identity(self) -> bool:
         return not self.code
 
-    def _inverse_code(self) -> str:
-        """The inverse of the code, computed on the first call."""
-        inv = getattr(self, "_inv", None)
-        if inv is None:
-            inv = _inverse(self.code)
-            object.__setattr__(self, "_inv", inv)
-        return inv
+
+_set_alphabet, _set_code = _Coded.alphabet.__set__, _Coded.code.__set__
 
 
 class Word(_Coded):
@@ -373,10 +331,7 @@ class Word(_Coded):
         return Word._wrap(alphabet, left + right)
 
     def inverse(self) -> "Word":
-        """The inverse word, whose inverse code is this word's code."""
-        inv = Word._wrap(self.alphabet, self._inverse_code())
-        object.__setattr__(inv, "_inv", self.code)
-        return inv
+        return Word._wrap(self.alphabet, _inverse(self.code))
 
     def __pow__(self, n: int) -> "Word":
         """n-fold reduced product; negative n inverts.
@@ -388,11 +343,11 @@ class Word(_Coded):
         if n == 0:
             return Word._wrap(self.alphabet, "")
         # w^n for n < 0 is (w^-1)^-n
-        code = self.code if n > 0 else self._inverse_code()
+        code = self.code if n > 0 else _inverse(self.code)
         n, size = abs(n), len(code)
         # the code is c u c^-1 with u cyclically reduced, so w^n = c u^n c^-1
         # and the n copies of u concatenate with no cancellation
-        i = _cancelled(code, size, code, 0, size // 2)
+        i = _conj_len(code)
         return Word._wrap(self.alphabet, code[:i] + code[i : size - i] * n + code[size - i :])
 
     def cyclic_reduce(self) -> tuple["Word", "Word"]:
@@ -404,9 +359,7 @@ class Word(_Coded):
         ((2,), (1,))
         """
         code = self.code
-        # the word is reduced, so at least one letter of an odd-length word
-        # and two of an even-length one stay in the core
-        i = _cancelled(code, len(code), code, 0, len(code) // 2)
+        i = _conj_len(code)
         return (
             Word._wrap(self.alphabet, code[i : len(code) - i]),
             Word._wrap(self.alphabet, code[:i]),
@@ -444,7 +397,7 @@ class CyclicWord(_Coded):
         return Word._wrap(self.alphabet, self.code)
 
     def inverse_class(self) -> "CyclicWord":
-        return CyclicWord._wrap(self.alphabet, _least_rotation(self._inverse_code()))
+        return CyclicWord._wrap(self.alphabet, _least_rotation(_inverse(self.code)))
 
 
 # min() compares one character object per letter, while `in` scans in C;
@@ -463,11 +416,9 @@ def _least_letter(code: str) -> str:
     return min(code)
 
 
-def _least_start(code: str, least: str) -> tuple[int, str]:
+def _least_start(code: str, least: str) -> int:
     """Start of the least rotation of the cyclic word ``code`` whose least
-    letter has code ``least``, and a string in which the rotation is the
-    ``len(code)`` letters from that start: ``code`` itself when the start
-    is 0 because one letter repeats, else ``code + code``.
+    letter has code ``least``.
 
     The longest cyclic run of m has length r: one pass over ``code``
     finds its longest run, and a run that wraps round the end is the
@@ -502,7 +453,7 @@ def _least_start(code: str, least: str) -> tuple[int, str]:
     size = len(code)
     r = _longest_run(code, least)
     if r == size:
-        return 0, code  # one letter repeated
+        return 0  # one letter repeated
     if code[0] == least == code[-1]:
         # the run that wraps: the leading run of m and the trailing one
         r = max(r, 2 * size - len(code.lstrip(least)) - len(code.rstrip(least)))
@@ -549,7 +500,7 @@ def _least_start(code: str, least: str) -> tuple[int, str]:
         j = candidate(j + k + 1)
         if j == i:
             j = candidate(i + 1)
-    return i, doubled
+    return i
 
 
 def _longest_run(data: str, unit: str) -> int:
@@ -592,13 +543,12 @@ def _least_rotation(code: str) -> str:
     letters is at least m^r, and at the start of a maximal run of m, since
     inside a run fewer than r letters m follow.  So only the starts of the
     longest runs of m are candidates, and :func:`_least_start` scans them,
-    comparing in C.  The rotation is one slice of the doubled code that
-    the scan builds.
+    comparing in C.
     """
     if not code:
         return code
-    i, doubled = _least_start(code, _least_letter(code))
-    return doubled[i : i + len(code)]
+    i = _least_start(code, _least_letter(code))
+    return code[i:] + code[:i]
 
 
 def canonical_class(w: Word, oriented: bool = True) -> CyclicWord:

@@ -58,15 +58,6 @@ def t_apply(images, word) -> tuple[int, ...]:
     return naive_reduce(seq)
 
 
-def t_product(factors) -> tuple[int, ...]:
-    """Reduced product of ``factors``, in order: the left fold of
-    :func:`t_mul`."""
-    out: tuple[int, ...] = ()
-    for factor in factors:
-        out = t_mul(out, factor)
-    return out
-
-
 def boundary_letters(g: int) -> tuple[int, ...]:
     """The surface boundary word of genus ``g``, letter by letter: odd
     indices ascending with signs +, -, +, ..., the same flipped, even

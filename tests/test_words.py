@@ -9,8 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import fgkit.homs as homs_module
-import fgkit.stallings as stallings_module
 import fgkit.words as words
 from fgkit import (
     Alphabet,
@@ -24,15 +22,8 @@ from fgkit import (
     parse_word,
     render_word,
 )
-from fgkit.family import (
-    FamilyParams,
-    boundary_word,
-    embedding,
-    generator_images_recursive,
-    shuffle_words,
-    verify,
-)
-from fgkit.stallings import SubgroupGraph, is_injective
+from fgkit.family import FamilyParams, boundary_word, embedding, shuffle_words, verify
+from fgkit.stallings import SubgroupGraph
 
 from oracles import (
     is_generator_name,
@@ -44,7 +35,6 @@ from oracles import (
     t_inv,
     t_mul,
     t_pow,
-    t_product,
 )
 
 Y = Alphabet.numbered(3, "y")
@@ -296,76 +286,6 @@ class TestConcat:
             c = a * b
             assert len(c) <= len(a) + len(b)
             assert (len(c) - len(a) - len(b)) % 2 == 0
-
-
-class TestJoin:
-    """``words._join``, the reduced product of many codes that
-    ``Homomorphism.apply`` and the family's image builders share."""
-
-    # empty factors, factors that cancel whole, and junctions that cancel
-    # across several earlier factors
-    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
-    @given(st.lists(st.lists(_LETTERS, max_size=8), max_size=6))
-    @example([])
-    @example([[], [], []])
-    @example([[1], [-1, 2], [-2]])
-    @example([[1, 2], [], [-2, -1, 3]])
-    @example([[1], [2], [3], [-3, -2, -1, 1]])
-    @example([[1, 2, 3], [-3], [-2, 1]])
-    def test_matches_the_left_fold_of_products(self, factors):
-        factor_words = [Word(Y, f) for f in factors]
-        product = Word(Y)
-        for w in factor_words:
-            product = product * w
-        code = words._join(w.code for w in factor_words)
-        assert code == product.code
-        assert _letters(code) == t_product(w.letters for w in factor_words)
-
-
-class TestInverseMemo:
-    """A word keeps its inverse code once computed; no comparison, hash,
-    repr or pickle sees it."""
-
-    def test_memo_is_invisible(self):
-        w = parse_word("y1 y2^-2 y3", Y)
-        assert w._inverse_code() == _code(t_inv(w.letters))
-        inv = w.inverse()
-        for cached in (w, inv):
-            fresh = Word._wrap(Y, cached.code)
-            assert cached == fresh and fresh == cached
-            assert hash(cached) == hash(fresh) and repr(cached) == repr(fresh)
-            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-                assert pickle.dumps(cached, protocol) == pickle.dumps(fresh, protocol)
-        with pytest.raises(AttributeError, match="^Word is immutable$"):
-            w._inv = ""
-
-    def test_inverse_of_the_inverse_is_the_word(self):
-        w = parse_word("y1 y2^-2 y3 y1", Y)
-        assert w.inverse().inverse() == w
-        # inverse() seeds its result's memo with the original code
-        assert w.inverse().inverse().code is w.code
-        assert (w ** -3).letters == t_pow(w.letters, -3)
-        c = CyclicWord(Y, (2, 2, 1, 3))
-        assert c.inverse_class().letters == least_rotation(t_inv(c.letters))
-
-    def test_each_image_is_inverted_once(self, monkeypatch):
-        # Homomorphism inverts each image for apply, and the fold reads
-        # the inverse codes the images keep
-        params = FamilyParams(8, 5)
-        images = [w.code for w in generator_images_recursive(params)]
-        inverted = []
-        real = words._inverse
-
-        def counted(code):
-            inverted.append(code)
-            return real(code)
-
-        for module in (words, homs_module, stallings_module):
-            if hasattr(module, "_inverse"):
-                monkeypatch.setattr(module, "_inverse", counted)
-        assert is_injective(embedding(params)).verdict
-        assert len(images) == 16
-        assert [inverted.count(code) for code in images] == [1] * 16
 
 
 class TestAlphabetChecks:
