@@ -48,7 +48,8 @@ IntMatrix = list[list[int]]
 
 # quotient_order keeps the order of up to _KEPT_ORDERS deduplicated
 # matrices of at most _KEPT_ENTRIES entries; verify's are four rows of
-# three at each l, the same rows for every g
+# three at each l, the same rows for every g, so one is kept for each l of
+# the longest --l-list (tests/test_cli.py::test_per_l_caches_hold_a_whole_l_list)
 _KEPT_ORDERS = 4096
 _KEPT_ENTRIES = 64
 

@@ -13,7 +13,7 @@ import itertools
 import json
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from .family import (
     DEFAULT_G_VALUES,
@@ -54,7 +54,9 @@ _CSV_COLUMNS = [
 ]
 
 
-# _int_list refuses a --g-list/--l-list of more values than this
+# _int_list refuses a --g-list/--l-list of more values than this; each l
+# keeps one entry in family's and abelian's per-l caches, which are as large
+# (tests/test_cli.py::test_per_l_caches_hold_a_whole_l_list)
 _MAX_LIST_VALUES = 4096
 # sweep refuses a grid whose boundary images may spell more letters than
 # this in all; it admits even g from 2 to 128 at l = 12 (14,934,400
@@ -216,14 +218,7 @@ def _print_sweep_warnings(reports: list[VerificationReport]) -> None:
 def _cmd_verify(args) -> int:
     report = verify(FamilyParams(args.g, args.l))
     _print_warnings([report])
-    include_timings = not args.no_timings
-    if args.format == "json":
-        text = json.dumps(report.to_json_dict(include_timings), indent=2) + "\n"
-    elif args.format == "csv":
-        text = _reports_csv([report], [])
-    else:
-        text = _reports_table([report], [])
-    _emit(text, args.out)
+    _write(args, [report], [], report.to_json_dict)
     return 0 if report.hard_pass else 1
 
 
@@ -309,21 +304,13 @@ def _cmd_sweep(args) -> int:
     ok = all(r.hard_pass for r in reports) and all(
         row["distinct_unoriented"] and row["all_nontrivial"] for row in distinct
     )
-    include_timings = not args.no_timings
-    if args.format == "json":
-        payload = {
-            "schema": REPORT_SCHEMA,
-            "grid": {"g_values": g_values, "l_values": l_values},
-            "reports": [r.to_json_dict(include_timings) for r in reports],
-            "distinctness": distinct,
-            "ok": ok,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    elif args.format == "csv":
-        text = _reports_csv(reports, distinct)
-    else:
-        text = _reports_table(reports, distinct)
-    _emit(text, args.out)
+    _write(args, reports, distinct, lambda include_timings: {
+        "schema": REPORT_SCHEMA,
+        "grid": {"g_values": g_values, "l_values": l_values},
+        "reports": [r.to_json_dict(include_timings) for r in reports],
+        "distinctness": distinct,
+        "ok": ok,
+    })
     return 0 if ok else 1
 
 
@@ -348,11 +335,20 @@ def _cmd_identities(args) -> int:
     return 0
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
+def _write(args, reports, distinct, to_json: Callable[[bool], dict]) -> None:
+    """Write the reports in ``--format`` to ``--out``, or to stdout.  JSON
+    is ``to_json(include_timings)``, indented; CSV and the table have a row
+    per report, then one per genus in ``distinct``."""
+    if args.format == "json":
+        text = json.dumps(to_json(not args.no_timings), indent=2) + "\n"
+    elif args.format == "csv":
+        text = _reports_csv(reports, distinct)
+    else:
+        text = _reports_table(reports, distinct)
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 

@@ -64,8 +64,9 @@ REPORT_SCHEMA = "fgkit-report/1"
 _TARGET = Alphabet(("y1", "y2", "y3"))
 
 # lru_cache sizes.  A sweep's --l-list names at most 4,096 values, so a
-# per-l value is computed once per sweep; its jobs run genus by genus, so
-# a per-g value is needed only while its genus runs.
+# per-l value is computed once per sweep (tests/test_cli.py::test_per_l_caches_hold_a_whole_l_list);
+# its jobs run genus by genus, so a per-g value is needed only while its
+# genus runs.
 _PER_L = 4096
 _PER_G = 2
 

@@ -60,35 +60,33 @@ class Homomorphism(_Value):
         ``w``, so cancellation can only happen at the junction between
         the output so far and the next image code (or the inverse image
         code, built once per homomorphism): the same fact
-        ``Word.__mul__`` uses.  The output is a list of image codes, each
-        cut short by the letters that cancel at a later junction, and one
-        ``join`` at the end.  Each letter of ``w`` costs O(log k) Python
-        steps for the k letters that cancel at its junction, one more for
-        each code that cancels whole, and C work linear in its image, so
-        the total work is O(letters in + letters out).
+        ``Word.__mul__`` uses.  The output is a list of parts, pieces of
+        image codes, and one ``join`` at the end.  A junction pops each
+        part that cancels whole, cuts the last part it reaches in place,
+        and appends what is left of the image.  Each letter of ``w``
+        costs O(log k) Python steps for the k letters that cancel at its
+        junction, one more for each part that cancels whole, and C work
+        linear in its image and in the one part it may cut, so a long
+        part that many short images cut is copied once per cut.
         """
         if w.alphabet is not self.domain and w.alphabet != self.domain:
             raise AlphabetMismatch("word is not over the domain alphabet")
         codes = self._codes
-        # the output so far is parts[0][:ends[0]] + parts[1][:ends[1]] + ...
         parts: list[str] = []
-        ends: list[int] = []
         for c in w.code:
             img, start = codes[c], 0
             # the junction may cancel several parts whole, and cancels
             # nothing unless its pair of letters does
             while parts and start < len(img):
-                last, n = parts[-1], ends[-1]
-                if ord(last[n - 1]) ^ 1 != ord(img[start]):
+                last, n = parts[-1], len(parts[-1])
+                if ord(last[-1]) ^ 1 != ord(img[start]):
                     break
                 k = _cancelled(last, n, img, start, min(n, len(img) - start))
                 start += k
                 if k < n:
-                    ends[-1] = n - k
+                    parts[-1] = last[: n - k]
                     break
                 parts.pop()
-                ends.pop()
             if start < len(img):
                 parts.append(img[start:])
-                ends.append(len(img) - start)
-        return Word._wrap(self.codomain, "".join(p[:n] for p, n in zip(parts, ends)))
+        return Word._wrap(self.codomain, "".join(parts))

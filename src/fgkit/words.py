@@ -16,8 +16,9 @@ least rotation and equality all run on codes, in C.  ``letters`` decodes
 the code to signed ints on every access.
 
 The text grammar is whitespace-separated atoms ``name`` or ``name^k`` with
-``k`` a signed decimal integer; the single token ``1`` denotes the empty
-word.  Rendering always emits maximal runs, e.g. ``y1^3 y2^-2``.
+``name`` a generator name, by the one rule :class:`Alphabet` checks, and
+``k`` a signed ASCII decimal integer; the single token ``1`` denotes the
+empty word.  Rendering always emits maximal runs, e.g. ``y1^3 y2^-2``.
 """
 
 from __future__ import annotations
@@ -53,7 +54,9 @@ class AlphabetMismatch(ValueError):
 # per-letter backtracking state a match of the whole run keeps; DOTALL,
 # since generator 5 is coded chr(10), a newline
 _RUN_END_RE = re.compile(r"(?s)(?<=(.))(?!\1)")
-_ATOM_RE = re.compile(r"(?P<name>[A-Za-z][A-Za-z0-9_]*)(?:\^(?P<exp>[+-]?[0-9]+))?\Z")
+# the shape of an atom: a caret-free name, then maybe a caret and signed
+# ASCII digits; the name is left to the alphabet, or else to _valid_names
+_ATOM_RE = re.compile(r"(?P<name>[^^]+)(?:\^(?P<exp>[+-]?[0-9]+))?\Z")
 # parse_word refuses text that spells more letters than this before
 # reduction, and FamilyParams an instance whose boundary image may; the
 # boundary image at g = 256, l = 12 has 2,745,848
@@ -193,10 +196,6 @@ def _letter(char: str) -> int:
     return -(p >> 1) if p & 1 else p >> 1
 
 
-def _decode(code: str) -> tuple[int, ...]:
-    return tuple(map(_letter, code))
-
-
 class _Flip(dict):
     """``str.translate`` table from each code point to its inverse letter's:
     a dict lookup in C for the one-byte code points of alphabets of up to
@@ -279,7 +278,7 @@ class _Coded(_Value):
     @property
     def letters(self) -> tuple[int, ...]:
         """The signed letters, decoded from the code on every access."""
-        return _decode(self.code)
+        return tuple(map(_letter, self.code))
 
     def __len__(self) -> int:
         return len(self.code)
@@ -606,16 +605,20 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     stripped = text.strip()
     if stripped == "1":
         return Word._wrap(alphabet, "")
+    index = alphabet._index
     runs: list[tuple[int, int]] = []
     for atom in stripped.split():
         m = _ATOM_RE.match(atom)
         if m is None:
             raise WordSyntaxError(f"malformed atom {atom!r}")
         name = m.group("name")
-        try:
-            gen = alphabet.index(name)
-        except KeyError:
-            raise WordSyntaxError(f"unknown generator {name!r}") from None
+        gen = index.get(name)
+        if gen is None:
+            # every name of an alphabet is valid, so a name it lacks is
+            # unknown if it is valid and malformed if not
+            if _valid_names((name,)):
+                raise WordSyntaxError(f"unknown generator {name!r}")
+            raise WordSyntaxError(f"malformed atom {atom!r}")
         exp_text = m.group("exp") or "1"
         # an exponent with more digits than the bound exceeds it alone;
         # checked before int(), which refuses over 4300 digits otherwise

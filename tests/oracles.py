@@ -184,6 +184,21 @@ def shuffle_grid_failure(i_max: int, j_max: int, l: int):
     return None
 
 
+def closed_images(g: int, l: int) -> list[tuple[int, ...]]:
+    """Images of x1 .. x_2g by the closed forms, every product a naive one:
+    with mid_i = a^i y3^3 b^i, x_(4i+1) .. x_(4i+4) are mid_i, y1^3 mid_i y1,
+    v mid_i u and y1^-1 v mid_i u y1^-3, for u and v as above."""
+    u = (1, 2, 3)
+    v = (-3,) * 3 + (-2,) * l + (1,) * 3
+    a, b = t_mul(t_inv(u), v), t_mul(u, t_inv(v))
+    images: list[tuple[int, ...]] = []
+    for i in range(g // 2):
+        mid = t_mul(t_mul(t_pow(a, i), (3, 3, 3)), t_pow(b, i))
+        vmu = t_mul(t_mul(v, mid), u)
+        images += [mid, t_mul(t_mul((1, 1, 1), mid), (1,)), vmu, t_mul(t_mul((-1,), vmu), (-1,) * 3)]
+    return images
+
+
 # -- least rotation -----------------------------------------------------------
 
 

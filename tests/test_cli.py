@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fgkit.abelian as abelian
 import fgkit.cli as cli
+import fgkit.family as family
 import fgkit.words as words
 from fgkit.cli import main
 from fgkit.family import FamilyParams, VerificationReport
@@ -28,10 +30,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def recording_pool(started, broken=False):
+def recording_pool(started, broken=None):
     """A stand-in for ``ProcessPoolExecutor`` that starts no process: it
-    appends each pool's size to ``started`` and maps in process, or, when
-    ``broken``, fails the way a pool whose worker died does."""
+    appends each pool's size to ``started`` and maps in process, or fails
+    the way a pool whose worker died does: from ``map`` when ``broken`` is
+    "map", or, as the real pool's ``map`` does once it has submitted every
+    job, from the result iterator when ``broken`` is "results"."""
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -44,9 +48,15 @@ def recording_pool(started, broken=False):
             return False
 
         def map(self, fn, jobs):
-            if broken:
+            if broken == "map":
                 raise BrokenProcessPool("a worker process died")
+            if broken == "results":
+                return dead_results()
             return map(fn, jobs)
+
+    def dead_results():
+        raise BrokenProcessPool("a worker process died")
+        yield  # a generator, so it raises when the first result is read
 
     return RecordingPool
 
@@ -60,6 +70,12 @@ def usable_cpus(monkeypatch, n):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     else:
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def test_per_l_caches_hold_a_whole_l_list():
+    # a sweep's --l-list holds at most this many values, and each l keeps
+    # one closed-form and one shuffle verdict and one quotient order
+    assert cli._MAX_LIST_VALUES == family._PER_L == abelian._KEPT_ORDERS
 
 
 class TestWordCommand:
@@ -168,10 +184,23 @@ class TestVerifyCommand:
         assert code == 2
         assert "l must be >= 3" in err
 
+    def test_csv_format_is_the_sweeps_row(self, capsys):
+        # the golden sweep's header and (2, 3) row, byte for byte; CSV
+        # carries no timings, so none are stripped
+        code, out, _ = run(capsys, "verify", "--g", "2", "--l", "3", "--format", "csv")
+        golden = (GOLDEN / "sweep_default.csv").read_bytes().splitlines(keepends=True)
+        assert code == 0
+        assert golden[1].startswith(b"report,2,3,")
+        assert out.encode() == golden[0] + golden[1]
+
     def test_table_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--g", "2", "--l", "3", "--format", "table")
         assert code == 0
-        assert "quotient" in out.splitlines()[0]
+        assert out == (
+            "  g   l  inj  rank  closed  ident  block  quotient   ref  match  pass\n"
+            "---------------------------------------------------------------------\n"
+            "  2   3  yes     4     yes    yes    yes        24    16     NO   yes\n"
+        )
 
     def test_math_failure_gives_exit_one(self, capsys, monkeypatch):
         real = cli.verify
@@ -291,19 +320,21 @@ class TestSweepCommand:
 
     def test_worker_crash_falls_back_to_serial(self, capsys, monkeypatch):
         argv = ("sweep", "--g-list", "2", "--l-list", "3,4", "--no-timings")
-        code, serial_out, _ = run(capsys, *argv)
+        code, serial_out, serial_err = run(capsys, *argv)
         assert code == 0
-        started = []
-        monkeypatch.setattr(
-            concurrent.futures, "ProcessPoolExecutor", recording_pool(started, broken=True)
-        )
         usable_cpus(monkeypatch, 8)
-        code, out, err = run(capsys, *argv, "--parallel", "2")
-        assert code == 0
-        assert started == [2]
-        assert out == serial_out
-        assert "note: falling back to serial execution" in err
-        assert "Traceback" not in err
+        # the worker dies as map starts it, or, as with the real pool, while
+        # the results are read
+        for broken in ("map", "results"):
+            started = []
+            monkeypatch.setattr(
+                concurrent.futures, "ProcessPoolExecutor", recording_pool(started, broken)
+            )
+            code, out, err = run(capsys, *argv, "--parallel", "2")
+            assert code == 0
+            assert started == [2]
+            assert out == serial_out
+            assert err == "note: falling back to serial execution (a worker process died)\n" + serial_err
 
     def test_pool_that_cannot_start_falls_back_to_serial(self, capsys, monkeypatch):
         argv = ("sweep", "--g-list", "2", "--l-list", "3,4", "--no-timings")

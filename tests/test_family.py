@@ -31,6 +31,7 @@ import oracles
 from conftest import fgkit_caches
 import fgkit.abelian as abelian_module
 import fgkit.family as family_module
+from fgkit.cli import main as cli_main
 from fgkit.words import _MAX_PARSED_LETTERS, _cancelled
 from fgkit.family import (
     VerificationReport,
@@ -719,6 +720,21 @@ class TestVerificationReport:
             "warnings=['w'], timings={'a': 1.5})"
         )
 
+    def test_each_gate_fails_hard_pass_alone(self):
+        # the reference order does not gate: FIELDS mismatch it and pass
+        passing = dict(self.FIELDS, block_letter_ok=True)
+        assert VerificationReport(**passing).hard_pass
+        gates = dict(
+            injective=False,
+            closed_form_ok=False,
+            shuffle_identities_ok=False,
+            block_letter_ok=False,
+            quotient_order=INFINITE,
+            boundary_class=CyclicWord(Y, ()),
+        )
+        for name, value in gates.items():
+            assert not VerificationReport(**dict(passing, **{name: value})).hard_pass, name
+
     def test_defaults_are_fresh(self):
         a, b = VerificationReport(**self.FIELDS), VerificationReport(**self.FIELDS)
         a.warnings.append("w")
@@ -757,3 +773,143 @@ class TestVerificationReport:
             "y1 y2^-1",
         )
         assert len(rendered) == 3
+
+
+
+# -- near misses: the family's table perturbed at one l ----------------------
+
+_Y2_AS_Y3 = Homomorphism(Y, Y, [Word(Y, (1,)), Word(Y, (3,)), Word(Y, (3,))])
+
+
+def _y2_spelled_y3(seed, sides):
+    # every exponent row then has y2-sum 0, so the rows span rank 2
+    return _Y2_AS_Y3.apply(seed), tuple(tuple(map(_Y2_AS_Y3.apply, pair)) for pair in sides)
+
+
+def _trivial_step_2(seed, sides):
+    # x_(4i+2) = x_(4i+1)
+    return seed, (sides[0], sides[1], (ONE, ONE), sides[3])
+
+
+def _step_2_conjugated_by_y2(seed, sides):
+    # x_(4i+2) conjugated by y2, undone in step 3's sides, so only the
+    # images x_(4i+2) change, and each starts with y2
+    (L0, R0), (L1, R1), (L2, R2), (L3, R3) = sides
+    return seed, ((L0, R0), (L1, R1), (C * L2, R2 * C.inverse()), (L3 * C.inverse(), C * R3))
+
+
+NEAR_MISSES = {
+    "exponent rows of rank 2": _y2_spelled_y3,
+    "a trivial side pair": _trivial_step_2,
+    "an even image conjugated by y2": _step_2_conjugated_by_y2,
+}
+NEAR_G, NEAR_L = 4, 5
+
+
+def near_miss(monkeypatch, name):
+    """Perturb ``family._recursion`` at ``NEAR_L`` alone; return the
+    perturbed table."""
+    real, edit = family_module._recursion, NEAR_MISSES[name]
+
+    def recursion(l):
+        return edit(*real(l)) if l == NEAR_L else real(l)
+
+    monkeypatch.setattr(family_module, "_recursion", recursion)
+    return recursion(NEAR_L)
+
+
+def _oracle_fields(seed, sides, g, l) -> dict:
+    """Every field of the report at (g, l) for the table (seed, sides),
+    from ``oracles`` alone."""
+    images = [seed.letters]
+    for k in range(2, 2 * g + 1):
+        left, right = sides[k % 4]
+        images.append(oracles.t_mul(oracles.t_mul(left.letters, images[-1]), right.letters))
+    rank = oracles.folded_dump(images, Y.names)[1]
+    injective = rank == 2 * g
+    # single-parity words of up to two letters, each image checked for its
+    # first and last letters; even-index generators must give y1 there
+    violated = False
+    for parity, boundary in ((range(2, 2 * g + 1, 2), {1}), (range(1, 2 * g, 2), {2, 3})):
+        for w in filter(None, oracles.reduced_words(2 * g, 2, allowed=parity)):
+            img = oracles.t_apply(images, w)
+            violated |= not img or abs(img[0]) not in boundary or abs(img[-1]) not in boundary
+    rows = [[sum((s == k) - (s == -k) for s in img) for k in (1, 2, 3)] for img in images]
+    order = oracles.lattice_index(rows, 3)
+    core = oracles.t_apply(images, oracles.boundary_letters(g))
+    while len(core) > 1 and core[0] == -core[-1]:
+        core = core[1:-1]
+    oriented = oracles.least_rotation(core)
+    key = lambda w: [(abs(s), s < 0) for s in w]  # noqa: E731
+    fields = {
+        "injective": injective,
+        "image_rank": rank,
+        "closed_form_ok": images == oracles.closed_images(g, l),
+        "shuffle_identities_ok": oracles.shuffle_grid_failure(1, 1, l) is None,
+        "block_letter_ok": injective and not violated,
+        "quotient_order": INFINITE if order is None else order,
+        "reference_order": 4 * l + 4,
+        "boundary_class": min(oriented, oracles.least_rotation(oracles.t_inv(core)), key=key),
+        "boundary_class_oriented": oriented,
+    }
+    gates = ("injective", "closed_form_ok", "shuffle_identities_ok", "block_letter_ok")
+    fields["hard_pass"] = all(fields[name] for name in gates) and order is not None and core != ()
+    return fields
+
+
+def _report_fields(report, names) -> dict:
+    """The report's fields ``names``, each class as its letters."""
+    fields = {name: getattr(report, name) for name in names}
+    for name in ("boundary_class", "boundary_class_oriented"):
+        fields[name] = fields[name].letters
+    return fields
+
+
+class TestNearMisses:
+    """The whole battery on families a few letters from the real one
+    (ROADMAP item 12): each report field agrees with the oracles, some
+    hard_pass check fails, and the CLI exits 1."""
+
+    def test_the_oracles_pass_the_real_family(self):
+        expected = _oracle_fields(*family_module._recursion(NEAR_L), NEAR_G, NEAR_L)
+        report = verify(FamilyParams(NEAR_G, NEAR_L))
+        assert _report_fields(report, expected) == expected
+        assert expected["hard_pass"]
+
+    @pytest.mark.parametrize("name", sorted(NEAR_MISSES))
+    def test_report_fields_agree_with_the_oracles(self, monkeypatch, name):
+        seed, sides = near_miss(monkeypatch, name)
+        report = verify(FamilyParams(NEAR_G, NEAR_L))
+        expected = _oracle_fields(seed, sides, NEAR_G, NEAR_L)
+        assert _report_fields(report, expected) == expected
+        assert report.reference_order_match == (report.quotient_order == report.reference_order)
+        assert not report.hard_pass and not report.closed_form_ok
+        if name == "exponent rows of rank 2":
+            # injective, and every image flanked as in the family, but
+            # the quotient is infinite, and verify warns of it
+            assert report.injective and report.block_letter_ok
+            assert report.warnings == ["abelianized cokernel is infinite"]
+        elif name == "a trivial side pair":
+            assert report.image_rank == 2 * NEAR_G - 2 and not report.block_letter_ok
+        else:
+            # injective, with a finite quotient, but x2 starts with y2
+            assert report.injective and report.quotient_finite
+            assert not report.block_letter_ok
+
+    @pytest.mark.parametrize("name", sorted(NEAR_MISSES))
+    def test_cli_exits_one(self, monkeypatch, capsys, name):
+        near_miss(monkeypatch, name)
+        report = verify(FamilyParams(NEAR_G, NEAR_L))
+        argv = ["verify", "--g", str(NEAR_G), "--l", str(NEAR_L), "--no-timings"]
+        assert cli_main(argv) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out) == report.to_json_dict(include_timings=False)
+        assert json.loads(out)["hard_pass"] is False
+        assert err == "".join(f"WARNING: g={NEAR_G} l={NEAR_L}: {w}\n" for w in report.warnings)
+        # a sweep over a real l and the perturbed one fails at the second alone
+        l_list = f"{NEAR_L - 1},{NEAR_L}"
+        argv = ["sweep", "--g-list", str(NEAR_G), "--l-list", l_list, "--no-timings"]
+        assert cli_main(argv) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert [r["hard_pass"] for r in data["reports"]] == [True, False]
+        assert data["ok"] is False

@@ -307,6 +307,12 @@ class TestDump:
         g = build_subgroup_graph(words(AB, "a1^2", "a2"), AB)
         assert g.dump() == "0\n0 a1 1\n0 a2 0\n1 a1 0\n"
 
+    def test_graphs_compare_only_with_graphs(self):
+        g = build_subgroup_graph(words(AB, "a1^2", "a2"), AB)
+        assert g == build_subgroup_graph(words(AB, "a2", "a1^-2"), AB)
+        assert not g == 3 and g != 3
+        assert g != g.dump()
+
     def test_dump_deterministic_across_fold_orders(self):
         gens = words(AB, "a1 a2", "a1 a1", "a2 a1^-1")
         reference = build_subgroup_graph(gens, AB).dump()

@@ -40,6 +40,17 @@ from oracles import (
 Y = Alphabet.numbered(3, "y")
 AB = Alphabet.numbered(2, "a")
 _LETTERS = st.sampled_from([1, -1, 2, -2, 3, -3])
+# atoms over letters, digits, _, ^, +, -, é and ²: a name of the parse
+# tests' alphabet or other text, then no exponent, a signed one, or other
+# text after a caret
+_ATOMS = st.tuples(
+    st.one_of(st.sampled_from(["y", "a_1", "Z9", "y1"]), st.text("ay19_^+-é²", max_size=3)),
+    st.one_of(
+        st.just(""),
+        st.tuples(st.sampled_from(["", "+", "-", "-0"]), st.integers(0, 20)).map("^{0[0]}{0[1]}".format),
+        st.text("y019_^+-é²", max_size=3).map("^".__add__),
+    ),
+).map("".join).filter(bool)
 
 
 def _code(letters):
@@ -199,6 +210,89 @@ class TestParse:
         with pytest.raises(WordSyntaxError, match="y9"):
             parse_word("y1 y9", Y)
 
+    # each atom's word, or its exact error: a name that Alphabet would
+    # refuse makes the atom malformed, a valid one not in the alphabet is
+    # unknown, and an exponent is a sign, then ASCII digits only
+    EDGE_ATOMS = {
+        "1y": "malformed atom '1y'",
+        "_x": "malformed atom '_x'",
+        "é1": "malformed atom 'é1'",
+        "é": "malformed atom 'é'",
+        "yé^2": "malformed atom 'yé^2'",
+        "\uff591": "malformed atom '\uff591'",  # a fullwidth y
+        "\u212a1": "malformed atom '\u212a1'",  # the Kelvin sign
+        "y1²": "malformed atom 'y1²'",
+        "y²^2": "malformed atom 'y²^2'",
+        "x-1": "malformed atom 'x-1'",
+        "^3": "malformed atom '^3'",
+        "y1^": "malformed atom 'y1^'",
+        "y1^^2": "malformed atom 'y1^^2'",
+        "y1^2^3": "malformed atom 'y1^2^3'",
+        "y1^٣": "malformed atom 'y1^٣'",
+        "y1^\uff11": "malformed atom 'y1^\uff11'",  # a fullwidth 1
+        "y2^²": "malformed atom 'y2^²'",
+        "y1^1_0": "malformed atom 'y1^1_0'",
+        "y1^1.5": "malformed atom 'y1^1.5'",
+        "y1^0x1": "malformed atom 'y1^0x1'",
+        "y1^+-1": "malformed atom 'y1^+-1'",
+        "y1^-": "malformed atom 'y1^-'",
+        "y1^+": "malformed atom 'y1^+'",
+        "é^99999999": "malformed atom 'é^99999999'",
+        "y4": "unknown generator 'y4'",
+        "Y1": "unknown generator 'Y1'",
+        "y1_": "unknown generator 'y1_'",
+        "x_1^2": "unknown generator 'x_1'",
+        "y1y2": "unknown generator 'y1y2'",
+        "y9^99999999": "unknown generator 'y9'",
+        "y1^99999999": "exponent of y1 has 8 digits; the limit is 4194304 letters",
+        "y1^+003": (1, 1, 1),
+        "y1^-0": (),
+        "y1^-00": (),
+        "y3^+0": (),
+        "y1^02": (1, 1),
+        "y1^-2": (-1, -1),
+    }
+
+    @pytest.mark.parametrize("atom", EDGE_ATOMS)
+    def test_edge_atoms(self, atom):
+        expected = self.EDGE_ATOMS[atom]
+        if isinstance(expected, tuple):
+            assert parse_word(atom, Y).letters == expected
+        else:
+            with pytest.raises(WordSyntaxError) as info:
+                parse_word(atom, Y)
+            assert str(info.value) == expected
+
+    # the grammar spelled out from the oracle's name rule: the first atom
+    # in error decides the message, and the text "1" alone is the identity
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(st.lists(_ATOMS, min_size=1, max_size=3))
+    @example(["a_1^-2", "y^+1", "Z9^0"])
+    def test_grammar_matches_the_oracle(self, atoms):
+        alphabet = Alphabet(("y", "a_1", "Z9"))
+        letters, error = [], None
+        for atom in atoms if atoms != ["1"] else []:
+            name, caret, exp = atom.partition("^")
+            sign_free = exp[1:] if exp[:1] in ("+", "-") else exp
+            if not is_generator_name(name) or caret and not (
+                sign_free and all(c in "0123456789" for c in sign_free)
+            ):
+                error = f"malformed atom {atom!r}"
+            elif name not in alphabet.names:
+                error = f"unknown generator {name!r}"
+            else:
+                gen = alphabet.names.index(name) + 1
+                n = int(exp) if caret else 1
+                letters += [gen if n > 0 else -gen] * abs(n)
+                continue
+            break
+        if error is None:
+            assert parse_word(" ".join(atoms), alphabet).letters == naive_reduce(letters)
+        else:
+            with pytest.raises(WordSyntaxError) as info:
+                parse_word(" ".join(atoms), alphabet)
+            assert str(info.value) == error
+
     def test_letter_bound_counts_before_reduction(self, monkeypatch):
         monkeypatch.setattr(words, "_MAX_PARSED_LETTERS", 5)
         assert parse_word("y1^3 y2^-2", Y).letters == (1, 1, 1, -2, -2)
@@ -255,6 +349,12 @@ class TestConcat:
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatch):
             parse_word("a1", AB) * parse_word("y1", Y)
+
+    def test_multiplies_only_words(self):
+        w = parse_word("a1", AB)
+        for other in (3, CyclicWord(AB, (1,))):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                w * other
 
     # junctions that cancel no letter, one, several or all of them, and
     # empty operands: the product tests the junction pair before it
