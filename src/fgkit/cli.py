@@ -7,13 +7,13 @@ are stripped (``--no-timings``), regardless of the ``--parallel`` level.
 
 from __future__ import annotations
 
-import argparse
 import io
 import itertools
 import json
 import os
 import sys
 from collections.abc import Callable, Sequence
+from types import SimpleNamespace
 
 from .family import (
     DEFAULT_G_VALUES,
@@ -96,61 +96,130 @@ def _int_list(
     return [v for lo, hi in spans for v in range(lo, hi + 1)]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fgkit",
-        description="Free-group word arithmetic and embedding-family verification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_word = sub.add_parser("word", help="ad-hoc word computations")
-    p_word.add_argument(
-        "op", choices=["reduce", "invert", "concat", "cyclic", "canon"]
-    )
-    p_word.add_argument("texts", nargs="+", metavar="WORD")
-    p_word.add_argument(
-        "--alphabet",
-        default="y1,y2,y3",
-        help="comma-separated generator names (default y1,y2,y3)",
-    )
-    p_word.add_argument(
-        "--oriented",
-        action="store_true",
-        help="canon: compare conjugacy classes with orientation",
-    )
-
-    p_verify = sub.add_parser("verify", help="verify one (g, l) instance")
-    p_verify.add_argument("--g", type=int, required=True)
-    p_verify.add_argument("--l", type=int, required=True)
-    _add_report_flags(p_verify)
-
-    p_sweep = sub.add_parser("sweep", help="verify a parameter grid")
-    p_sweep.add_argument("--g-list", default=None, help="e.g. 2,4,6,8")
-    p_sweep.add_argument("--l-list", default=None, help="e.g. 3..12 or 3,4,5")
-    p_sweep.add_argument("--parallel", type=int, default=1)
-    _add_report_flags(p_sweep)
-
-    p_ident = sub.add_parser("identities", help="check the shuffle identities")
-    p_ident.add_argument("--i-max", type=int, default=6)
-    p_ident.add_argument("--j-max", type=int, default=6)
-    p_ident.add_argument("--l-list", default=None, help="default 3..12")
-
-    return parser
+# Every command's options: flag -> (attribute, kind, default, help).  The
+# kind is int, str, a tuple of the choices, or bool for a flag that takes
+# no value; a default of _REQUIRED makes the option required.
+_REQUIRED = object()
+_REPORT_OPTIONS = {
+    "--format": ("format", ("json", "csv", "table"), "json", "report format"),
+    "--out": ("out", str, None, "write the report to this path, not stdout"),
+    "--no-timings": ("no_timings", bool, False, "leave timings out of the report"),
+}
+_WORD_OPS = ("reduce", "invert", "concat", "cyclic", "canon")
+# command -> (its heading in the help, its options)
+_COMMANDS = {
+    "word": (f"word OP WORD...: word arithmetic, OP one of {', '.join(_WORD_OPS)}", {
+        "--alphabet": ("alphabet", str, "y1,y2,y3", "comma-separated generator names"),
+        "--oriented": ("oriented", bool, False, "canon: keep the orientation of the class"),
+    }),
+    "verify": ("verify: verify one (g, l) instance", {
+        "--g": ("g", int, _REQUIRED, "even genus, at least 2"),
+        "--l": ("l", int, _REQUIRED, "at least 3"),
+        **_REPORT_OPTIONS,
+    }),
+    "sweep": ("sweep: verify a grid of instances", {
+        "--g-list": ("g_list", str, None, "e.g. 2,4,6,8 (the default)"),
+        "--l-list": ("l_list", str, None, "e.g. 3..12 (the default) or 3,4,5"),
+        "--parallel": ("parallel", int, 1, "worker processes"),
+        **_REPORT_OPTIONS,
+    }),
+    "identities": ("identities: check the shuffle identities", {
+        "--i-max": ("i_max", int, 6, "largest i"),
+        "--j-max": ("j_max", int, 6, "largest j"),
+        "--l-list": ("l_list", str, None, "e.g. 3..12 (the default) or 3,4,5"),
+    }),
+}
 
 
-def _add_report_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["json", "csv", "table"], default="json")
-    p.add_argument("--out", default=None, metavar="PATH")
-    p.add_argument("--no-timings", action="store_true")
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The command and options that ``argv`` names, each option missing
+    from it set to its default; None when it asks for help.  An option's
+    value is the rest of its token after ``=``, or else the next token,
+    even one that starts with ``-``.  Any usage error is a ValueError."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return None
+    command = _choose("the command", argv[0] if argv else "", _COMMANDS)
+    options = _COMMANDS[command][1]
+    values, positionals = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        if not token.startswith("-") or token == "-":
+            positionals.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in options:
+            raise ValueError(f"{command} has no option {flag}")
+        attr, kind, _, _ = options[flag]
+        if kind is bool:
+            if eq:
+                raise ValueError(f"{flag} takes no value")
+            values[attr] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise ValueError(f"{flag} needs a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"{flag}: not an integer: {value!r}") from None
+        elif kind is not str:
+            _choose(flag, value, kind)
+        values[attr] = value
+    for flag, (attr, _, default, _) in options.items():
+        if attr not in values:
+            if default is _REQUIRED:
+                raise ValueError(f"{command} needs {flag}")
+            values[attr] = default
+    if command == "word":
+        # _cmd_word checks the number of WORDs
+        values["op"] = _choose("word's OP", positionals[0] if positionals else "", _WORD_OPS)
+        values["texts"] = positionals[1:]
+    elif positionals:
+        raise ValueError(f"{command} takes no argument {positionals[0]!r}")
+    return SimpleNamespace(command=command, **values)
+
+
+def _choose(what: str, value: str, choices) -> str:
+    """``value``, if it is one of ``choices``."""
+    if value not in choices:
+        raise ValueError(f"{what} must be one of {', '.join(choices)}, not {value!r}")
+    return value
+
+
+def _usage() -> str:
+    """The help text: every command and its options, from ``_COMMANDS``."""
+    lines = [
+        "usage: fgkit COMMAND [OPTION ...]",
+        "Free-group word arithmetic and embedding-family verification.",
+    ]
+    for heading, options in _COMMANDS.values():
+        lines += ["", heading]
+        for flag, (attr, kind, default, text) in options.items():
+            if kind is int:
+                flag += " N"
+            elif kind is str:
+                flag += " " + attr.upper()
+            elif kind is not bool:
+                flag += " {" + ",".join(kind) + "}"
+            if default is _REQUIRED:
+                text += " (required)"
+            elif default not in (None, False):
+                text += f" (default {default})"
+            lines.append(f"  {flag:<26} {text}")
+    lines += ["", "An option is --flag value or --flag=value; -h or --help prints this help."]
+    return "\n".join(lines) + "\n"
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if args is None:
+            sys.stdout.write(_usage())
+            return 0
         if args.command == "word":
             return _cmd_word(args)
         if args.command == "verify":

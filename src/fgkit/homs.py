@@ -61,32 +61,39 @@ class Homomorphism(_Value):
         the output so far and the next image code (or the inverse image
         code, built once per homomorphism): the same fact
         ``Word.__mul__`` uses.  The output is a list of parts, pieces of
-        image codes, and one ``join`` at the end.  A junction pops each
-        part that cancels whole, cuts the last part it reaches in place,
-        and appends what is left of the image.  Each letter of ``w``
-        costs O(log k) Python steps for the k letters that cancel at its
-        junction, one more for each part that cancels whole, and C work
-        linear in its image and in the one part it may cut, so a long
-        part that many short images cut is copied once per cut.
+        image codes, each kept whole with the offset where it is cut, and
+        one ``join`` at the end, which makes each cut once.  A junction
+        pops each part that cancels whole, moves back the end of the last
+        part it reaches, and appends what is left of the image.  Each
+        letter of ``w`` costs O(log k) Python steps for the k letters that
+        cancel at its junction, one more for each part that cancels whole,
+        and C work linear in its image, so the total work is
+        O(letters in + letters out), however often a long part is cut.
+        One offset for the last part alone would not do: a part that is
+        cut, then covered by a new part, would be copied at each cover.
         """
         if w.alphabet is not self.domain and w.alphabet != self.domain:
             raise AlphabetMismatch("word is not over the domain alphabet")
         codes = self._codes
+        # the output so far is parts[0][:ends[0]] + parts[1][:ends[1]] + ...
         parts: list[str] = []
+        ends: list[int] = []
         for c in w.code:
             img, start = codes[c], 0
             # the junction may cancel several parts whole, and cancels
             # nothing unless its pair of letters does
             while parts and start < len(img):
-                last, n = parts[-1], len(parts[-1])
-                if ord(last[-1]) ^ 1 != ord(img[start]):
+                last, n = parts[-1], ends[-1]
+                if ord(last[n - 1]) ^ 1 != ord(img[start]):
                     break
                 k = _cancelled(last, n, img, start, min(n, len(img) - start))
                 start += k
                 if k < n:
-                    parts[-1] = last[: n - k]
+                    ends[-1] = n - k
                     break
                 parts.pop()
+                ends.pop()
             if start < len(img):
                 parts.append(img[start:])
-        return Word._wrap(self.codomain, "".join(parts))
+                ends.append(len(img) - start)
+        return Word._wrap(self.codomain, "".join([p[:n] for p, n in zip(parts, ends)]))

@@ -667,6 +667,19 @@ class TestUsage:
             ("sweep", "--g-list", "2", "--l-list", "99999999999"),
             ("sweep", "--g-list", "2,318", "--l-list", "12"),
             ("verify", "--g", "100000000000", "--l", "3"),
+            # each of these used to print a usage block as well
+            ("bogus",),
+            (),
+            ("verify", "--g", "2"),
+            ("verify", "--g", "x", "--l", "3"),
+            ("sweep", "--format", "xml"),
+            ("sweep", "--g-list"),
+            ("word", "reduce"),
+            # no option is abbreviated, and a flag takes no value
+            ("verify", "--g", "2", "--l", "3", "--no-t"),
+            ("verify", "--g", "2", "--l", "3", "--no-timings=1"),
+            ("verify", "--g", "2", "--l", "3", "extra"),
+            ("word", "bogus", "y1"),
         ],
     )
     def test_usage_error_is_one_line(self, capsys, argv):
@@ -675,6 +688,50 @@ class TestUsage:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
+
+    def test_usage_error_names_the_fault(self, capsys):
+        assert run(capsys, "sweep", "--format", "xml")[2] == (
+            "error: --format must be one of json, csv, table, not 'xml'\n"
+        )
+        assert run(capsys, "verify", "--g", "2")[2] == "error: verify needs --l\n"
+        assert run(capsys, "verify", "--g", "x", "--l", "3")[2] == (
+            "error: --g: not an integer: 'x'\n"
+        )
+        assert run(capsys, "sweep", "--g-list")[2] == "error: --g-list needs a value\n"
+        assert run(capsys, "verify", "--g", "2", "--l", "3", "--no-t")[2] == (
+            "error: verify has no option --no-t\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--g=2", "--l=3"), ("--l", "3", "--g=2"), ("--g", "4", "--g=2", "--l", "3")],
+    )
+    def test_flag_equals_value(self, capsys, argv):
+        # the last value of an option given twice wins
+        code, out, _ = run(capsys, "verify", *argv, "--no-timings")
+        assert code == 0
+        assert json.loads(out)["params"] == {"g": 2, "l": 3}
+
+    def test_value_may_start_with_a_dash(self, capsys):
+        # the token after an option is its value, whatever it starts with
+        code, _, err = run(capsys, "identities", "--i-max", "-1", "--j-max", "0")
+        assert (code, err) == (2, "error: bounds must be >= 0\n")
+        code, _, err = run(capsys, "word", "reduce", "y1", "--alphabet", "-h")
+        assert code == 2
+        assert err.startswith("error: ") and "generator" in err
+
+    @pytest.mark.parametrize(
+        "argv", [("--help",), ("-h",), ("sweep", "-h"), ("verify", "--g", "3", "--help")]
+    )
+    def test_help_names_every_command_and_flag(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        for command, (_, options) in cli._COMMANDS.items():
+            assert command in out
+            for flag in options:
+                assert flag in out
+        for op in cli._WORD_OPS:
+            assert op in out
 
 
 # A small vocabulary for fuzzing main(): every subcommand, flag and choice,
@@ -686,7 +743,8 @@ _FUZZ_COMMANDS = [
 ] + [["verify"], ["sweep"], ["identities"], []]
 _FUZZ_FLAGS = [
     "--g", "--l", "--g-list", "--l-list", "--parallel", "--i-max", "--j-max",
-    "--format", "--alphabet", "--no-timings", "--oriented", "--help", "--bogus",
+    "--format", "--alphabet", "--no-timings", "--oriented", "--help", "-h", "--bogus",
+    "--g=2", "--l-list=3..5", "--",
 ]
 _FUZZ_VALUES = [str(n) for n in range(-2, 9)] + [
     "json", "csv", "table", "2,4", "3..5", "5..3", "1..", "", "x", "-", "--",

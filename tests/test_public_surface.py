@@ -128,15 +128,18 @@ def test_wedge_is_a_classmethod():
     assert isinstance(vars(fgkit.SubgroupGraph)["wedge"], classmethod)
 
 
-# slow to import and not needed: dataclasses alone pulls in inspect and ast
-SLOW_IMPORTS = {"dataclasses", "inspect", "ast"}
+# slow to import and not needed: dataclasses alone pulls in inspect and
+# ast; the CLI parses its options from its own table, and argparse would
+# cost every fgkit process a few ms to import, gettext with it, and locale
+# at its first message
+SLOW_IMPORTS = {"dataclasses", "inspect", "ast", "argparse", "gettext", "locale"}
 
 # every standard library module fgkit imports at import time; importing
 # fgkit.cli after these must add no other top-level module (typing, say,
 # or csv, which only --format csv imports)
 FGKIT_STDLIB_IMPORTS = [
-    "__future__", "argparse", "array", "bisect", "collections.abc", "functools", "io",
-    "itertools", "json", "math", "os", "re", "sys", "time",
+    "__future__", "array", "bisect", "collections.abc", "functools", "io",
+    "itertools", "json", "math", "os", "re", "sys", "time", "types",
 ]
 
 
