@@ -11,16 +11,19 @@ import io
 import itertools
 import json
 import os
+import re
 import sys
 from collections.abc import Callable, Sequence
 from types import SimpleNamespace
 
+from .abelian import INFINITE
 from .family import (
     DEFAULT_G_VALUES,
     DEFAULT_L_VALUES,
     REPORT_SCHEMA,
     FamilyParams,
     VerificationReport,
+    _CHECKS,
     _boundary_letters_bound,
     _derived_quotient_order,
     class_distinctness,
@@ -28,29 +31,21 @@ from .family import (
     verify,
 )
 from .words import (
+    _INTEGER,
     Alphabet,
     canonical_class,
     parse_word,
     render_word,
 )
 
+# a distinctness row's verdicts: (name, table label)
+_DISTINCTNESS = (
+    ("distinct_unoriented", "unoriented"), ("distinct_oriented", "oriented"),
+    ("all_nontrivial", "nontrivial"),
+)
 _CSV_COLUMNS = [
-    "kind",
-    "g",
-    "l",
-    "injective",
-    "image_rank",
-    "closed_form_ok",
-    "shuffle_identities_ok",
-    "block_letter_ok",
-    "quotient_order",
-    "reference_order",
-    "reference_order_match",
-    "hard_pass",
-    "distinct_unoriented",
-    "distinct_oriented",
-    "all_nontrivial",
-    "boundary_class",
+    "kind", "g", "l", *(name for name, heading, _, _ in _CHECKS if heading), "hard_pass",
+    *(name for name, _ in _DISTINCTNESS), "boundary_class",
 ]
 
 
@@ -62,6 +57,10 @@ _MAX_LIST_VALUES = 4096
 # this in all; it admits even g from 2 to 128 at l = 12 (14,934,400
 # letters, 147 MB peak RSS)
 _MAX_GRID_LETTERS = 1 << 24
+# an integer option's value, and a --g-list/--l-list item (an integer or
+# a..b); each integer is spelled as a word's exponent is
+_INTEGER_RE = re.compile(_INTEGER)
+_RANGE_RE = re.compile(rf"({_INTEGER})(?:\.\.({_INTEGER}))?")
 
 
 def _int_list(
@@ -79,11 +78,10 @@ def _int_list(
         chunk = chunk.strip()
         if not chunk:
             continue
-        lo_text, dots, hi_text = chunk.partition("..")
-        try:
-            spans.append((int(lo_text), int(hi_text if dots else lo_text)))
-        except ValueError:
-            raise ValueError(f"not an integer or a..b range: {chunk!r}") from None
+        m = _RANGE_RE.fullmatch(chunk)
+        if m is None:
+            raise ValueError(f"not an integer or a..b range: {chunk!r}")
+        spans.append((int(m[1]), int(m[2] or m[1])))
     nonempty = sorted(span for span in spans if span[0] <= span[1])
     for (_, prev_hi), (lo, _) in zip(nonempty, nonempty[1:]):
         if distinct and lo <= prev_hi:
@@ -162,10 +160,9 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
             if value is None:
                 raise ValueError(f"{flag} needs a value")
         if kind is int:
-            try:
-                value = int(value)
-            except ValueError:
-                raise ValueError(f"{flag}: not an integer: {value!r}") from None
+            if _INTEGER_RE.fullmatch(value) is None:
+                raise ValueError(f"{flag}: not an integer: {value!r}")
+            value = int(value)
         elif kind is not str:
             _choose(flag, value, kind)
         values[attr] = value
@@ -439,33 +436,29 @@ def _reports_csv(reports: list[VerificationReport], distinct: list[dict]) -> str
 
 
 def _reports_table(reports: list[VerificationReport], distinct: list[dict]) -> str:
-    header = (
-        f"{'g':>3} {'l':>3} {'inj':>4} {'rank':>5} {'closed':>7} "
-        f"{'ident':>6} {'block':>6} {'quotient':>9} {'ref':>5} {'match':>6} {'pass':>5}"
-    )
+    checks = [(name, heading, width) for name, heading, width, _ in _CHECKS if heading]
+    widths = [3, 3, *(width for _, _, width in checks), 5]
+
+    def line(cells) -> str:
+        return " ".join(f"{cell:>{width}}" for cell, width in zip(cells, widths))
+
+    header = line(["g", "l", *(heading for _, heading, _ in checks), "pass"])
     lines = [header, "-" * len(header)]
-
-    def yn(b: bool) -> str:
-        return "yes" if b else "NO"
-
     for r in reports:
-        q = "INF" if not r.quotient_finite else str(r.quotient_order)
-        lines.append(
-            f"{r.params.g:>3} {r.params.l:>3} {yn(r.injective):>4} "
-            f"{r.image_rank:>5} {yn(r.closed_form_ok):>7} "
-            f"{yn(r.shuffle_identities_ok):>6} {yn(r.block_letter_ok):>6} "
-            f"{q:>9} {r.reference_order:>5} {yn(r.reference_order_match):>6} "
-            f"{yn(r.hard_pass):>5}"
-        )
+        values = [getattr(r, name) for name, _, _ in checks]
+        lines.append(line(map(_cell, [r.params.g, r.params.l, *values, r.hard_pass])))
     for row in distinct:
         ls = ",".join(str(l) for l in row["l_values"])
-        lines.append(
-            f"distinctness g={row['g']} over l={ls}: "
-            f"unoriented={yn(row['distinct_unoriented'])} "
-            f"oriented={yn(row['distinct_oriented'])} "
-            f"nontrivial={yn(row['all_nontrivial'])}"
-        )
+        verdicts = " ".join(f"{label}={_cell(row[name])}" for name, label in _DISTINCTNESS)
+        lines.append(f"distinctness g={row['g']} over l={ls}: {verdicts}")
     return "\n".join(lines) + "\n"
+
+
+def _cell(value) -> str:
+    """A table cell: yes or NO for a verdict, INF for an infinite order."""
+    if isinstance(value, bool):
+        return "yes" if value else "NO"
+    return "INF" if value is INFINITE else str(value)
 
 
 if __name__ == "__main__":  # pragma: no cover

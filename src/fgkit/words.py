@@ -54,9 +54,12 @@ class AlphabetMismatch(ValueError):
 # per-letter backtracking state a match of the whole run keeps; DOTALL,
 # since generator 5 is coded chr(10), a newline
 _RUN_END_RE = re.compile(r"(?s)(?<=(.))(?!\1)")
-# the shape of an atom: a caret-free name, then maybe a caret and signed
-# ASCII digits; the name is left to the alphabet, or else to _valid_names
-_ATOM_RE = re.compile(r"(?P<name>[^^]+)(?:\^(?P<exp>[+-]?[0-9]+))?\Z")
+# an integer is signed ASCII digits, in an exponent and in every integer the
+# CLI reads (int() takes "_" and other digits); an atom is a caret-free name,
+# then maybe a caret and an integer; the name is left to the alphabet, or
+# else to _valid_names
+_INTEGER = "[+-]?[0-9]+"
+_ATOM_RE = re.compile(rf"(?P<name>[^^]+)(?:\^(?P<exp>{_INTEGER}))?\Z")
 # parse_word refuses text that spells more letters than this before
 # reduction, and FamilyParams an instance whose boundary image may; the
 # boundary image at g = 256, l = 12 has 2,745,848

@@ -202,6 +202,26 @@ class TestVerifyCommand:
             "  2   3  yes     4     yes    yes    yes        24    16     NO   yes\n"
         )
 
+    def test_infinite_quotient_in_every_format(self, capsys, monkeypatch):
+        real = cli.verify
+
+        def infinite(params):
+            report = real(params)
+            report.quotient_order = abelian.INFINITE
+            return report
+
+        monkeypatch.setattr(cli, "verify", infinite)
+        argv = ("verify", "--g", "2", "--l", "3", "--no-timings", "--format")
+        code, out, _ = run(capsys, *argv, "table")
+        assert code == 1
+        assert out.splitlines()[2] == (
+            "  2   3  yes     4     yes    yes    yes       INF    16     NO    NO"
+        )
+        assert run(capsys, *argv, "csv")[1].splitlines()[1].startswith(
+            "report,2,3,True,4,True,True,True,INFINITE,16,False,False,"
+        )
+        assert json.loads(run(capsys, *argv, "json")[1])["quotient_order"] == "INFINITE"
+
     def test_math_failure_gives_exit_one(self, capsys, monkeypatch):
         real = cli.verify
 
@@ -371,7 +391,7 @@ class TestSweepCommand:
         assert err == "error: g=2 l=3 timed out\n"
         assert len(verified) == len(set(verified)) == 1
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
     def test_default_grid_matches_golden(self, capsys, tmp_path, fmt):
         path = tmp_path / f"sweep.{fmt}"
         code, _, _ = run(
@@ -680,6 +700,11 @@ class TestUsage:
             ("verify", "--g", "2", "--l", "3", "--no-timings=1"),
             ("verify", "--g", "2", "--l", "3", "extra"),
             ("word", "bogus", "y1"),
+            # an integer is signed ASCII digits, as a word's exponent is;
+            # int() would take each of these
+            ("verify", "--g", "٢", "--l", "3"),
+            ("identities", "--i-max", "1_0"),
+            ("identities", "--l-list", " ٣..٥"),
         ],
     )
     def test_usage_error_is_one_line(self, capsys, argv):

@@ -1,6 +1,7 @@
 import json
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
@@ -720,20 +721,39 @@ class TestVerificationReport:
             "warnings=['w'], timings={'a': 1.5})"
         )
 
+    # a failing value for each gated field
+    GATE_FAILURES = dict(
+        injective=False,
+        closed_form_ok=False,
+        shuffle_identities_ok=False,
+        block_letter_ok=False,
+        quotient_order=INFINITE,
+        boundary_class=CyclicWord(Y, ()),
+    )
+
     def test_each_gate_fails_hard_pass_alone(self):
+        assert list(self.GATE_FAILURES) == [
+            name for name, _, _, gate in family_module._CHECKS if gate
+        ]
         # the reference order does not gate: FIELDS mismatch it and pass
         passing = dict(self.FIELDS, block_letter_ok=True)
         assert VerificationReport(**passing).hard_pass
-        gates = dict(
-            injective=False,
-            closed_form_ok=False,
-            shuffle_identities_ok=False,
-            block_letter_ok=False,
-            quotient_order=INFINITE,
-            boundary_class=CyclicWord(Y, ()),
-        )
-        for name, value in gates.items():
+        for name, value in self.GATE_FAILURES.items():
             assert not VerificationReport(**dict(passing, **{name: value})).hard_pass, name
+
+    def test_constructor_takes_the_declared_fields(self):
+        code = VerificationReport.__init__.__code__
+        names = [name for name, _, _, _ in family_module._CHECKS]
+        assert code.co_varnames[1 : code.co_argcount] == (
+            "params", *names, "warnings", "timings"
+        )
+        assert list(self.FIELDS) == ["params", *names]
+
+    def test_readme_schema_names_every_field(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        schema = readme.split("## Report schema\n", 1)[1].split("\n## ", 1)[0]
+        for name, _, _, _ in family_module._CHECKS:
+            assert f"`{name}`" in schema, name
 
     def test_defaults_are_fresh(self):
         a, b = VerificationReport(**self.FIELDS), VerificationReport(**self.FIELDS)
