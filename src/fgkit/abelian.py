@@ -4,7 +4,10 @@ All arithmetic is exact: Python integers never overflow, which is the
 whole contract here.  The Smith routine pivots on a least-absolute-value
 nonzero entry and returns the full certificate (U, D, V) with
 ``U @ M @ V == D``, U and V unimodular, and the diagonal of D nonnegative
-with each entry dividing the next.
+with each entry dividing the next.  It works on one augmented matrix,
+rows [M | I_m] above rows I_n: a row operation rewrites a whole
+augmented row and a column operation runs down every row, so each step
+is written once and the blocks U and V follow M without a copy of it.
 """
 
 from __future__ import annotations
@@ -86,14 +89,12 @@ def image_matrix(h: Homomorphism) -> IntMatrix:
 
 def _validated(matrix: Sequence[Sequence[int]]) -> IntMatrix:
     rows = [list(r) for r in matrix]
-    if rows:
-        width = len(rows[0])
-        for r in rows:
-            if len(r) != width:
-                raise ValueError("matrix is not rectangular")
-            for x in r:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise ValueError(f"matrix entry {x!r} is not an integer")
+    for r in rows:
+        if len(r) != len(rows[0]):
+            raise ValueError("matrix is not rectangular")
+        for x in r:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError(f"matrix entry {x!r} is not an integer")
     return rows
 
 
@@ -101,14 +102,14 @@ def _identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _min_abs_nonzero(a: IntMatrix, t: int, m: int, n: int):
+def _least_entry(b: IntMatrix, t: int, m: int, n: int) -> tuple[int, int, int] | None:
+    """(|x|, i, j) of the first nonzero entry x of least absolute value in
+    rows t..m-1 and columns t..n-1, in row-major order, or None."""
     best = None
     for i in range(t, m):
-        row = a[i]
-        for j in range(t, n):
-            x = row[j]
-            if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                best = (i, j)
+        for j, x in enumerate(b[i][t:n], t):
+            if x and (best is None or abs(x) < best[0]):
+                best = (abs(x), i, j)
     return best
 
 
@@ -120,83 +121,51 @@ def smith_normal_form(
     U and V are unimodular, D is diagonal with nonnegative entries and
     d1 | d2 | ... (trailing zeros allowed).
 
+    The m x n matrix M is reduced inside one augmented matrix: rows
+    0..m-1 hold [M | I_m] and rows m.. hold I_n.  A row operation is one
+    list operation on a whole augmented row, so the right block follows
+    it as U; a column operation is one pass over every row, so the
+    bottom block follows it as V.
+
     >>> U, D, V = smith_normal_form([[2, 0], [0, 3]])
     >>> D
     [[1, 0], [0, 6]]
     """
     a = _validated(matrix)
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = _identity(m)
-    v = _identity(n)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        arow, srow = a[dst], a[src]
-        for k in range(n):
-            arow[k] += c * srow[k]
-        urow, usrc = u[dst], u[src]
-        for k in range(m):
-            urow[k] += c * usrc[k]
-
-    def add_col(dst, src, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
+    m, n = len(a), len(a[0]) if a else 0
+    b = [r + e for r, e in zip(a, _identity(m))] + _identity(n)
     t = 0
     while t < min(m, n):
-        if _min_abs_nonzero(a, t, m, n) is None:
+        pivot = _least_entry(b, t, m, n)
+        if pivot is None:
             break
-        while True:
-            i0, j0 = _min_abs_nonzero(a, t, m, n)
-            if i0 != t:
-                swap_rows(t, i0)
-            if j0 != t:
-                swap_cols(t, j0)
-            if a[t][t] < 0:
-                negate_row(t)
-            p = a[t][t]
-            leftover = False
-            for i in range(t + 1, m):
-                q = a[i][t] // p
-                if q:
-                    add_row(i, t, -q)
-                if a[i][t]:
-                    leftover = True
-            for j in range(t + 1, n):
-                q = a[t][j] // p
-                if q:
-                    add_col(j, t, -q)
-                if a[t][j]:
-                    leftover = True
-            if leftover:
-                continue  # an entry with |entry| < p appeared; re-pivot
-            offender = None
-            for i in range(t + 1, m):
-                if any(a[i][j] % p for j in range(t + 1, n)):
-                    offender = i
-                    break
-            if offender is None:
+        _, i, j = pivot
+        b[t], b[i] = b[i], b[t]
+        if j != t:
+            for r in b:
+                r[t], r[j] = r[j], r[t]
+        if b[t][t] < 0:
+            b[t] = [-x for x in b[t]]
+        row, p = b[t], b[t][t]
+        for i in range(t + 1, m):
+            q = b[i][t] // p
+            if q:
+                b[i] = [x - q * y for x, y in zip(b[i], row)]
+        for j in range(t + 1, n):
+            q = row[j] // p
+            if q:
+                for r in b:
+                    r[j] -= q * r[t]
+        if any(r[t] for r in b[t + 1 : m]) or any(row[t + 1 : n]):
+            continue  # an entry with |entry| < p appeared; re-pivot
+        # drag a non-divisible entry into row t so the gcd reaches the pivot
+        for i in range(t + 1, m):
+            if any(x % p for x in b[i][t + 1 : n]):
+                b[t] = [x + y for x, y in zip(row, b[i])]
                 break
-            # drag a non-divisible entry into row t so the gcd reaches the pivot
-            add_row(t, offender, 1)
-        t += 1
-    return u, a, v
+        else:
+            t += 1
+    return [r[n:] for r in b[:m]], [r[:n] for r in b[:m]], [r[:n] for r in b[m:]]
 
 
 def quotient_order(
@@ -210,16 +179,20 @@ def quotient_order(
     the first copy of each row goes to the Smith form: the family's 2g
     exponent rows repeat with period 4.  The order of a small deduplicated
     matrix is kept, so a matrix seen before costs no Smith form.
+    ``ambient_rank`` must be a non-negative ``int``.
 
     >>> quotient_order([[2, 0], [0, 3]], 2)
     6
     >>> quotient_order([[2, 0]], 2)
     INFINITE
     """
+    if not isinstance(ambient_rank, int) or isinstance(ambient_rank, bool):
+        raise TypeError(f"ambient_rank must be an int, not {type(ambient_rank).__name__}")
+    if ambient_rank < 0:
+        raise ValueError("ambient_rank must be >= 0")
     rows = _validated(matrix)
-    for r in rows:
-        if len(r) != ambient_rank:
-            raise ValueError("matrix width does not match the ambient rank")
+    if rows and len(rows[0]) != ambient_rank:
+        raise ValueError("matrix width does not match the ambient rank")
     if not rows:
         return INFINITE if ambient_rank > 0 else 1
     rows = tuple(dict.fromkeys(map(tuple, rows)))

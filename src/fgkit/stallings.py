@@ -70,10 +70,11 @@ the same finite rank is an isomorphism (free groups are Hopfian).
 
 The edges at the base vertex of a folded graph are exactly the first
 letters of the subgroup's nontrivial reduced elements (and, inverted, the
-last letters); :meth:`SubgroupGraph.base_labels` reads which of them a
-given base loop uses.  For an attached generator or its inverse it reads
-the base visits off the loop's id path with C scans, so no letter costs a
-Python step; any other loop is walked through the canonical relabel.
+last letters); :meth:`SubgroupGraph.base_labels` reads which of them an
+attached generator or its inverse uses.  It reads the base visits off the
+loop's kept id path with C scans, so no letter costs a Python step and the
+canonical relabel is never built.  The empty word uses no base edge; any
+other word raises ``ValueError``.
 
 Edges are labeled by letter codes (see :mod:`fgkit.words`): folding walks
 the generators' codes, and a vertex's edges are ordered by code point,
@@ -371,47 +372,32 @@ class SubgroupGraph:
     def base_labels(self, w: Word) -> set[int]:
         """Labels, read outward from the base, of the base edges a loop uses.
 
-        ``w`` must spell a base-to-base path in the folded graph.  Each
-        time the path leaves the base along ``s`` the result gains ``s``;
-        each time it arrives along ``s`` it gains ``-s``.  For an attached
-        generator or its inverse the base visits are read off the loop's
-        id path by array scans; any other word is walked through the
-        canonical relabel, one step per letter.
+        ``w`` must be an attached generator or its inverse, or the empty
+        word, which uses none; any other word raises ``ValueError``.  Each
+        time the loop leaves the base along ``s`` the result gains ``s``;
+        each time it arrives along ``s`` it gains ``-s``.  The base visits
+        are read off the loop's kept id path by array scans.
         """
         if w.alphabet is not self.alphabet and w.alphabet != self.alphabet:
             raise AlphabetMismatch("query word not over the graph's alphabet")
         _, root = self._folded("reading base labels")
         code = w.code
+        if not code:
+            return set()
         loop = self._loops.get(code)
         if loop is None:
-            out = self._canonical("reading base labels")
-            visits = []
-            v = 0
-            for k, s in enumerate(code):
-                if v == 0:
-                    visits.append(k)
-                v = out[v].get(s)
-                if v is None:
-                    raise ValueError("letters do not spell a path in the graph")
-            if v != 0:
-                raise ValueError("letters do not spell a base-to-base loop")
-            visits.append(len(code))
-        else:
-            # the path starts and ends at the root, so each C scan for the
-            # next visit finds one
-            path, step = loop
-            visits = [0]
-            while visits[-1] < len(code):
-                visits.append(path.index(root, visits[-1] + 1))
-            if step < 0:
-                visits = [len(code) - p for p in visits]
-        labels: set[int] = set()
-        for p in visits:
-            if p < len(code):
-                labels.add(_letter(code[p]))
-            if p:
-                labels.add(-_letter(code[p - 1]))
-        return labels
+            raise ValueError("word is not an attached generator or its inverse")
+        # the path starts and ends at the root, so each C scan for the next
+        # visit finds one; an inverse code reads the path backwards
+        path, step = loop
+        n = len(code)
+        visits = [0]
+        while visits[-1] < n:
+            visits.append(path.index(root, visits[-1] + 1))
+        if step < 0:
+            visits = [n - p for p in reversed(visits)]
+        left = {_letter(code[p]) for p in visits[:-1]}
+        return left | {-_letter(code[p - 1]) for p in visits[1:]}
 
     def rank(self) -> int:
         """Rank of the represented subgroup: E - V + 1 of the folded graph.

@@ -151,6 +151,18 @@ class TestSmithNormalForm:
             ]
             assert sorted(ours) == sorted(reference)
 
+    @pytest.mark.parametrize("rows", range(5))
+    @pytest.mark.parametrize("cols", range(5))
+    def test_certificates_every_small_shape(self, rows, cols):
+        # the augmented matrix's blocks are empty when rows or cols is 0;
+        # a matrix with no rows is [] whatever its width
+        rng = random.Random(100 * rows + cols)
+        m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        for matrix in (m, [[0] * cols for _ in range(rows)]):
+            u, d, v = smith_normal_form(matrix)
+            assert (len(u), len(d), len(v)) == (rows, rows, cols if rows else 0)
+            check_certificate(matrix, u, d, v)
+
     def test_rejects_ragged_input(self):
         with pytest.raises(ValueError):
             smith_normal_form([[1, 2], [3]])
@@ -176,6 +188,15 @@ class TestQuotientOrder:
     def test_width_checked(self):
         with pytest.raises(ValueError):
             quotient_order([[1, 2, 3]], 2)
+
+    @pytest.mark.parametrize(
+        "matrix, rank, error",
+        [([], -1, ValueError), ([[2]], 1.0, TypeError), ([[2]], True, TypeError), ([], "0", TypeError)],
+    )
+    def test_ambient_rank_is_a_non_negative_int(self, matrix, rank, error):
+        with pytest.raises(error, match="ambient_rank"):
+            quotient_order(matrix, rank)
+        assert quotient_order([], 0) == 1
 
     def test_invariant_under_row_operations(self):
         rng = random.Random(31)

@@ -14,9 +14,20 @@ share of the run to show reliably, hence n = 40,000.  On the same
 machine, at 8n taking 0.1-0.4 s: ``canonical_class`` of the dense word
 gave ratios 7.2-11.9 at n = 20,000, but 11.1 at n = 5,000, too close to
 the bound; ``parse_word`` 7.8-8.5 at n = 5,000; ``render_word`` 7.9-9.2
-at n = 20,000.  The bound is never raised to make a failure pass.
+at n = 20,000.  Same machine: ``Word.__mul__`` across a cancelling
+junction of n = 20,000 letters gave 4.9-5.7 and ``__pow__`` of c u c^-1
+with |c| = 20,000 gave 5.0-6.6 (8n takes under 1 ms, so the fixed
+cost of a call shows at n).  At n = 100,000-200,000 the same two gave
+4.1-17.7: their megabyte strings are allocated by page faults in some
+processes and from the heap in others.  ``fold`` of four generators
+p s_i q with |p| = |q| = 40,000 gave 6.8-11.8 (8n takes 0.11-0.17 s),
+and 13-14 with eight generators at 20,000.
+``smith_normal_form`` has no case: its cost depends on the entries as
+well as the shape, so no one size makes it linear.  The bound is never
+raised to make a failure pass.
 """
 
+import random
 import time
 
 import pytest
@@ -25,6 +36,7 @@ from fgkit import (
     Alphabet,
     Homomorphism,
     Word,
+    build_subgroup_graph,
     canonical_class,
     parse_word,
     render_word,
@@ -84,5 +96,50 @@ def _render(n):
 
 @pytest.mark.parametrize("case,n", [(_dense_class, 20_000), (_parse, 5_000), (_render, 20_000)])
 def test_word_primitive_is_linear(case, n):
+    ratio = _best_of_3(case, 8 * n) / _best_of_3(case, n)
+    assert ratio < 16, ratio
+
+
+def _random_reduced(n, seed):
+    # a seeded reduced word of n letters with no y1^-1 that starts and ends
+    # with y1, so that it meets y2^+-1 and y3^+-1 on either side uncancelled
+    rng = random.Random(seed)
+    letters = [1]
+    while len(letters) < n - 1:
+        s = rng.choice((1, 2, -2, 3, -3))
+        if s != -letters[-1]:
+            letters.append(s)
+    return Word(Y, letters + [1])
+
+
+def _cancelling_junction(n):
+    # y2 w times w^-1 y3: the n letters of w cancel at one junction
+    w = _random_reduced(n, n)
+    left = Word(Y, (2,)) * w
+    assert left * w.inverse() == Word(Y, (2,))
+    return (lambda right: left * right), w.inverse() * Word(Y, (3,))
+
+
+def _long_conjugator(n):
+    # c y2 y3 c^-1 to the 5th: the n-letter conjugator is read once
+    c = _random_reduced(n, n)
+    return (lambda w: w**5), c * Word(Y, (2, 3)) * c.inverse()
+
+
+def _shared_prefixes(n):
+    # p y2^i y3^i q for i = 1..4: each generator after the first jumps the
+    # n letters of p and of q along earlier loops, and the fold merges
+    # nothing, so no pass gives every vertex its dict
+    p, q = _random_reduced(n, n), _random_reduced(n, n + 1)
+    gens = [p * Word(Y, (2,) * i + (3,) * i) * q for i in range(1, 5)]
+    graph = build_subgroup_graph(gens, Y)
+    assert (graph.n_vertices, graph.rank()) == (len(graph._adj), 4)
+    return (lambda words: build_subgroup_graph(words, Y)), gens
+
+
+@pytest.mark.parametrize(
+    "case,n", [(_cancelling_junction, 20_000), (_long_conjugator, 20_000), (_shared_prefixes, 40_000)]
+)
+def test_product_power_and_fold_are_linear(case, n):
     ratio = _best_of_3(case, 8 * n) / _best_of_3(case, n)
     assert ratio < 16, ratio

@@ -280,9 +280,12 @@ class TestBaseLabels:
         assert g.base_labels(Word(AB, (1, 2, -1))) == {1}
 
     def test_loop_through_base_collects_both_sides(self):
-        g = build_subgroup_graph(words(AB, "a1", "a2"), AB)
-        assert g.base_labels(Word(AB, (1, -2))) == {1, -1, 2, -2}
+        # a1 a2^-1 passes the base after each letter
+        gens = words(AB, "a1", "a2", "a1 a2^-1")
+        g = build_subgroup_graph(gens, AB)
+        assert g.base_labels(gens[2]) == g.base_labels(gens[2].inverse()) == {1, -1, 2, -2}
         assert g.base_labels(Word(AB)) == set()
+        assert g._out is None
 
     def test_alphabet_check(self):
         # the is-then-== test of wedge and contains: an equal alphabet held
@@ -293,11 +296,13 @@ class TestBaseLabels:
         assert g.base_labels(Word(Alphabet(("a1", "a2")), (1, 2))) == {1, -2}
 
     def test_rejects_non_loops(self):
+        # only an attached generator or its inverse has a kept path: a
+        # non-path, a non-loop and a loop the fold did not attach all raise
         g = build_subgroup_graph(words(AB, "a1^2"), AB)
-        with pytest.raises(ValueError, match="path"):
-            g.base_labels(Word(AB, (2,)))
-        with pytest.raises(ValueError, match="loop"):
-            g.base_labels(Word(AB, (1,)))
+        for text in ("a2", "a1", "a1^4", "a1^-1"):
+            with pytest.raises(ValueError, match="attached generator"):
+                g.base_labels(parse_word(text, AB))
+        assert g._out is None
         with pytest.raises(ValueError, match="folded"):
             SubgroupGraph.wedge(words(AB, "a1"), AB).base_labels(Word(AB, (1,)))
 
@@ -655,8 +660,8 @@ class TestImplicitArcs:
         for w in loops:
             for word in (w, oracles.t_inv(w)):
                 assert graph.base_labels(Word(alphabet, word)) == _walked_base_labels(adj, word), gens
-        assert graph._out is None  # the loops were read off their paths
         assert graph.base_labels(Word(alphabet)) == set()
+        assert graph._out is None  # the loops were read off their paths
 
     def test_later_loop_branches_at_an_inner_arc_vertex(self):
         # a1 a2 a1 leaves vertices 1 and 2 implicit; a1 a3 a2 a3 reads a1 to
@@ -675,15 +680,13 @@ class TestImplicitArcs:
 
     def test_repeated_inverse_and_empty_generators(self):
         # a repeat and an inverse share the first loop's path; the trivial
-        # word is no loop, so it alone takes the walk
+        # word is no loop and uses no base edge
         gens = words(ABC, "a1 a2 a3", "a1 a2 a3", "a3^-1 a2^-1 a1^-1", "1", "a2 a1 a2^-1")
         g = build_subgroup_graph(gens, ABC)
         assert len(g._loops) == 4  # two codes and their inverses
-        labels = [g.base_labels(w) for w in gens if w.code]
-        assert labels == [{1, -3}, {1, -3}, {1, -3}, {2}]
+        labels = [g.base_labels(w) for w in gens]
+        assert labels == [{1, -3}, {1, -3}, {1, -3}, set(), {2}]
         assert g._out is None
-        assert g.base_labels(gens[3]) == set()
-        assert g._out is not None
         textbook = oracles.folded_dump([w.letters for w in gens], ABC.names)
         assert (g.dump(), g.rank()) == textbook
 
@@ -693,8 +696,10 @@ class TestImplicitArcs:
         g = build_subgroup_graph(gens, ABC)
         assert g.base_labels(gens[1]) == {1, -1, 2, -3}
         assert g.base_labels(gens[1].inverse()) == {1, -1, 2, -3}
-        assert g.base_labels(parse_word("a1^-1 a3^-1 a2^-1", ABC)) == {1, -1, -3, 2}
-        assert g._out is not None
+        assert g._out is None
+        # a rotation of the inverse is a loop at the base, but not attached
+        with pytest.raises(ValueError, match="attached generator"):
+            g.base_labels(parse_word("a1^-1 a3^-1 a2^-1", ABC))
 
     @pytest.mark.parametrize("genus", [8, 32])
     def test_family_arcs_stay_implicit(self, genus):
