@@ -246,7 +246,7 @@ def _cmd_word(args) -> int:
     elif op == "cyclic":
         result, _ = word.cyclic_reduce()
     elif op == "canon":
-        result = canonical_class(word, oriented=args.oriented).to_word()
+        result = canonical_class(word, oriented=args.oriented)
     else:  # reduce, concat
         result = word
     print(render_word(result))

@@ -505,11 +505,11 @@ class VerificationReport:
         # each class's slot takes its render; the two classes are equal on
         # every instance checked, so render once then
         t0 = time.perf_counter()
-        data["boundary_class"] = render_word(self.boundary_class.to_word())
+        data["boundary_class"] = render_word(self.boundary_class)
         if self.boundary_class_oriented == self.boundary_class:
             data["boundary_class_oriented"] = data["boundary_class"]
         else:
-            data["boundary_class_oriented"] = render_word(self.boundary_class_oriented.to_word())
+            data["boundary_class_oriented"] = render_word(self.boundary_class_oriented)
         render = time.perf_counter() - t0
         data["hard_pass"] = self.hard_pass
         data["warnings"] = list(self.warnings)

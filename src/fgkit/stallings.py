@@ -21,9 +21,8 @@ A fresh arc's inner vertices get no adjacency dict: the fold records the
 arc as (first id, start, end, code), and each inner vertex's two edges
 follow from its place on the arc.  A vertex gets its dict only when the
 fold reads on from it letter by letter, attaches an arc at it or merges
-it, and a fold that merged anything gives every vertex its dict.  So a
-generator whose middle no earlier loop spells costs O(1) Python steps for
-its arc, not one dict per letter.
+it, and in no other way.  So a generator whose middle no earlier loop
+spells costs O(1) Python steps for its arc, not one dict per letter.
 
 Each read starts with a jump along the loops already attached.  The codes
 of the attached generators and of their inverses are kept in one sorted
@@ -44,20 +43,21 @@ N. Touikan, *A fast algorithm for Stallings' folding process*, IJAC 16(6)
 (2006), and I. Kapovich and A. Myasnikov, *Stallings foldings and
 subgroups of free groups*, J. Algebra 248 (2002), §§3–5.
 
-Folding is a single-owner mutation.  :meth:`SubgroupGraph.fold` keeps the
-fold's own adjacency dicts, its arcs and each attached loop's id path, and
-counts the union-find merges as it goes, so V is the vertices created less
-the merges, and E is half the entries of the dicts, with two for each
-implicit vertex, since a merged vertex's dict is emptied.  A fold that
-merged anything rewrites each stale target and path id to its
-representative before it returns.  Every query reads and never writes the
-fold's state, so a folded graph is safe to query from any thread.  The
-canonical relabel (breadth-first from the base, edges in letter order) is
-the one place that expands the arcs; it is built on the first call of
-:meth:`~SubgroupGraph.contains`, :meth:`~SubgroupGraph.edges`,
-:meth:`~SubgroupGraph.dump` or ``==`` and cached.  Because the folded core
-is unique, any two attach orders produce identical canonical graphs.
-Every query except the two size counts needs a folded graph.
+Folding is a single-owner mutation.  :meth:`SubgroupGraph.fold` keeps its
+state as the last attach left it: the adjacency dicts, the arcs, each
+attached loop's id path and the union-find ``parent`` list, so after a
+merge a target or id may be stale.  It counts the merges as it goes: V is
+the vertices created less the merges, and E is half the entries of the
+dicts, with two for each implicit vertex, since a merged vertex's dict is
+emptied.  Every query reads and never writes that state, resolving ids
+by a walk up ``parent``, so a folded graph is safe to query from any
+thread.  The canonical relabel (breadth-first from the base, edges in
+letter order) is the one place that expands the arcs; it is built on
+the first call of :meth:`~SubgroupGraph.contains`,
+:meth:`~SubgroupGraph.edges`, :meth:`~SubgroupGraph.dump` or ``==`` and
+cached.  Because the folded core is unique, any two attach orders
+produce identical canonical graphs.  Every query except the two size
+counts needs a folded graph.
 
 The rank of the subgroup is E - V + 1 of its folded graph, counted during
 the fold: the graph is connected, and a hanging tree adds as many edges as
@@ -72,9 +72,10 @@ The edges at the base vertex of a folded graph are exactly the first
 letters of the subgroup's nontrivial reduced elements (and, inverted, the
 last letters); :meth:`SubgroupGraph.base_labels` reads which of them an
 attached generator or its inverse uses.  It reads the base visits off the
-loop's kept id path with C scans, so no letter costs a Python step and the
-canonical relabel is never built.  The empty word uses no base edge; any
-other word raises ``ValueError``.
+loop's kept id path with C scans, so the canonical relabel is never
+built; only a graph that merged pays a Python step per letter, to
+resolve the path.  The empty word uses no base edge; any other word
+raises ``ValueError``.
 
 Edges are labeled by letter codes (see :mod:`fgkit.words`): folding walks
 the generators' codes, and a vertex's edges are ordered by code point,
@@ -108,9 +109,11 @@ class SubgroupGraph:
         # unfolded: the codes of the nontrivial generator words, one loop each
         self._gens: tuple[str, ...] = ()
         # folded: the fold's adjacency dicts, None for an implicit vertex,
-        # the base's representative, the fresh arcs (firsts, arcs) and each
-        # attached code's (path, step) (see fold)
+        # its union-find parents, the base's representative, the fresh arcs
+        # (firsts, arcs) and each attached code's (path, step), all as the
+        # last attach left them, targets and ids possibly stale (see fold)
         self._adj: list[dict[str, int] | None] | None = None
+        self._parent = [0]
         self._root = 0
         self._arcs: tuple[list[int], list[tuple[int, int, str]]] = ([], [])
         self._loops: dict[str, tuple[array, int]] = {}
@@ -143,16 +146,15 @@ class SubgroupGraph:
         """Attach the generator loops one at a time, folding as they go.
 
         Counts V and E, so the rank needs no further pass, and keeps the
-        adjacency dicts, the fresh arcs and each attached loop's id path,
-        with every target and id resolved.
+        adjacency dicts, the union-find parents, the fresh arcs and each
+        attached loop's id path as the last attach left them.
         """
         if self.folded:
             return self
         # adj[v] is v's adjacency dict, or None while v is an inner vertex
         # of a fresh arc that the fold has not touched since; its two edges
         # are then read off the arc (_arc_row).  adj[v] is current only for
-        # representatives v; until the fold ends, targets may be stale and
-        # are resolved through find
+        # representatives v, whose targets may be stale: read them by find
         adj: list[dict[str, int] | None] = [{}]
         parent = [0]
         merges = 0
@@ -277,20 +279,7 @@ class SubgroupGraph:
                     insort(codes, c)
                     loops[c] = (path, step)
 
-        if merges:
-            # queries read adj and the paths alone, so every vertex gets its
-            # dict and no target or path id may stay stale
-            for v, d in enumerate(adj):
-                if d is None:
-                    adj[v] = _arc_row(firsts, arcs, v)
-            for d in adj:
-                for s, t in d.items():
-                    d[s] = find(t)
-            for path, step in loops.values():
-                if step > 0:
-                    path[:] = array("q", map(find, path))
-            firsts, arcs = [], []
-        self._adj, self._root = adj, find(self.base)
+        self._adj, self._parent, self._root = adj, parent, find(self.base)
         self._arcs, self._loops = (firsts, arcs), loops
         # the vertices are the representatives; a merged vertex's dict is
         # emptied, each edge is held once in each direction, a loop too, and
@@ -302,10 +291,10 @@ class SubgroupGraph:
 
     # -- queries ---------------------------------------------------------
 
-    def _folded(self, what: str) -> tuple[list[dict[str, int] | None], int]:
+    def _folded(self, what: str) -> tuple[list[dict[str, int] | None], list[int], int]:
         if self._adj is None:
             raise ValueError(f"graph must be folded before {what}")
-        return self._adj, self._root
+        return self._adj, self._parent, self._root
 
     def _canonical(self, what: str) -> list[dict[str, int]]:
         """Adjacency relabeled canonically, built on first use and cached.
@@ -313,10 +302,11 @@ class SubgroupGraph:
         Breadth-first from the base, neighbors in letter order, which is
         code point order; iterating ``order`` while it grows is the queue.
         The one place that expands the fresh arcs, and it reads them
-        without storing a dict in the fold's state.
+        without storing a dict in the fold's state; each target is read as
+        its representative.
         """
         if self._out is None:
-            adj, root = self._folded(what)
+            adj, parent, root = self._folded(what)
             firsts, arcs = self._arcs
             mapping = {root: 0}
             order = [root]
@@ -327,7 +317,7 @@ class SubgroupGraph:
                     d = _arc_row(firsts, arcs, v)
                 row = {}
                 for s in sorted(d):
-                    t = d[s]
+                    t = _representative(parent, d[s])
                     idx = mapping.get(t)
                     if idx is None:
                         idx = mapping[t] = len(order)
@@ -359,7 +349,7 @@ class SubgroupGraph:
 
     def contains(self, w: Word) -> bool:
         """True iff ``w`` is readable as a base-to-base path: subgroup membership."""
-        if w.alphabet != self.alphabet:
+        if w.alphabet is not self.alphabet and w.alphabet != self.alphabet:
             raise AlphabetMismatch("query word not over the graph's alphabet")
         out = self._canonical("reading paths")
         v = 0
@@ -380,7 +370,7 @@ class SubgroupGraph:
         """
         if w.alphabet is not self.alphabet and w.alphabet != self.alphabet:
             raise AlphabetMismatch("query word not over the graph's alphabet")
-        _, root = self._folded("reading base labels")
+        _, parent, root = self._folded("reading base labels")
         code = w.code
         if not code:
             return set()
@@ -388,8 +378,11 @@ class SubgroupGraph:
         if loop is None:
             raise ValueError("word is not an attached generator or its inverse")
         # the path starts and ends at the root, so each C scan for the next
-        # visit finds one; an inverse code reads the path backwards
+        # visit finds one, once a graph that merged has its ids resolved; an
+        # inverse code reads the path backwards
         path, step = loop
+        if len(parent) != self.n_vertices:  # the fold merged
+            path = array("q", [_representative(parent, v) for v in path])
         n = len(code)
         visits = [0]
         while visits[-1] < n:
@@ -420,6 +413,13 @@ class SubgroupGraph:
             return NotImplemented
         mine, theirs = self._canonical("comparison"), other._canonical("comparison")
         return self.alphabet == other.alphabet and mine == theirs
+
+
+def _representative(parent: list[int], v: int) -> int:
+    """``v``'s representative, by a walk up ``parent`` that writes nothing."""
+    while parent[v] != v:
+        v = parent[v]
+    return v
 
 
 def _arc_row(firsts: list[int], arcs: list[tuple[int, int, str]], v: int) -> dict[str, int]:

@@ -2,26 +2,31 @@
 
 Linear work makes the time ratio about 8 and quadratic work about 64, so
 each case asserts a ratio below 16, taking the best of 3 runs at each
-size to damp a noisy neighbour.  A ratio, not a time, is checked, so the
-bound does not depend on the machine's speed.
+size.  The sizes are timed in turn (n, 8n, n, 8n, n, 8n), so that a slow
+spell from a noisy neighbour lands on both sides of the ratio.  A ratio,
+not a time, is checked, so the bound does not depend on the machine's
+speed.
 
-Calibration (2 CPUs shared with other jobs, CPython 3.11, best of 3):
-with an end offset per part, ``apply`` gave ratios 8.4-8.7 on the
-long-part cut and 8.6-9.7 on the covered cut below.  When ``apply`` cut
-its last part in place, copying what was left at each cut, the same
-sizes gave 20-38 and 24.  At n = 20,000 that copy is still too small a
-share of the run to show reliably, hence n = 40,000.  On the same
-machine, at 8n taking 0.1-0.4 s: ``canonical_class`` of the dense word
-gave ratios 7.2-11.9 at n = 20,000, but 11.1 at n = 5,000, too close to
-the bound; ``parse_word`` 7.8-8.5 at n = 5,000; ``render_word`` 7.9-9.2
-at n = 20,000.  Same machine: ``Word.__mul__`` across a cancelling
-junction of n = 20,000 letters gave 4.9-5.7 and ``__pow__`` of c u c^-1
-with |c| = 20,000 gave 5.0-6.6 (8n takes under 1 ms, so the fixed
-cost of a call shows at n).  At n = 100,000-200,000 the same two gave
-4.1-17.7: their megabyte strings are allocated by page faults in some
-processes and from the heap in others.  ``fold`` of four generators
-p s_i q with |p| = |q| = 40,000 gave 6.8-11.8 (8n takes 0.11-0.17 s),
-and 13-14 with eight generators at 20,000.
+Calibration (2 CPUs shared with other jobs, CPython 3.11.7, sizes timed
+in turn, 12 ratios per case): ``apply`` gave 5.5-9.5 on the long-part cut
+and 7.6-9.9 on the covered cut; ``canonical_class`` of the dense word
+6.9-8.6 at n = 20,000; ``parse_word`` 7.4-12.4 at n = 5,000 (42 ratios);
+``render_word`` 8.3-10.8 at n = 20,000; ``Word.__mul__`` across a
+cancelling junction of n = 20,000 letters 5.0-5.5 and ``__pow__`` of
+c u c^-1 with |c| = 20,000 4.7-5.6 (8n takes under 1 ms, so the fixed
+cost of a call shows at n); ``fold`` of four generators p s_i q with
+|p| = |q| = 40,000 9.2-13.1 (8n takes 0.11-0.17 s).
+
+Earlier, with all three runs at n timed before those at 8n, one slow
+spell could land on one side only: ``parse_word`` read 17.0 once in 24
+ratios.  Other findings of that method stand: when ``apply`` cut its
+last part in place, copying what was left at each cut, the same sizes
+gave 20-38 and 24, and at n = 20,000 that copy is too small a share of
+the run to show reliably, hence n = 40,000; ``canonical_class`` gave 11.1
+at n = 5,000, too close to the bound; at n = 100,000-200,000
+``__mul__`` and ``__pow__`` gave 4.1-17.7, their megabyte strings
+allocated by page faults in some processes and from the heap in others;
+``fold`` gave 13-14 with eight generators at 20,000.
 ``smith_normal_form`` has no case: its cost depends on the entries as
 well as the shape, so no one size makes it linear.  The bound is never
 raised to make a failure pass.
@@ -63,20 +68,23 @@ def _covered_cut(n):
     return phi.apply, Word(X, (1, 2) + (3,) * (n - 2))
 
 
-def _best_of_3(case, n):
-    fn, arg = case(n)
-    times = []
+def _ratio(case, n):
+    # best of 3 at 8n over best of 3 at n, the sizes timed in turn (n, 8n,
+    # n, 8n, ...) so that a slow spell lands on both sides
+    runs = [case(n), case(8 * n)]
+    best = [float("inf")] * 2
     for _ in range(3):
-        start = time.perf_counter()
-        fn(arg)
-        times.append(time.perf_counter() - start)
-    return min(times)
+        for i, (fn, arg) in enumerate(runs):
+            start = time.perf_counter()
+            fn(arg)
+            best[i] = min(best[i], time.perf_counter() - start)
+    return best[1] / best[0]
 
 
 @pytest.mark.parametrize("case", [_long_part_cut, _covered_cut])
 def test_apply_is_linear(case):
     n = 40_000
-    ratio = _best_of_3(case, 8 * n) / _best_of_3(case, n)
+    ratio = _ratio(case, n)
     assert ratio < 16, ratio
 
 
@@ -96,7 +104,7 @@ def _render(n):
 
 @pytest.mark.parametrize("case,n", [(_dense_class, 20_000), (_parse, 5_000), (_render, 20_000)])
 def test_word_primitive_is_linear(case, n):
-    ratio = _best_of_3(case, 8 * n) / _best_of_3(case, n)
+    ratio = _ratio(case, n)
     assert ratio < 16, ratio
 
 
@@ -129,7 +137,7 @@ def _long_conjugator(n):
 def _shared_prefixes(n):
     # p y2^i y3^i q for i = 1..4: each generator after the first jumps the
     # n letters of p and of q along earlier loops, and the fold merges
-    # nothing, so no pass gives every vertex its dict
+    # nothing: V counts every vertex it created
     p, q = _random_reduced(n, n), _random_reduced(n, n + 1)
     gens = [p * Word(Y, (2,) * i + (3,) * i) * q for i in range(1, 5)]
     graph = build_subgroup_graph(gens, Y)
@@ -141,5 +149,5 @@ def _shared_prefixes(n):
     "case,n", [(_cancelling_junction, 20_000), (_long_conjugator, 20_000), (_shared_prefixes, 40_000)]
 )
 def test_product_power_and_fold_are_linear(case, n):
-    ratio = _best_of_3(case, 8 * n) / _best_of_3(case, n)
+    ratio = _ratio(case, n)
     assert ratio < 16, ratio

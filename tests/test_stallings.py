@@ -134,9 +134,9 @@ class TestFold:
             assert not g.contains(parse_word("a2", AB))
         alone = build_subgroup_graph(gens[:1], AB)
         assert (alone.n_vertices, alone.n_edges, alone.rank()) == (6, 6, 1)
-        # the fold merges the arc's first and last inner vertices, so every
-        # vertex gets its dict and no arc is left implicit
-        assert None not in alone._adj and alone._arcs == ([], [])
+        # the fold merges the arc's first and last inner vertices, which get
+        # their dicts; the four between stay implicit and the arc is kept
+        assert alone._adj.count(None) == 4 and alone._arcs == ([1], [(0, 0, gens[0].code)])
         assert alone.base_labels(gens[0]) == {1}
 
     def test_merge_moving_the_base_representative(self):
@@ -432,8 +432,13 @@ def _textbook_adjacency(gens, rank):
     """The textbook fold's graph as {(vertex, signed letter): vertex},
     read off ``oracles.folded_dump``; the base is 0."""
     names = Alphabet.numbered(rank, "a").names
+    return _dump_adjacency(oracles.folded_dump(gens, names)[0], names)
+
+
+def _dump_adjacency(dump, names):
+    """A canonical dump's graph as {(vertex, signed letter): vertex}."""
     adj = {}
-    for line in oracles.folded_dump(gens, names)[0].splitlines()[1:]:
+    for line in dump.splitlines()[1:]:
         u, name, v = line.split()
         s = names.index(name) + 1
         adj[int(u), s], adj[int(v), -s] = int(v), int(u)
@@ -593,12 +598,13 @@ class TestCountsDuringFold:
         assert (g.n_vertices, g.n_edges, g.rank()) == (2, 2, 1)
         assert len(g._adj) - g.n_vertices == 4
         assert g.dump() == "0\n0 a1 1\n1 a1 0\n"
-        # the merges reach the arc's implicit vertices; the fold then gives
-        # every vertex its dict and rewrites the kept paths to representatives
+        # every vertex of the arc takes part in a merge, which gives it its
+        # dict inside the fold; the kept paths still hold merged ids, which
+        # base_labels resolves
         assert None not in g._adj
         representatives = {v for v, d in enumerate(g._adj) if d}
         for w in gens:
-            assert set(g._loops[w.code][0]) <= representatives
+            assert not set(g._loops[w.code][0]) <= representatives
             assert g.base_labels(w) == g.base_labels(w.inverse()) == {1, -1}
 
 
@@ -613,6 +619,16 @@ def _walked_base_labels(adj, w):
             labels.add(-s)
     assert v == 0, w
     return labels
+
+
+def _spells_base_loop(adj, w):
+    """True iff ``w`` reads from the base back to it over ``adj``."""
+    v = 0
+    for s in w:
+        v = adj.get((v, s))
+        if v is None:
+            return False
+    return v == 0
 
 
 def _explicit(g):
@@ -701,6 +717,32 @@ class TestImplicitArcs:
         with pytest.raises(ValueError, match="attached generator"):
             g.base_labels(parse_word("a1^-1 a3^-1 a2^-1", ABC))
 
+    @pytest.mark.parametrize("size", [1, 100_000])
+    def test_merging_fold_leaves_its_arc_implicit(self, size):
+        # a1 p a1 a2^3 a1^-1 alone: the arc's closing edge a1^-1 collides
+        # with its first edge at the base, which merges the arc's first and
+        # last inner vertices and leaves a merged id on the loop's path; the
+        # vertices between stay implicit, and no query gives them a dict
+        rng = random.Random(size)
+        p = [2]
+        while len(p) < size or p[-1] == -1:
+            s = rng.choice((1, -1, 2, -2))
+            if s != -p[-1]:
+                p.append(s)
+        w, core = Word(AB, (1, *p, 1, 2, 2, 2, -1)), Word(AB, (*p, 1, 2, 2, 2))
+        g = build_subgroup_graph([w], AB)
+        assert g._adj.count(None) == len(w) - 3
+        _query_everything(g, [w], core)
+        dump, rank = oracles.folded_dump([w.letters], AB.names)
+        assert (g.dump(), g.rank()) == (dump, rank) and rank == 1
+        adj = _dump_adjacency(dump, AB.names)
+        for q in (w, w.inverse()):
+            assert g.base_labels(q) == _walked_base_labels(adj, q.letters) == {1}
+        for q in (w, w**2, w.inverse(), core, Word(AB, (1,)), w * Word(AB, (1,))):
+            assert g.contains(q) == _spells_base_loop(adj, q.letters)
+        assert g == build_subgroup_graph([w.inverse()], AB)
+        assert g != build_subgroup_graph([w, core], AB)
+
     @pytest.mark.parametrize("genus", [8, 32])
     def test_family_arcs_stay_implicit(self, genus):
         # each generator gives at most its two read ends a dict, so at most
@@ -728,12 +770,12 @@ class TestFoldedQueries:
         [(A1, ("a1^6", "a1^4"), "a1^3"), (AB, ("a2^-1 a1^-1 a2^2", "a2^-2"), "a2")],
     )
     def test_queries_leave_the_union_find_state_unchanged(self, alphabet, texts, outsider):
-        # both folds merge and move the base's representative; every target
-        # left behind is a representative, whose dict a merge never empties
+        # both folds merge and move the base's representative, and leave
+        # targets that are merged ids, for the canonical relabel to resolve
         gens = words(alphabet, *texts)
         g = build_subgroup_graph(gens, alphabet)
         assert g._root != 0
-        assert all(g._adj[t] for d in g._adj for t in d.values())
+        assert any(g._parent[t] != t for d in g._adj for t in d.values())
         _query_everything(g, gens, parse_word(outsider, alphabet))
 
     @pytest.mark.parametrize("genus", [2, 8])
@@ -750,7 +792,7 @@ def _query_everything(g, gens, outsider):
     """Every query of a folded graph, with a snapshot of the fold's state
     taken before and compared after.  The loops' base labels are read off
     their paths, before anything builds the canonical relabel."""
-    state = ("_adj", "_root", "_counts", "_arcs", "_loops")
+    state = ("_adj", "_parent", "_root", "_counts", "_arcs", "_loops")
     before = copy.deepcopy([getattr(g, name) for name in state])
     for w in gens:
         assert g.base_labels(w)

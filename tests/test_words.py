@@ -23,7 +23,7 @@ from fgkit import (
     render_word,
 )
 from fgkit.family import FamilyParams, boundary_word, embedding, shuffle_words, verify
-from fgkit.stallings import SubgroupGraph
+from fgkit.stallings import SubgroupGraph, build_subgroup_graph
 
 from oracles import (
     is_generator_name,
@@ -403,6 +403,8 @@ class TestAlphabetChecks:
         hom = self._hom(y)
         assert hom.apply(Word(x, (1, 2, 1))).letters == (1, 2, 3, 1, 2)
         assert SubgroupGraph.wedge([Word(y, (1,)), Word(Y, (2,))], Y).n_edges == 2
+        graph = build_subgroup_graph([Word(Y, (1, 2))], Y)
+        assert graph.contains(Word(y, (1, 2))) and graph.base_labels(Word(y, (1, 2))) == {1, -2}
 
     def test_unequal_alphabets_raise(self):
         hom = self._hom(Y)
@@ -414,6 +416,10 @@ class TestAlphabetChecks:
             hom.apply(Word(AB, (1,)))
         with pytest.raises(AlphabetMismatch):
             SubgroupGraph.wedge([Word(Y, (1,)), Word(AB, (2,))], Y)
+        graph = build_subgroup_graph([Word(Y, (1, 2))], Y)
+        for query in (graph.contains, graph.base_labels):
+            with pytest.raises(AlphabetMismatch):
+                query(Word(Alphabet.numbered(3, "z"), (1, 2)))
 
 
 class TestInvert:
