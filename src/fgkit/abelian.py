@@ -8,12 +8,13 @@ with each entry dividing the next.  It works on one augmented matrix,
 rows [M | I_m] above rows I_n: a row operation rewrites a whole
 augmented row and a column operation runs down every row, so each step
 is written once and the blocks U and V follow M without a copy of it.
+Nothing here is kept between calls; the orders ``verify`` reuses are
+kept in :mod:`fgkit.family`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import lru_cache
 from math import prod
 
 from .homs import Homomorphism
@@ -48,13 +49,6 @@ class _InfiniteType:
 INFINITE = _InfiniteType()
 
 IntMatrix = list[list[int]]
-
-# quotient_order keeps the order of up to _KEPT_ORDERS deduplicated
-# matrices of at most _KEPT_ENTRIES entries; verify's are four rows of
-# three at each l, the same rows for every g, so one is kept for each l of
-# the longest --l-list (tests/test_cli.py::test_per_l_caches_hold_a_whole_l_list)
-_KEPT_ORDERS = 4096
-_KEPT_ENTRIES = 64
 
 
 def exponent_vector(w: Word) -> tuple[int, ...]:
@@ -177,8 +171,7 @@ def quotient_order(
     than ``ambient_rank``; otherwise the index, the product of the nonzero
     Smith diagonal entries.  Duplicate rows span the same lattice, so only
     the first copy of each row goes to the Smith form: the family's 2g
-    exponent rows repeat with period 4.  The order of a small deduplicated
-    matrix is kept, so a matrix seen before costs no Smith form.
+    exponent rows repeat with period 4.  Nothing is kept between calls.
     ``ambient_rank`` must be a non-negative ``int``.
 
     >>> quotient_order([[2, 0], [0, 3]], 2)
@@ -195,16 +188,7 @@ def quotient_order(
         raise ValueError("matrix width does not match the ambient rank")
     if not rows:
         return INFINITE if ambient_rank > 0 else 1
-    rows = tuple(dict.fromkeys(map(tuple, rows)))
-    if len(rows) * ambient_rank > _KEPT_ENTRIES:
-        return _lattice_index.__wrapped__(rows, ambient_rank)
-    return _lattice_index(rows, ambient_rank)
-
-
-@lru_cache(maxsize=_KEPT_ORDERS)
-def _lattice_index(
-    rows: tuple[tuple[int, ...], ...], ambient_rank: int
-) -> int | _InfiniteType:
+    rows = list(dict.fromkeys(map(tuple, rows)))
     _, d, _ = smith_normal_form(rows)
     diag = [d[i][i] for i in range(min(len(rows), ambient_rank))]
     nonzero = [x for x in diag if x]

@@ -50,7 +50,7 @@ _CSV_COLUMNS = [
 
 
 # _int_list refuses a --g-list/--l-list of more values than this; each l
-# keeps one entry in family's and abelian's per-l caches, which are as large
+# keeps one entry in each of family's per-l caches, which are as large
 # (tests/test_cli.py::test_per_l_caches_hold_a_whole_l_list)
 _MAX_LIST_VALUES = 4096
 # sweep refuses a grid whose boundary images may spell more letters than

@@ -63,10 +63,11 @@ REPORT_SCHEMA = "fgkit-report/1"
 
 _TARGET = Alphabet(("y1", "y2", "y3"))
 
-# lru_cache sizes.  A sweep's --l-list names at most 4,096 values, so a
-# per-l value is computed once per sweep (tests/test_cli.py::test_per_l_caches_hold_a_whole_l_list);
-# its jobs run genus by genus, so a per-g value is needed only while its
-# genus runs.
+# lru_cache sizes, the only state fgkit keeps between calls.  A sweep's
+# --l-list names at most 4,096 values, so a per-l value (a verdict or an
+# order) is computed once per sweep (tests/test_cli.py::test_per_l_caches_hold_a_whole_l_list);
+# its jobs run genus by genus, so a genus's alphabet and boundary word are
+# needed only while its genus runs.
 _PER_L = 4096
 _PER_G = 2
 
@@ -80,16 +81,11 @@ def target_alphabet() -> Alphabet:
 
 def domain_alphabet(g: int) -> Alphabet:
     """The rank-2g domain alphabet x1 .. x_{2g}, for a genus the family
-    admits.  Calls for one g in a row return one object, so
-    :func:`embedding` and :func:`boundary_word` share it and ``apply``'s
-    alphabet check succeeds on identity."""
+    admits.  Calls for one g in a row return one object, the alphabet of
+    :func:`boundary_word` at g, so :func:`embedding` and the boundary word
+    share it and ``apply``'s alphabet check succeeds on identity."""
     _check_genus(g)
-    return _domain_alphabet(g)
-
-
-@lru_cache(maxsize=_PER_G)
-def _domain_alphabet(g: int) -> Alphabet:
-    return Alphabet.numbered(2 * g, "x")
+    return _genus_words(g)[0]
 
 
 class FamilyParams(_Value):
@@ -326,15 +322,19 @@ def boundary_word(g: int) -> Word:
     starting +, the same with all signs flipped, even indices descending
     with alternating signs starting -, the same flipped.  Every generator
     occurs exactly once with each sign, so the word abelianizes to zero.
-    Words are immutable, and calls for one g in a row return one word.
+    Words are immutable, and calls for one g in a row return one word,
+    spelled over :func:`domain_alphabet` at g.
     """
     _check_genus(g)
-    return _boundary_word(g)
+    return _genus_words(g)[1]
 
 
 @lru_cache(maxsize=_PER_G)
-def _boundary_word(g: int) -> Word:
-    """The boundary word's code, written directly (README, "Letter codes").
+def _genus_words(g: int) -> tuple[Alphabet, Word]:
+    """The domain alphabet at g and the boundary word over it, kept as one
+    pair so the two are built, and dropped, together.
+
+    The boundary word's code is written directly (README, "Letter codes").
 
     Each block of g letters alternates between two progressions of code
     points, step 8 since its indices step by 4 between letters of one
@@ -342,6 +342,7 @@ def _boundary_word(g: int) -> Word:
     x7^-1 ..., then x1^-1 x3 ..., then x_2g^-1 x_(2g-2) ..., then x_2g
     x_(2g-2)^-1 ....  The code is reduced as it stands.
     """
+    alphabet = Alphabet.numbered(2 * g, "x")
     n = 4 * g
     blocks = (
         (range(2, n, 8), range(7, n, 8)),
@@ -353,7 +354,7 @@ def _boundary_word(g: int) -> Word:
     for b, (even, odd) in enumerate(blocks):
         points[b * g : (b + 1) * g : 2] = even
         points[b * g + 1 : (b + 1) * g : 2] = odd
-    return Word._wrap(domain_alphabet(g), "".join(map(chr, points)))
+    return alphabet, Word._wrap(alphabet, "".join(map(chr, points)))
 
 
 def class_distinctness(classes: Sequence[CyclicWord]) -> tuple[bool, bool]:
@@ -374,6 +375,14 @@ def reference_quotient_order(l: int) -> int:
     finiteness is load-bearing.
     """
     return 4 * l + 4
+
+
+@lru_cache(maxsize=_PER_L)
+def _cokernel_order(rows: tuple[tuple[int, ...], ...]) -> int | _InfiniteType:
+    """``quotient_order(rows, 3)`` for the distinct exponent rows of an
+    image matrix.  At one l every g has the same four rows, so this is kept
+    once per l (tests/test_family.py::TestCaches::test_four_distinct_exponent_rows)."""
+    return quotient_order(rows, 3)
 
 
 def _derived_quotient_order(l: int) -> int:
@@ -551,7 +560,10 @@ def verify(params: FamilyParams) -> VerificationReport:
         "block_letters", lambda: inj.verdict and _block_letters_hold(hom, graph)
     )
     del graph  # release the folded graph before the later stages
-    order = timed("quotient_order", lambda: quotient_order(image_matrix(hom), 3))
+    order = timed(
+        "quotient_order",
+        lambda: _cokernel_order(tuple(dict.fromkeys(map(tuple, image_matrix(hom))))),
+    )
     reference = reference_quotient_order(params.l)
     order_match = order == reference
 

@@ -395,9 +395,6 @@ class CyclicWord(_Coded):
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "code", _least_rotation(code))
 
-    def to_word(self) -> Word:
-        return Word._wrap(self.alphabet, self.code)
-
     def inverse_class(self) -> "CyclicWord":
         return CyclicWord._wrap(self.alphabet, _least_rotation(_inverse(self.code)))
 

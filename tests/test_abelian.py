@@ -137,7 +137,8 @@ class TestSmithNormalForm:
             check_certificate(m, u, d, v)
 
     def test_against_sympy(self):
-        sympy = pytest.importorskip("sympy")
+        # sympy is in the test extra: a missing one fails here, not skips
+        import sympy
         from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
         rng = random.Random(777)
@@ -250,6 +251,17 @@ class TestQuotientOrder:
         report = verify(FamilyParams(64, 12))
         assert report.quotient_order == 12 * 11
         assert sizes and max(sizes) <= 4
+
+    def test_nothing_is_kept_between_calls(self, monkeypatch):
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix)
+            return smith_normal_form(matrix)
+
+        monkeypatch.setattr(abelian_module, "smith_normal_form", counting)
+        assert quotient_order(L3_MATRIX, 3) == quotient_order(L3_MATRIX, 3) == 24
+        assert len(calls) == 2
 
     def test_infinite_singleton_pickles(self):
         import pickle

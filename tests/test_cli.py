@@ -75,7 +75,7 @@ def usable_cpus(monkeypatch, n):
 def test_per_l_caches_hold_a_whole_l_list():
     # a sweep's --l-list holds at most this many values, and each l keeps
     # one closed-form and one shuffle verdict and one quotient order
-    assert cli._MAX_LIST_VALUES == family._PER_L == abelian._KEPT_ORDERS
+    assert cli._MAX_LIST_VALUES == family._PER_L
 
 
 class TestWordCommand:

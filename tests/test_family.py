@@ -288,12 +288,11 @@ class TestClosedFormCertificate:
         assert verify(FamilyParams(4, 3)).closed_form_ok
 
 
-# the lru_caches of fgkit, each kept per l, per g or per matrix
+# the lru_caches of fgkit, all in family, each kept per l or per g
 CACHES = {
-    "fgkit.abelian._lattice_index",
-    "fgkit.family._boundary_word",
     "fgkit.family._closed_form_certificate",
-    "fgkit.family._domain_alphabet",
+    "fgkit.family._cokernel_order",
+    "fgkit.family._genus_words",
     "fgkit.family._shuffle_identities_hold",
 }
 
@@ -321,6 +320,8 @@ class TestCaches:
         warm = [report(p) for p in points]
         assert warm == cold
         assert family_module._closed_form_certificate.cache_info().currsize == 2
+        assert family_module._cokernel_order.cache_info().currsize == 2
+        assert family_module._genus_words.cache_info().currsize <= family_module._PER_G
 
     def test_one_smith_form_per_l(self, monkeypatch):
         calls = []
@@ -336,17 +337,24 @@ class TestCaches:
         assert orders == {(g, l): 12 * (l - 1) for g, l in orders}
         assert len(calls) == 2
 
-    def test_large_matrix_is_not_kept(self):
-        matrix = [[2 if i == j else 0 for j in range(9)] for i in range(9)]
-        assert abelian_module.quotient_order(matrix, 9) == 2 ** 9
-        assert abelian_module._lattice_index.cache_info().currsize == 0
-        assert abelian_module.quotient_order([[2, 0], [0, 3]], 2) == 6
-        assert abelian_module._lattice_index.cache_info().currsize == 1
+    @pytest.mark.parametrize("g", [2, 4, 6, 8, 16, 32, 64])
+    def test_four_distinct_exponent_rows(self, g):
+        # the order cache's key at l, the same for every g (ROADMAP item 1)
+        for l in range(3, 13):
+            matrix = abelian_module.image_matrix(embedding(FamilyParams(g, l)))
+            assert list(dict.fromkeys(map(tuple, matrix))) == [(0, 0, 3), (4, 0, 3), (4, 1 - l, 1), (0, 1 - l, 1)]
 
     def test_one_alphabet_per_genus(self):
         assert domain_alphabet(4) is domain_alphabet(4)
         assert boundary_word(4) is boundary_word(4)
         assert boundary_word(4).alphabet is embedding(FamilyParams(4, 3)).domain
+
+    def test_boundary_word_and_alphabet_are_kept_together(self):
+        word = boundary_word(2)
+        domain_alphabet(4)
+        domain_alphabet(6)
+        assert boundary_word(2) == word
+        assert boundary_word(2).alphabet is domain_alphabet(2) is embedding(FamilyParams(2, 3)).domain
 
 
 def _blind_eq(limit):
