@@ -45,7 +45,7 @@ subgroups of free groups*, J. Algebra 248 (2002), §§3–5.
 
 Folding is a single-owner mutation.  :meth:`SubgroupGraph.fold` keeps its
 state as the last attach left it: the adjacency dicts, the arcs, each
-attached loop's id path and the union-find ``parent`` list, so after a
+attached loop's id path and the union-find ``parent`` array, so after a
 merge a target or id may be stale.  It counts the merges as it goes: V is
 the vertices created less the merges, and E is half the entries of the
 dicts, with two for each implicit vertex, since a merged vertex's dict is
@@ -113,7 +113,7 @@ class SubgroupGraph:
         # (firsts, arcs) and each attached code's (path, step), all as the
         # last attach left them, targets and ids possibly stale (see fold)
         self._adj: list[dict[str, int] | None] | None = None
-        self._parent = [0]
+        self._parent = array("q", (0,))
         self._root = 0
         self._arcs: tuple[list[int], list[tuple[int, int, str]]] = ([], [])
         self._loops: dict[str, tuple[array, int]] = {}
@@ -156,7 +156,8 @@ class SubgroupGraph:
         # are then read off the arc (_arc_row).  adj[v] is current only for
         # representatives v, whose targets may be stale: read them by find
         adj: list[dict[str, int] | None] = [{}]
-        parent = [0]
+        # machine ints, 8 bytes a vertex, where a list holds an int object each
+        parent = array("q", (0,))
         merges = 0
         # the fresh arcs with inner vertices: arcs[a] = (start, end, code),
         # whose inner vertices are firsts[a], firsts[a] + 1, ..., one after
@@ -291,7 +292,7 @@ class SubgroupGraph:
 
     # -- queries ---------------------------------------------------------
 
-    def _folded(self, what: str) -> tuple[list[dict[str, int] | None], list[int], int]:
+    def _folded(self, what: str) -> tuple[list[dict[str, int] | None], array, int]:
         if self._adj is None:
             raise ValueError(f"graph must be folded before {what}")
         return self._adj, self._parent, self._root
@@ -415,7 +416,7 @@ class SubgroupGraph:
         return self.alphabet == other.alphabet and mine == theirs
 
 
-def _representative(parent: list[int], v: int) -> int:
+def _representative(parent: array, v: int) -> int:
     """``v``'s representative, by a walk up ``parent`` that writes nothing."""
     while parent[v] != v:
         v = parent[v]

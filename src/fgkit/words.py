@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import re
 import sys
-from bisect import bisect_left
 from collections.abc import Iterable, Iterator
+from math import isqrt
 from operator import attrgetter
 
 __all__ = [
@@ -419,87 +419,71 @@ def _least_start(code: str, least: str) -> int:
     """Start of the least rotation of the cyclic word ``code`` whose least
     letter has code ``least``.
 
-    The longest cyclic run of m has length r: one pass over ``code``
-    finds its longest run, and a run that wraps round the end is the
-    leading run of m plus the trailing one, when ``code`` starts and ends
-    with m.  The candidate starts are the occurrences of m^r (see
-    :func:`_least_rotation`).
+    Let r be the length of the longest cyclic run of m = ``least``: one
+    pass finds the longest run, and a run that wraps round the end is the
+    leading run of m plus the trailing one.  When the wrapping run is a
+    longest run, the code is first rotated to start at it, so that every
+    longest run lies whole in the code.  One ``str.split`` at m^r then
+    cuts the code into its pieces, the letters between one longest run and
+    the next, the piece after the last run joined to the piece before the
+    first.
 
-    While they are sparse, at most ``size >> 9`` of them, one
-    ``str.find`` loop lists them, and a window tournament thins the list.
-    The boundary cores at g = 16, 32 and 64, l = 12 are sparse, with 15,
-    31 and 63 in 10,328, 42,168 and 170,360 letters; no default-grid core
-    is, with 1 to 7 in 72 to 2,472 letters.  A least rotation's first w
-    letters are the least w-letter window among the candidates, so
-    keeping only the starts with the least window never drops a least
-    start.  The window starts at 2r letters and doubles while the n listed
-    starts times the window fit in ``size`` letters; the windows grow
-    geometrically and a round copies at most n of them, so the rounds
-    copy fewer than 2 * size letters in all.  The boundary cores keep one
-    start after one or two rounds.  Denser candidates are found by
-    ``str.find`` one at a time.
+    A piece is nonempty and holds no m^r, and it cannot end in m, since
+    that would make a run longer than r.  So a piece that is a proper
+    prefix of another loses at its next letter to the m^r that follows it,
+    and piece-by-piece string order is rotation order (see
+    :func:`_least_rotation` for why a least rotation starts at a longest
+    run).  The distinct pieces are ranked in string order as chr(2),
+    chr(3), ..., and the least rotation of the rank code, whose least
+    letter is chr(2), gives the index t of the winning run: the start is
+    that of the first run, plus r * t, plus the lengths of the first t
+    pieces.  The rank code has one letter per piece, at most
+    size / (r + 1), so there are at most log2(size) levels, and all
+    per-letter work is in C.  The levels are reduced in a loop and then
+    unwound, so that one least rotation is one call.
 
-    A two-pointer scan runs over the candidates (cf. Y. Shiloach, *Fast
-    canonization of circular strings*, J. Algorithms 2 (1981)): ``i`` and
-    ``j`` are the two best candidates and k the length of their common
-    prefix.  At the first mismatch, rot(loser + t) > rot(winner + t) for
-    every t <= k, so the loser skips to its next candidate past those
-    starts; a common prefix of the whole word means the word is periodic.
-    Each round moves a pointer past a candidate, so there are at most two
-    rounds per candidate, each of O(log n) Python steps and O(k)
-    characters of C work.
+    A level with more distinct pieces than the 2 * _MAX_RANK code points
+    from chr(2) up, which takes over 2.2 million letters, writes rank k as
+    two code points, chr(2 + k // b) then chr(2 + b + k % b), with b * b
+    at least the number of ranks.  The second kind is larger than the
+    first, so a least rotation of that rank code starts at the first of a
+    pair, and pairs compare as their ranks do.
     """
-    size = len(code)
-    r = _longest_run(code, least)
-    if r == size:
-        return 0  # one letter repeated
-    if code[0] == least == code[-1]:
-        # the run that wraps: the leading run of m and the trailing one
-        r = max(r, 2 * size - len(code.lstrip(least)) - len(code.rstrip(least)))
-    doubled = code + code
-    head = least * r
-    # a run that wraps round the end of `code` lies whole in `doubled`, and
-    # the runs that start in `code` end before `end`
-    find, end = doubled.find, size + r - 1
-
-    def next_run(p: int) -> int:
-        q = find(head, p, end)
-        return q if q >= 0 else size
-
-    # no run is longer than r, so the next one starts past the letter after it
-    starts: list[int] = []
-    q = find(head, 0, end)
-    while q >= 0 and len(starts) <= size >> 9:
-        starts.append(q)
-        q = find(head, q + r + 1, end)
-    if len(starts) > size >> 9:
-        candidate = next_run
-    else:
-        w = 2 * r
-        survivors = starts
-        while len(survivors) > 1 and len(starts) * w <= size:
-            windows = [doubled[q : q + w] for q in survivors]
-            least_window = min(windows)
-            survivors = [q for q, window in zip(survivors, windows) if window == least_window]
-            w *= 2
-
-        def candidate(p: int) -> int:
-            t = bisect_left(survivors, p)
-            return survivors[t] if t < len(survivors) else size
-
-    i = candidate(0)
-    j = candidate(i + 1)
-    while j < size:
-        k = _common_prefix(doubled, i, doubled, j, size)
-        if k == size:
-            break  # periodic: both are least
-        if doubled[i + k] > doubled[j + k]:
-            i, j = j, i
-        # j lost: it skips the letters it shares with i and the mismatch
-        j = candidate(j + k + 1)
-        if j == i:
-            j = candidate(i + 1)
-    return i
+    # (size, start of the first run, r, pieces, rank width) of each level
+    levels: list[tuple[int, int, int, list[str], int]] = []
+    while True:
+        size = len(code)
+        r = _longest_run(code, least)
+        if r == size:
+            t = 0  # one letter repeated
+            break
+        shift = 0
+        if code[0] == least == code[-1]:
+            trail = size - len(code.rstrip(least))
+            wrap = size - len(code.lstrip(least)) + trail
+            if wrap >= r:
+                r, shift = wrap, size - trail
+                code = code[shift:] + code[:shift]
+        parts = code.split(least * r)
+        first = (shift + len(parts[0])) % size
+        if len(parts) == 2:
+            t = first  # one longest run
+            break
+        pieces = parts[1:-1]
+        pieces.append(parts[-1] + parts[0])
+        ranked = sorted(set(pieces))
+        if len(ranked) <= 2 * _MAX_RANK:
+            width, ranks = 1, map(chr, range(2, len(ranked) + 2))
+        else:
+            b = isqrt(len(ranked) - 1) + 1
+            width = 2
+            ranks = (chr(2 + k // b) + chr(2 + b + k % b) for k in range(len(ranked)))
+        levels.append((size, first, r, pieces, width))
+        code, least = "".join(map(dict(zip(ranked, ranks)).__getitem__, pieces)), "\x02"
+    for size, first, r, pieces, width in reversed(levels):
+        t //= width
+        t = (first + r * t + sum(map(len, pieces[:t]))) % size
+    return t
 
 
 def _longest_run(data: str, unit: str) -> int:
@@ -517,23 +501,6 @@ def _longest_run(data: str, unit: str) -> int:
     return r
 
 
-def _common_prefix(a: str, i: int, b: str, j: int, limit: int) -> int:
-    """Length of the longest common prefix of ``a[i:i + limit]`` and
-    ``b[j:j + limit]``: blocks of doubling size while they agree, then
-    halving ones, so k equal letters cost O(log k) Python steps and O(k)
-    characters of C work.  ``limit`` must not run past either string."""
-    k, step = 0, 1
-    while k + step <= limit and a[i + k : i + k + step] == b[j + k : j + k + step]:
-        k += step
-        step *= 2
-    # the first mismatch, or the limit, lies in [k, k + step)
-    while step > 1:
-        step //= 2
-        if k + step <= limit and a[i + k : i + k + step] == b[j + k : j + k + step]:
-            k += step
-    return k
-
-
 def _least_rotation(code: str) -> str:
     """Lexicographically least rotation of a cyclic word's code.
 
@@ -541,8 +508,8 @@ def _least_rotation(code: str) -> str:
     cyclic run.  A least rotation begins with m^r, since every word of r
     letters is at least m^r, and at the start of a maximal run of m, since
     inside a run fewer than r letters m follow.  So only the starts of the
-    longest runs of m are candidates, and :func:`_least_start` scans them,
-    comparing in C.
+    longest runs of m are candidates, and :func:`_least_start` ranks the
+    pieces between them and reduces to the least rotation of the ranks.
     """
     if not code:
         return code
@@ -652,21 +619,29 @@ def render_word(w: Word | CyclicWord) -> str:
     """
     if w.is_identity():
         return "1"
-    names = w.alphabet.names
+    code, names = w.code, w.alphabet.names
     # the atom of each distinct run, built on its first occurrence
     atoms: dict[str, str] = {}
-    parts = []
-    pieces = _RUN_END_RE.split(w.code)
-    for run, char in zip(pieces[::2], pieces[1::2]):
-        atom = atoms.get(run)
-        if atom is None:
-            p, n = ord(char), len(run)
-            name = names[(p >> 1) - 1]
-            if p & 1:
-                atom = f"{name}^-{n}"
-            else:
-                atom = name if n == 1 else f"{name}^{n}"
-            atoms[run] = atom
-        parts.append(atom)
-    return " ".join(parts)
-
+    slices = []
+    # slices of at least 2^16 letters, each cut at the first run end past
+    # that, are rendered in turn, so that the runs split out at once are
+    # those of one slice, not of the whole word
+    start = 0
+    while start < len(code):
+        end = _RUN_END_RE.search(code, min(start + (1 << 16), len(code))).end()
+        pieces = _RUN_END_RE.split(code[start:end])
+        parts = []
+        for run, char in zip(pieces[::2], pieces[1::2]):
+            atom = atoms.get(run)
+            if atom is None:
+                p, n = ord(char), len(run)
+                name = names[(p >> 1) - 1]
+                if p & 1:
+                    atom = f"{name}^-{n}"
+                else:
+                    atom = name if n == 1 else f"{name}^{n}"
+                atoms[run] = atom
+            parts.append(atom)
+        slices.append(" ".join(parts))
+        start = end
+    return " ".join(slices)

@@ -10,12 +10,14 @@ speed.
 Calibration (2 CPUs shared with other jobs, CPython 3.11.7, sizes timed
 in turn, 12 ratios per case): ``apply`` gave 5.5-9.5 on the long-part cut
 and 7.6-9.9 on the covered cut; ``canonical_class`` of the dense word
-6.9-8.6 at n = 20,000; ``parse_word`` 7.4-12.4 at n = 5,000 (42 ratios);
-``render_word`` 8.3-10.8 at n = 20,000; ``Word.__mul__`` across a
-cancelling junction of n = 20,000 letters 5.0-5.5 and ``__pow__`` of
-c u c^-1 with |c| = 20,000 4.7-5.6 (8n takes under 1 ms, so the fixed
-cost of a call shows at n); ``fold`` of four generators p s_i q with
-|p| = |q| = 40,000 9.2-13.1 (8n takes 0.11-0.17 s).
+6.4-8.8 at n = 20,000, of the long tie 7.3-8.3 at n = 2^16 runs and of
+the periodic word 7.9-9.8 at n = 2^14 periods; ``parse_word`` 7.4-12.4
+at n = 5,000 (42 ratios); ``render_word`` 7.0-9.9 at n = 20,000;
+``Word.__mul__`` across a cancelling junction of n = 20,000 letters
+5.0-5.5 and ``__pow__`` of c u c^-1 with |c| = 20,000 4.7-5.6 (8n takes
+under 1 ms, so the fixed cost of a call shows at n); ``fold`` of four
+generators p s_i q with |p| = |q| = 40,000 9.2-13.1 (8n takes 0.11-0.17
+s).
 
 Earlier, with all three runs at n timed before those at 8n, one slow
 spell could land on one side only: ``parse_word`` read 17.0 once in 24
@@ -94,6 +96,18 @@ def _dense_class(n):
     return canonical_class, Word(Y, (1, 3) * n + (1, 2))
 
 
+def _long_tie(n):
+    # (y1 y2)^(n - 1) y1 y3: n longest runs of y1, and all but one of the
+    # pieces between them are y2
+    return canonical_class, Word(Y, (1, 2) * (n - 1) + (1, 3))
+
+
+def _periodic(n):
+    # n periods y1^2 y2 y1^2 y3 y1 y2^-1: the pieces between the runs y1^2
+    # rank as two letters, and those ranks as one
+    return canonical_class, Word(Y, (1, 1, 2, 1, 1, 3, 1, -2) * n)
+
+
 def _parse(n):
     return (lambda text: parse_word(text, Y)), " ".join(["y1 y2^-1 y3^2"] * n)
 
@@ -102,7 +116,16 @@ def _render(n):
     return render_word, Word(Y, (1, -2, 3, 3) * n)
 
 
-@pytest.mark.parametrize("case,n", [(_dense_class, 20_000), (_parse, 5_000), (_render, 20_000)])
+@pytest.mark.parametrize(
+    "case,n",
+    [
+        (_dense_class, 20_000),
+        (_long_tie, 2**16),
+        (_periodic, 2**14),
+        (_parse, 5_000),
+        (_render, 20_000),
+    ],
+)
 def test_word_primitive_is_linear(case, n):
     ratio = _ratio(case, n)
     assert ratio < 16, ratio

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -606,6 +607,23 @@ class TestCountsDuringFold:
         for w in gens:
             assert not set(g._loops[w.code][0]) <= representatives
             assert g.base_labels(w) == g.base_labels(w.inverse()) == {1, -1}
+
+    def test_long_arc_folds_in_a_few_words_per_vertex(self):
+        # one cyclically reduced generator folds to a single arc and merges
+        # nothing.  Union-find parents in a list held an int object for
+        # each vertex, about 65 bytes per vertex in all; in an array of
+        # machine ints they hold 8, about 34 in all
+        letters = oracles.random_reduced_letters(3, 200_000, 17)
+        assert letters[0] != -letters[-1]
+        graph = SubgroupGraph.wedge([Word(ABC, letters)], ABC)
+        tracemalloc.start()
+        try:
+            graph.fold()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.n_vertices == len(graph._parent) == len(letters)
+        assert peak < 48 * graph.n_vertices, peak / graph.n_vertices
 
 
 def _walked_base_labels(adj, w):

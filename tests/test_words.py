@@ -614,7 +614,7 @@ def _brute_least_rotation(letters):
 
 
 class TestLeastRotation:
-    # ties are where a two-pointer scan can go wrong: periodic words w^k,
+    # ties are where a least rotation can go wrong: periodic words w^k,
     # w^k followed by a short tail, and runs of one letter
     @settings(max_examples=500, derandomize=True, deadline=None, database=None)
     @given(
@@ -626,9 +626,9 @@ class TestLeastRotation:
                 st.lists(_LETTERS, max_size=3),
             ).map(lambda p: p[0] * p[1] + p[2]),
             st.tuples(_LETTERS, st.integers(1, 12)).map(lambda p: [p[0]] * p[1]),
-            # many equal maximal runs of the least letter, where the scan
-            # has the most candidate starts: (y1 y2^k)^m and a tail, and
-            # blocks y1^r f with varying r and filler f
+            # many equal maximal runs of the least letter, the most
+            # candidate starts: (y1 y2^k)^m and a tail, and blocks y1^r f
+            # with varying r and filler f
             st.tuples(
                 st.integers(1, 4), st.integers(1, 8), st.lists(_LETTERS, max_size=3)
             ).map(lambda p: ([1] + [2] * p[0]) * p[1] + p[2]),
@@ -685,9 +685,8 @@ class TestLeastRotation:
         letters = (1,) * lead + (first, *inner, last) + (1,) * trail
         _assert_classes_match_brute_force(Y, letters)
 
-    # words with at most one run y1^r per 512 letters, whose runs the window
-    # tournament thins: the continuations of the runs share a prefix of up
-    # to 700 letters, longer than some windows, and then differ in one
+    # words with at most one run y1^r per 512 letters: the pieces after
+    # the runs share a prefix of up to 700 letters and then differ in one
     # letter; the least one is planted at the first, last or a middle run
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(
@@ -712,53 +711,41 @@ class TestLeastRotation:
         assert _letters(words._least_rotation(_code(letters))) == _brute_least_rotation(letters)
 
     @pytest.mark.parametrize(
-        "block,copies,last,rounds",
+        "block,copies,last",
         [
-            # periodic: the rounds keep every run, and one round of the scan
-            # finds the period
-            (1024, 3, 3, 1),
-            # the runs differ in the last letter of their block only, so
-            # the last round, whose windows are whole blocks, keeps one
-            (512, 3, 2, 0),
-            (1024, 2, 2, 0),
-            # past the longest window: the scan breaks the tie
-            (768, 2, 2, 1),
-            (768, 3, 2, 2),
+            # periodic: every run ties with every other
+            (1024, 3, 3),
+            # the runs differ in the last letter of their block only
+            (512, 3, 2),
+            (1024, 2, 2),
+            (768, 2, 2),
+            (768, 3, 2),
         ],
     )
-    def test_tournament_ties(self, block, copies, last, rounds, monkeypatch):
+    def test_block_ties(self, block, copies, last):
         # `copies` blocks y1 y3^(block - 1), the last of them ending in
         # `last` instead of y3; with y2 there it starts the least rotation
-        counted = []
-        real = words._common_prefix
-
-        def counted_prefix(a, i, b, j, limit):
-            counted.append(limit)
-            return real(a, i, b, j, limit)
-
-        monkeypatch.setattr(words, "_common_prefix", counted_prefix)
         unit = (1,) + (3,) * (block - 1)
         letters = unit * (copies - 1) + unit[:-1] + (last,)
-        assert copies <= len(letters) >> 9
         best = _letters(words._least_rotation(_code(letters)))
         assert best == _brute_least_rotation(letters)
         if last == 2:
             assert best[: len(unit)] == unit[:-1] + (2,)
-        assert len(counted) == rounds
 
     @pytest.mark.parametrize(
         "label", ["periodic", "one long tie", "wrapping run", "boundary g=64"]
     )
     def test_scan_steps_are_bounded(self, label, monkeypatch):
-        # step counts, never a time.  Each round of a scan makes one
-        # common-prefix call and moves a pointer past a candidate start, and
-        # every round but the last moves one past the letters it compared;
-        # the scans are the forward one, then the two of _canonical_classes
+        # level counts, never a time.  Each level of the reduction reads its
+        # code's longest run once, and the rank code it passes on has one
+        # letter per longest run, at most half its letters, so there are at
+        # most floor(log2(size)) + 1 levels; the reductions are the forward
+        # one, then the two of _canonical_classes
         if label == "periodic":
             period = (1, 1, 2, 1, 1, 3, 1, -2)
             letters = period * 2**17
         elif label == "one long tie":
-            # 2^19 candidates; the first round compares almost all letters
+            # 2^19 longest runs, all but one of their pieces y2
             letters = (1, 2) * (2**19 - 1) + (1, 3)
         elif label == "wrapping run":
             # the only y1^4 wraps round the end; 1000 runs y1^3 inside
@@ -767,52 +754,91 @@ class TestLeastRotation:
         else:
             image = embedding(FamilyParams(64, 12)).apply(boundary_word(64))
             letters = image.cyclic_reduce()[0].letters
-        rounds, scans = [], []
-        real_prefix, real_start = words._common_prefix, words._least_start
+        level_sizes, reductions = [], []
+        real_run, real_start = words._longest_run, words._least_start
 
-        def counted_prefix(a, i, b, j, limit):
-            rounds.append(real_prefix(a, i, b, j, limit))
-            assert sum(rounds) <= 3 * limit, "more than linear work"
-            return rounds[-1]
+        def counted_run(data, unit):
+            level_sizes.append(len(data))
+            return real_run(data, unit)
 
         def counted_start(code, least):
-            rounds.clear()
+            level_sizes.clear()
             start = real_start(code, least)
-            scans.append(len(rounds))
+            reductions.append(list(level_sizes))
             return start
 
-        monkeypatch.setattr(words, "_common_prefix", counted_prefix)
+        monkeypatch.setattr(words, "_longest_run", counted_run)
         monkeypatch.setattr(words, "_least_start", counted_start)
         candidates = _longest_run_starts(letters)
         inverse_candidates = _longest_run_starts(t_inv(letters))
         best = _letters(words._least_rotation(_code(letters)))
         _, oriented = words._canonical_classes(Word(Y, letters))
-        forward, forward_again, inverse = scans
-        assert forward_again == forward <= 2 * len(candidates) + 2
-        assert inverse <= 2 * len(inverse_candidates) + 2
+        forward, forward_again, inverse = reductions
+        assert forward_again == forward
+        for sizes in (forward, inverse):
+            assert sizes[0] == len(letters)
+            assert len(sizes) <= len(letters).bit_length()
+            assert all(size <= before // 2 for before, size in zip(sizes, sizes[1:]))
         assert oriented.letters == best
         if label == "periodic":
-            assert len(letters) == 2**20
-            assert forward <= 2 * len(_longest_run_starts(period)) + 2
-            assert inverse <= 2 * len(_longest_run_starts(t_inv(period))) + 2
-            assert (forward, inverse) == (2, 3)
+            # two runs y1^2 per period rank as two letters, then as one
+            assert len(candidates) == len(inverse_candidates) == 2**18
+            assert forward == inverse == [2**20, 2**18, 2**17]
             assert best == letters
         elif label == "one long tie":
-            assert len(letters) == 2**20
             assert len(candidates) == len(inverse_candidates) == 2**19
-            assert forward == inverse == 1
+            assert forward == inverse == [2**20, 2**19]
             assert best == letters
         elif label == "wrapping run":
+            # one longest run: its start is the answer
             assert len(candidates) == len(inverse_candidates) == 1
-            assert forward == inverse == 0
+            assert forward == inverse == [len(letters)]
             assert best[:5] == (1, 1, 1, 1, 2)
             assert best == least_rotation(letters)
         else:
-            # 63 runs in 170,360 letters: sparse, and the window tournament
-            # keeps one start in each orientation, so the scan compares none
+            # one letter per longest run, and one of them is least
             assert len(candidates) == len(inverse_candidates) == 63
-            assert forward == inverse == 0
+            assert forward == inverse == [170_360, 63]
             assert best == least_rotation(letters)
+
+    # with the code points for ranks cut to 2 * _MAX_RANK = 4, a level of
+    # five or more distinct pieces writes each rank as two code points,
+    # as a level of over 1,114,110 distinct pieces does at the real bound:
+    # runs y1^r, each before a piece with no y1, the blocks repeated
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        st.tuples(
+            st.integers(1, 2),
+            st.lists(
+                st.lists(st.sampled_from([2, -2, 3, -3]), min_size=1, max_size=3),
+                min_size=1,
+                max_size=12,
+            ),
+            st.integers(1, 3),
+        ).map(lambda p: tuple(s for piece in p[1] * p[2] for s in [1] * p[0] + piece))
+    )
+    def test_two_code_point_ranks_match_brute_force(self, letters):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(words, "_MAX_RANK", 2)
+            assert _letters(words._least_rotation(_code(letters))) == _brute_least_rotation(letters)
+
+    def test_two_code_point_ranks(self, monkeypatch):
+        # five distinct pieces between the runs y1^2: each rank is written
+        # as two code points, so the rank code has ten letters, and the
+        # least piece, y2, follows the fourth run
+        monkeypatch.setattr(words, "_MAX_RANK", 2)
+        sizes = []
+        real_run = words._longest_run
+
+        def counted_run(data, unit):
+            sizes.append(len(data))
+            return real_run(data, unit)
+
+        monkeypatch.setattr(words, "_longest_run", counted_run)
+        letters = (1, 1, 3, 1, 1, -3, 1, 1, -2, 1, 1, 2, 1, 1, 2, 3)
+        best = _letters(words._least_rotation(_code(letters)))
+        assert best == letters[9:] + letters[:9] == _brute_least_rotation(letters)
+        assert sizes[:2] == [16, 10]
 
 
 class TestLetterCodes:
@@ -1051,6 +1077,44 @@ class TestRender:
             tracemalloc.stop()
         assert text == "y1^1000000"
         assert peak < 4 << 20
+
+
+    # render_word renders slices of at least 2^16 letters, each cut at the
+    # first run end past that; these words put runs at the slice edges
+    @pytest.mark.parametrize(
+        "label,letters",
+        [
+            # y3^10 covers letters 65,532 to 65,541
+            ("run across an edge", (1, 2) * 32_766 + (3,) * 10 + (1, -2) * 1000),
+            # y1^100000 runs from the first slice well into the second
+            ("long run across an edge", (2, 3) * 30_000 + (1,) * 100_000 + (2, -3) * 40_000),
+            # the run across the first edge ends the word, so one slice
+            ("slice that ends the word", (1, 2) * 32_766 + (3,) * 8),
+            # the word ends at the edge itself
+            ("word of one slice", (1, 2) * 32_768),
+            # a run ends at each edge, and the last slice is short
+            ("runs end at the edges", (1, 2, -3, -3) * 49_153),
+            ("single run", (1,) * (3 * 2**16 + 1)),
+        ],
+    )
+    def test_slice_edges_match_groupby_oracle(self, label, letters):
+        w = Word(Y, letters)
+        assert w.letters == letters
+        assert render_word(w) == render(letters, Y.names)
+
+    def test_many_runs_render_in_memory_that_follows_the_output(self):
+        # three runs per four letters; splitting the whole word into runs
+        # at once held about 44 bytes per letter, rendering a slice at a
+        # time holds the text and one slice's runs, about 9
+        w = Word(Y, (1, -2, 3, 3) * 2**18)
+        tracemalloc.start()
+        try:
+            text = render_word(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == " ".join(["y1 y2^-1 y3^2"] * 2**18)
+        assert peak < 16 * len(w), peak / len(w)
 
 
 class TestIterReducedWords:
