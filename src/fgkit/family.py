@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .abelian import INFINITE, _InfiniteType, image_matrix, quotient_order
 from .homs import Homomorphism
-from .stallings import InjectivityResult, SubgroupGraph, build_subgroup_graph
+from .stallings import InjectivityResult, SubgroupGraph, _image_graph
 from .words import (
     _MAX_PARSED_LETTERS,
     Alphabet,
@@ -550,7 +550,7 @@ def verify(params: FamilyParams) -> VerificationReport:
     shuffle_ok = timed("shuffle_identities", lambda: _shuffle_identities_hold(params.l))
 
     def injectivity() -> tuple[SubgroupGraph, InjectivityResult]:
-        graph = build_subgroup_graph(hom.images, hom.codomain)
+        graph = _image_graph(hom)
         return graph, InjectivityResult.from_graph(graph, hom.domain.rank)
 
     graph, inj = timed("injectivity", injectivity)

@@ -27,8 +27,9 @@ spells costs O(1) Python steps for its arc, not one dict per letter.
 Each read starts with a jump along the loops already attached.  The codes
 of the attached generators and of their inverses are kept in one sorted
 list, each with the vertex ids its loop passes through, held in an
-``array('q')`` of machine ints so that slicing, reversing and joining a
-path is a copy in C.  Merges only identify vertices, so ``find`` of those
+``array('q')`` of machine ints so that a jump copies its ids in one
+slice, strided backwards for an inverse code, and joining a path is a
+copy in C.  Merges only identify vertices, so ``find`` of those
 ids still spells the loop, and the longest prefix that a read shares with
 any known code is shared with a neighbour of its insertion point in the
 sorted list.  Its length is found by bisection: a read of at most m
@@ -45,13 +46,15 @@ subgroups of free groups*, J. Algebra 248 (2002), §§3–5.
 
 Folding is a single-owner mutation.  :meth:`SubgroupGraph.fold` keeps its
 state as the last attach left it: the adjacency dicts, the arcs, each
-attached loop's id path and the union-find ``parent`` array, so after a
-merge a target or id may be stale.  It counts the merges as it goes: V is
-the vertices created less the merges, and E is half the entries of the
-dicts, with two for each implicit vertex, since a merged vertex's dict is
-emptied.  Every query reads and never writes that state, resolving ids
-by a walk up ``parent``, so a folded graph is safe to query from any
-thread.  The canonical relabel (breadth-first from the base, edges in
+attached loop's id path and the union-find ``parent`` dict, so after a
+merge a target or id may be stale.  ``parent`` holds the merged vertices
+only, ``parent[b] = a`` written at the merge, and ``find`` compresses only
+keys already there, so a fold that merges nothing keeps nothing per
+vertex.  V is the vertices created less the keys of ``parent``, and E is
+half the entries of the dicts, with two for each implicit vertex, since a
+merged vertex's dict is emptied.  Every query reads and never writes that
+state, resolving ids by a walk up ``parent``, so a folded graph is safe
+to query from any thread.  The canonical relabel (breadth-first from the base, edges in
 letter order) is the one place that expands the arcs; it is built on
 the first call of :meth:`~SubgroupGraph.contains`,
 :meth:`~SubgroupGraph.edges`, :meth:`~SubgroupGraph.dump` or ``==`` and
@@ -72,10 +75,16 @@ The edges at the base vertex of a folded graph are exactly the first
 letters of the subgroup's nontrivial reduced elements (and, inverted, the
 last letters); :meth:`SubgroupGraph.base_labels` reads which of them an
 attached generator or its inverse uses.  It reads the base visits off the
-loop's kept id path with C scans, so the canonical relabel is never
-built; only a graph that merged pays a Python step per letter, to
-resolve the path.  The empty word uses no base edge; any other word
-raises ``ValueError``.
+loop's kept id path with C scans for each id that resolves to the base's
+representative, found among the merged vertices, so the canonical
+relabel is never built and a call costs a Python step per merged vertex,
+not per letter.  The
+empty word uses no base edge; any other word raises ``ValueError``.
+
+:func:`is_injective` and :func:`~fgkit.family.verify` build the graph
+through :meth:`SubgroupGraph.wedge` as :func:`build_subgroup_graph` does,
+then hand the fold the inverse image codes that the
+:class:`~fgkit.homs.Homomorphism` already holds, so the fold derives none.
 
 Edges are labeled by letter codes (see :mod:`fgkit.words`): folding walks
 the generators' codes, and a vertex's edges are ordered by code point,
@@ -88,9 +97,10 @@ from array import array
 from bisect import bisect, insort
 from collections import namedtuple
 from collections.abc import Iterable
+from itertools import compress, count
 
 from .homs import Homomorphism
-from .words import Alphabet, AlphabetMismatch, Word, _inverse, _letter
+from .words import Alphabet, AlphabetMismatch, Word, _inverse, _letter, _letter_key
 
 __all__ = [
     "SubgroupGraph",
@@ -106,14 +116,17 @@ class SubgroupGraph:
     def __init__(self, alphabet: Alphabet) -> None:
         self.alphabet = alphabet
         self.base = 0
-        # unfolded: the codes of the nontrivial generator words, one loop each
+        # unfolded: the codes of the nontrivial generator words, one loop
+        # each, and their inverse codes when the caller already holds them
         self._gens: tuple[str, ...] = ()
+        self._inverses: tuple[str, ...] | None = None
         # folded: the fold's adjacency dicts, None for an implicit vertex,
-        # its union-find parents, the base's representative, the fresh arcs
-        # (firsts, arcs) and each attached code's (path, step), all as the
-        # last attach left them, targets and ids possibly stale (see fold)
+        # the union-find parents of the merged vertices, the base's
+        # representative, the fresh arcs (firsts, arcs) and each attached
+        # code's (path, step), all as the last attach left them, targets and
+        # ids possibly stale (see fold)
         self._adj: list[dict[str, int] | None] | None = None
-        self._parent = array("q", (0,))
+        self._parent: dict[int, int] = {}
         self._root = 0
         self._arcs: tuple[list[int], list[tuple[int, int, str]]] = ([], [])
         self._loops: dict[str, tuple[array, int]] = {}
@@ -146,8 +159,8 @@ class SubgroupGraph:
         """Attach the generator loops one at a time, folding as they go.
 
         Counts V and E, so the rank needs no further pass, and keeps the
-        adjacency dicts, the union-find parents, the fresh arcs and each
-        attached loop's id path as the last attach left them.
+        adjacency dicts, the merged vertices' union-find parents, the fresh
+        arcs and each attached loop's id path as the last attach left them.
         """
         if self.folded:
             return self
@@ -156,9 +169,9 @@ class SubgroupGraph:
         # are then read off the arc (_arc_row).  adj[v] is current only for
         # representatives v, whose targets may be stale: read them by find
         adj: list[dict[str, int] | None] = [{}]
-        # machine ints, 8 bytes a vertex, where a list holds an int object each
-        parent = array("q", (0,))
-        merges = 0
+        # parent[b] = a for each merged vertex b, and no key for the others,
+        # so a fold that merges nothing keeps nothing per vertex
+        parent: dict[int, int] = {}
         # the fresh arcs with inner vertices: arcs[a] = (start, end, code),
         # whose inner vertices are firsts[a], firsts[a] + 1, ..., one after
         # each letter of code but the last
@@ -173,13 +186,15 @@ class SubgroupGraph:
             return d
 
         def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
+            # path halving, which writes only keys that are already there
+            while v in parent:
+                u = parent[v]
+                if u in parent:
+                    u = parent[v] = parent[u]
+                v = u
             return v
 
         def identify(a: int, b: int) -> None:
-            nonlocal merges
             pending = [(a, b)]
             while pending:
                 a, b = pending.pop()
@@ -190,7 +205,6 @@ class SubgroupGraph:
                 if len(into) < len(other):
                     a, b, into, other = b, a, other, into
                 parent[b] = a
-                merges += 1
                 for s, t in other.items():
                     u = into.setdefault(s, t)
                     if u != t:
@@ -225,8 +239,9 @@ class SubgroupGraph:
                             lo = mid
                         else:
                             hi = mid - 1
+                    # the first lo + 1 ids that c reads, one copy either way
                     path, step = loops[c]
-                    best, ids = lo, path[: lo + 1] if step > 0 else path[-1 - lo :][::-1]
+                    best, ids = lo, path[: lo + 1] if step > 0 else path[: -lo - 2 : -1]
             if not best:
                 ids = start[:]
             # then reads on letter by letter, with find's fast path inlined
@@ -238,14 +253,15 @@ class SubgroupGraph:
                 t = d.get(code[k])
                 if t is None:
                     break
-                v, k = (t if parent[t] == t else find(t)), k + 1
+                v, k = (find(t) if t in parent else t), k + 1
                 ids.append(v)
             return ids, v, k
 
         # inv[n - 1 - k] is the code of the inverse of the letter w[k];
         # fwd[k] is an id at position k of w, and bwd[q] at position n - q
-        for w in self._gens:
-            n, inv = len(w), _inverse(w)
+        inverses = self._inverses or map(_inverse, self._gens)
+        for w, inv in zip(self._gens, inverses):
+            n = len(w)
             fwd, v, i = read(w, n)
             if i == n:
                 identify(v, self.base)
@@ -265,7 +281,6 @@ class SubgroupGraph:
                         firsts.append(x)
                         arcs.append((v, u, w[i:j]))
                         adj += [None] * m
-                        parent.extend(range(x, x + m))
                         fwd.extend(range(x, x + m))
                         y = x + m - 1
                     else:  # the one edge v -> u
@@ -282,17 +297,17 @@ class SubgroupGraph:
 
         self._adj, self._parent, self._root = adj, parent, find(self.base)
         self._arcs, self._loops = (firsts, arcs), loops
-        # the vertices are the representatives; a merged vertex's dict is
-        # emptied, each edge is held once in each direction, a loop too, and
-        # an implicit vertex holds two
+        # the vertices are the representatives, the ones parent holds no
+        # key for; a merged vertex's dict is emptied, each edge is held once
+        # in each direction, a loop too, and an implicit vertex holds two
         half_edges = sum(map(len, filter(None, adj))) + 2 * adj.count(None)
-        self._counts = (len(parent) - merges, half_edges // 2)
-        self._gens = ()
+        self._counts = (len(adj) - len(parent), half_edges // 2)
+        self._gens, self._inverses = (), None
         return self
 
     # -- queries ---------------------------------------------------------
 
-    def _folded(self, what: str) -> tuple[list[dict[str, int] | None], array, int]:
+    def _folded(self, what: str) -> tuple[list[dict[str, int] | None], dict[int, int], int]:
         if self._adj is None:
             raise ValueError(f"graph must be folded before {what}")
         return self._adj, self._parent, self._root
@@ -378,16 +393,27 @@ class SubgroupGraph:
         loop = self._loops.get(code)
         if loop is None:
             raise ValueError("word is not an attached generator or its inverse")
-        # the path starts and ends at the root, so each C scan for the next
-        # visit finds one, once a graph that merged has its ids resolved; an
-        # inverse code reads the path backwards
+        # the base visits are where the path holds an id that resolves to
+        # the root: the root, or a merged vertex whose representative it is.
+        # Each such id costs C scans of the path, so many of them (a fold
+        # that merged most of a loop into the base) take one C pass that
+        # tests every id instead; an inverse code reads the path backwards
         path, step = loop
-        if len(parent) != self.n_vertices:  # the fold merged
-            path = array("q", [_representative(parent, v) for v in path])
+        roots = {root}.union(v for v in parent if _representative(parent, v) == root)
+        if len(roots) > 2:
+            visits = list(compress(count(), map(roots.__contains__, path)))
+        else:
+            visits = []
+            for r in roots:
+                p = -1
+                try:
+                    while True:
+                        p = path.index(r, p + 1)
+                        visits.append(p)
+                except ValueError:  # no visit after p
+                    pass
+            visits.sort()
         n = len(code)
-        visits = [0]
-        while visits[-1] < n:
-            visits.append(path.index(root, visits[-1] + 1))
         if step < 0:
             visits = [n - p for p in reversed(visits)]
         left = {_letter(code[p]) for p in visits[:-1]}
@@ -416,9 +442,9 @@ class SubgroupGraph:
         return self.alphabet == other.alphabet and mine == theirs
 
 
-def _representative(parent: array, v: int) -> int:
+def _representative(parent: dict[int, int], v: int) -> int:
     """``v``'s representative, by a walk up ``parent`` that writes nothing."""
-    while parent[v] != v:
+    while v in parent:
         v = parent[v]
     return v
 
@@ -462,5 +488,16 @@ def is_injective(h: Homomorphism) -> InjectivityResult:
     isomorphism.  A false verdict means the images satisfy a nontrivial
     relation.
     """
-    graph = build_subgroup_graph(h.images, h.codomain)
-    return InjectivityResult.from_graph(graph, h.domain.rank)
+    return InjectivityResult.from_graph(_image_graph(h), h.domain.rank)
+
+
+def _image_graph(h: Homomorphism) -> SubgroupGraph:
+    """Folded graph of the image subgroup of ``h``, as
+    :func:`build_subgroup_graph` builds it, but folded with the inverse
+    image codes that ``h`` already holds rather than new ones."""
+    graph = SubgroupGraph.wedge(h.images, h.codomain)
+    codes = h._codes
+    graph._inverses = tuple(
+        codes[chr(_letter_key(-k))] for k, img in enumerate(h.images, 1) if img.code
+    )
+    return graph.fold()

@@ -17,7 +17,9 @@ at n = 5,000 (42 ratios); ``render_word`` 7.0-9.9 at n = 20,000;
 5.0-5.5 and ``__pow__`` of c u c^-1 with |c| = 20,000 4.7-5.6 (8n takes
 under 1 ms, so the fixed cost of a call shows at n); ``fold`` of four
 generators p s_i q with |p| = |q| = 40,000 9.2-13.1 (8n takes 0.11-0.17
-s).
+s); ``base_labels`` of y1^n after y1^(n + 1) merged it into the base
+7.7-10.6 at n = 5,000, where one C scan of the path per base id would be
+quadratic.
 
 Earlier, with all three runs at n timed before those at 8n, one slow
 spell could land on one side only: ``parse_word`` read 17.0 once in 24
@@ -168,8 +170,24 @@ def _shared_prefixes(n):
     return (lambda words: build_subgroup_graph(words, Y)), gens
 
 
+def _loop_merged_into_the_base(n):
+    # y1^n then y1^(n + 1) merges every vertex of the first loop into the
+    # base, so every id on its path is a base visit
+    gens = [Word(Y, (1,) * n), Word(Y, (1,) * (n + 1))]
+    graph = build_subgroup_graph(gens, Y)
+    assert (graph.n_vertices, len(graph._parent)) == (1, n - 1)
+    assert graph.base_labels(gens[0]) == {1, -1}
+    return graph.base_labels, gens[0]
+
+
 @pytest.mark.parametrize(
-    "case,n", [(_cancelling_junction, 20_000), (_long_conjugator, 20_000), (_shared_prefixes, 40_000)]
+    "case,n",
+    [
+        (_cancelling_junction, 20_000),
+        (_long_conjugator, 20_000),
+        (_shared_prefixes, 40_000),
+        (_loop_merged_into_the_base, 5_000),
+    ],
 )
 def test_product_power_and_fold_are_linear(case, n):
     ratio = _ratio(case, n)

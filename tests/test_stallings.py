@@ -22,6 +22,7 @@ from fgkit import (
     verify,
 )
 
+import fgkit.stallings as stallings
 import oracles
 
 AB = Alphabet.numbered(2, "a")
@@ -612,7 +613,8 @@ class TestCountsDuringFold:
         # one cyclically reduced generator folds to a single arc and merges
         # nothing.  Union-find parents in a list held an int object for
         # each vertex, about 65 bytes per vertex in all; in an array of
-        # machine ints they hold 8, about 34 in all
+        # machine ints 8, about 34 in all; kept for merged vertices only,
+        # they hold nothing here, about 26 in all
         letters = oracles.random_reduced_letters(3, 200_000, 17)
         assert letters[0] != -letters[-1]
         graph = SubgroupGraph.wedge([Word(ABC, letters)], ABC)
@@ -622,8 +624,124 @@ class TestCountsDuringFold:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert graph.n_vertices == len(graph._parent) == len(letters)
-        assert peak < 48 * graph.n_vertices, peak / graph.n_vertices
+        assert graph._parent == {}
+        assert graph.n_vertices == len(letters)
+        assert peak < 32 * graph.n_vertices, peak / graph.n_vertices
+
+
+class TestMergedOnlyUnionFind:
+    """The fold keeps a union-find parent for each merged vertex only."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_merge_chains_match_the_textbook_fold(self, data):
+        # powers of one root, conjugated or not, close up on its earlier
+        # powers: each cascade merges down to the gcd of the exponents, and
+        # a later one merges vertices that an earlier one left as keys
+        rank = data.draw(st.integers(1, 3))
+        signed = st.sampled_from([s for g in range(1, rank + 1) for s in (g, -g)])
+        reduced = st.lists(signed, max_size=4).map(oracles.naive_reduce)
+        root = data.draw(reduced.filter(bool))
+        gens = []
+        for _ in range(data.draw(st.integers(2, 5))):
+            build = data.draw(st.sampled_from(["power", "conjugate", "product", "random"]))
+            power = oracles.t_pow(root, data.draw(st.integers(1, 12)))
+            if build == "power":
+                new = power
+            elif build == "conjugate":
+                u = data.draw(reduced)
+                new = oracles.t_mul(oracles.t_mul(u, power), oracles.t_inv(u))
+            elif build == "product" and gens:
+                new = oracles.t_mul(data.draw(st.sampled_from(gens)), power)
+            else:
+                new = data.draw(reduced)
+            gens.append(new)
+        alphabet = Alphabet.numbered(rank, "a")
+        graph = build_subgroup_graph([Word(alphabet, w) for w in gens], alphabet)
+        dump, textbook_rank = oracles.folded_dump(gens, alphabet.names)
+        assert (graph.dump(), graph.rank()) == (dump, textbook_rank), gens
+        assert graph.n_vertices == len(graph._adj) - len(graph._parent), gens
+        # each key is a merged vertex, whose dict the merge emptied
+        assert all(graph._adj[b] == {} and a != b for b, a in graph._parent.items())
+        adj = _dump_adjacency(dump, alphabet.names)
+        for w in gens:
+            for word in (w, oracles.t_inv(w)):
+                assert graph.base_labels(Word(alphabet, word)) == _walked_base_labels(adj, word)
+
+    def test_a_second_cascade_merges_the_first_ones_classes(self):
+        # a1^30 is one loop of 30 vertices; a1^18 folds it to gcd 6, 24
+        # merges, and a1^10 to gcd 2, four more, by way of ids that the
+        # first cascade merged
+        gens = words(A1, "a1^30", "a1^18", "a1^10")
+        for k, (vertices, merged) in enumerate([(30, 0), (6, 24), (2, 28)], 1):
+            g = build_subgroup_graph(gens[:k], A1)
+            assert (g.n_vertices, len(g._parent), len(g._adj)) == (vertices, merged, 30)
+            assert (g.dump(), g.rank()) == oracles.folded_dump(
+                [w.letters for w in gens[:k]], A1.names
+            )
+            for w in gens[:k]:
+                assert g.base_labels(w) == g.base_labels(w.inverse()) == {1, -1}
+        _query_everything(build_subgroup_graph(gens, A1), gens, parse_word("a1", A1))
+
+    @pytest.mark.parametrize("genus", [2, 8])
+    def test_family_folds_keep_no_parents(self, genus):
+        h = embedding(FamilyParams(genus, 12))
+        g = build_subgroup_graph(h.images, h.codomain)
+        assert g._parent == {} and g.n_vertices == len(g._adj)
+
+
+def _same_fold(mine, theirs, images):
+    """Two folds of the same images agree in every kept part of their state
+    and in every query."""
+    assert mine == theirs
+    assert (mine.n_vertices, mine.n_edges, mine.rank()) == (
+        theirs.n_vertices,
+        theirs.n_edges,
+        theirs.rank(),
+    )
+    state = ("_adj", "_parent", "_root", "_arcs", "_loops")
+    assert [getattr(mine, a) for a in state] == [getattr(theirs, a) for a in state]
+    for w in images:
+        for q in (w, w.inverse()):
+            assert mine.base_labels(q) == theirs.base_labels(q)
+
+
+class TestInverseCodeHandoff:
+    """``is_injective`` and ``verify`` fold with the inverse image codes
+    that the homomorphism already holds."""
+
+    @pytest.mark.parametrize("g", [2, 8, 32])
+    @pytest.mark.parametrize("l", [3, 12])
+    def test_family_fold_from_the_homomorphisms_codes(self, g, l):
+        h = embedding(FamilyParams(g, l))
+        mine = stallings._image_graph(h)
+        _same_fold(mine, build_subgroup_graph(h.images, h.codomain), h.images)
+        assert is_injective(h) == (True, 2 * g, 2 * g)
+
+    def test_trivial_repeated_and_inverse_images(self):
+        # a trivial image is no loop, so the codes handed to the fold skip it
+        images = words(AB, "1", "a1 a2", "a2^-1 a1^-1", "1", "a1 a2", "a2 a1^2 a2^-1")
+        h = Homomorphism(Alphabet.numbered(6, "x"), AB, images)
+        mine = stallings._image_graph(h)
+        _same_fold(mine, build_subgroup_graph(images, AB), images)
+        assert is_injective(h) == (False, 2, 6)
+
+    def test_no_inverse_code_is_derived_during_the_fold(self, monkeypatch):
+        calls = []
+
+        def counting(code):
+            calls.append(code)
+            return inverse(code)
+
+        inverse = stallings._inverse
+        monkeypatch.setattr(stallings, "_inverse", counting)
+        h = embedding(FamilyParams(8, 12))
+        assert is_injective(h) == (True, 16, 16)
+        assert verify(FamilyParams(8, 12)).hard_pass
+        assert calls == []
+        # the counter sees the fold of the images alone
+        build_subgroup_graph(h.images, h.codomain)
+        assert len(calls) == len(h.images)
 
 
 def _walked_base_labels(adj, w):
@@ -793,7 +911,7 @@ class TestFoldedQueries:
         gens = words(alphabet, *texts)
         g = build_subgroup_graph(gens, alphabet)
         assert g._root != 0
-        assert any(g._parent[t] != t for d in g._adj for t in d.values())
+        assert any(t in g._parent for d in g._adj for t in d.values())
         _query_everything(g, gens, parse_word(outsider, alphabet))
 
     @pytest.mark.parametrize("genus", [2, 8])
